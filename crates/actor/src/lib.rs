@@ -27,7 +27,6 @@ mod chaos;
 pub mod controller;
 pub mod entry;
 pub mod ids;
-pub mod live;
 pub mod logic;
 pub mod message;
 pub mod report;

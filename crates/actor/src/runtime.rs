@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use plasma_backend::{
     BackendKind, BackendStats, ControlDecision, ControlMsg, ControlQuery, ControlReply, Delivery,
-    Execution, ExecutionBackend, ServerReport,
+    Execution, ExecutionBackend, ServerReport, SimBackend,
 };
 use plasma_chaos::fault::FaultKind;
 use plasma_chaos::{FaultPlan, RecoveryPolicy};
@@ -203,11 +203,13 @@ pub struct Runtime {
     inbound_migrations: Vec<u32>,
     /// Present only while a non-empty fault plan is installed.
     chaos: Option<ChaosState>,
-    /// The carrier underneath the logical schedule (sim or live).
+    /// The carrier underneath the logical schedule (sim, live or net).
     backend: Box<dyn ExecutionBackend>,
     /// Elasticity ticks fired so far (the round counter fed to the
     /// backend's round barrier).
     elasticity_rounds: u64,
+    /// The last carrier barrier that balanced, named when one does not.
+    last_matched_barrier: Option<(&'static str, u64)>,
 }
 
 impl Runtime {
@@ -220,15 +222,19 @@ impl Runtime {
         events.push(SimTime::ZERO + cfg.elasticity_period, Event::ElasticityTick);
         let rng = DetRng::new(cfg.seed);
         let report = RunReport::new(cfg.latency_bucket);
-        // The net backend spawns worker processes, so it lives above the
-        // backend crate and is routed here rather than through `make`.
+        // Both real carriers are `plasma-net`'s worker loop: one
+        // `plasma-server` process per group under net, one thread per
+        // group under live.
         let backend: Box<dyn ExecutionBackend> = match cfg.backend {
-            BackendKind::Net => Box::new(
+            BackendKind::Sim => Box::new(SimBackend::new()),
+            kind => Box::new(
                 plasma_net::NetConfig::from_env()
-                    .and_then(plasma_net::NetBackend::launch)
-                    .unwrap_or_else(|e| panic!("launching net backend workers: {e}")),
+                    .and_then(|c| match kind {
+                        BackendKind::Live => plasma_net::NetBackend::launch_threads(c.groups),
+                        _ => plasma_net::NetBackend::launch(c),
+                    })
+                    .unwrap_or_else(|e| panic!("launching {} backend workers: {e}", kind.name())),
             ),
-            kind => plasma_backend::make(kind),
         };
         // Enough per-window deltas to span two elasticity rounds (plus
         // slack for skew-injected extra generations); if a configuration
@@ -264,6 +270,7 @@ impl Runtime {
             chaos: None,
             backend,
             elasticity_rounds: 0,
+            last_matched_barrier: None,
         }
     }
 
@@ -1531,9 +1538,10 @@ impl Runtime {
             self.backend
                 .publish_report(self.snapshot.generation, &report);
         }
-        // Barrier the carrier on the freshly built generation; under live
-        // this verifies exactly-once carriage of the window's events.
-        self.backend.window_close(self.snapshot.generation);
+        // Barrier the carrier on the freshly built generation; a real
+        // carrier verifies exactly-once carriage of the window's events.
+        let closed = self.backend.window_close(self.snapshot.generation);
+        self.check_barrier("window generation", closed.generation, closed.matched);
         if schedule_next {
             self.events.push(self.now + window, Event::ProfileWindow);
         }
@@ -1541,7 +1549,8 @@ impl Runtime {
 
     fn on_elasticity_tick(&mut self) {
         self.elasticity_rounds += 1;
-        self.backend.round_barrier(self.elasticity_rounds);
+        let acked = self.backend.round_barrier(self.elasticity_rounds);
+        self.check_barrier("round", self.elasticity_rounds, acked);
         let mut controller = self.controller.take();
         if let Some(c) = controller.as_mut() {
             c.on_elasticity_tick(self);
@@ -1551,6 +1560,24 @@ impl Runtime {
         }
         self.events
             .push(self.now + self.cfg.elasticity_period, Event::ElasticityTick);
+    }
+
+    /// Records a carrier barrier's outcome. A barrier that did not balance
+    /// means the carrier lost events (a killed worker, a dropped
+    /// connection), so the run stops instead of reporting numbers the
+    /// carrier never produced.
+    fn check_barrier(&mut self, barrier: &'static str, n: u64, matched: bool) {
+        if !matched {
+            let last = match self.last_matched_barrier {
+                Some((b, m)) => format!("{b} {m}"),
+                None => "none".to_string(),
+            };
+            panic!(
+                "{} carrier lost: {barrier} {n} did not balance (last matched barrier: {last})",
+                self.backend.kind().name()
+            );
+        }
+        self.last_matched_barrier = Some((barrier, n));
     }
 
     // ------------------------------------------------------------------
@@ -2129,13 +2156,11 @@ impl Runtime {
             put("control_replies", s.control_replies as f64);
             put("control_decisions", s.control_decisions as f64);
             put("control_wire_bytes", s.control_wire_bytes as f64);
-            if self.backend.kind() == BackendKind::Net {
-                put("frames_sent", s.frames_sent as f64);
-                put("frames_received", s.frames_received as f64);
-                put("wire_bytes_sent", s.wire_bytes_sent as f64);
-                put("wire_bytes_received", s.wire_bytes_received as f64);
-                put("max_inflight_frames", s.max_inflight_frames as f64);
-            }
+            put("frames_sent", s.frames_sent as f64);
+            put("frames_received", s.frames_received as f64);
+            put("wire_bytes_sent", s.wire_bytes_sent as f64);
+            put("wire_bytes_received", s.wire_bytes_received as f64);
+            put("max_inflight_frames", s.max_inflight_frames as f64);
         }
     }
 

@@ -102,29 +102,30 @@ pub struct ElasticityEval {
     /// Backend-clock nanoseconds spent patching frames (identically 0
     /// under the sim backend; host-dependent under live).
     pub frame_patch_ns: u64,
-    /// Mean carrier transport latency per sampled delivery, ns: wall-clock
-    /// channel latency under live, deterministic injected chaos delay
-    /// under net, identically 0 under sim.
+    /// Mean carrier transport latency per sampled delivery, ns: the
+    /// deterministic injected chaos delay under live and net, identically
+    /// 0 under sim.
     pub backend_channel_mean_ns: f64,
     /// Worst sampled carrier transport latency, ns.
     pub backend_channel_max_ns: u64,
-    /// Wire frames the coordinator wrote (net backend only; 0 otherwise).
+    /// Wire frames the coordinator wrote (live and net; 0 under sim).
     pub backend_frames_sent: u64,
-    /// Wire frames the coordinator read back (net backend only).
+    /// Wire frames the coordinator read back (live and net).
     pub backend_frames_received: u64,
-    /// Wire bytes the coordinator wrote (net backend only).
+    /// Wire bytes the coordinator wrote (live and net).
     pub backend_wire_bytes_sent: u64,
-    /// Wire bytes the coordinator read back (net backend only).
+    /// Wire bytes the coordinator read back (live and net).
     pub backend_wire_bytes_received: u64,
-    /// Most frames ever outstanding between carrier barriers (net only).
+    /// Most frames ever outstanding between carrier barriers (live and
+    /// net).
     pub backend_max_inflight: u64,
     /// GEM control queries sent over the carrier (one per GEM per round).
     pub control_queries: u64,
     /// QREPLY candidate batches carried back (one per carrier partition
-    /// holding in-scope servers: 1 under sim, per-server under live,
-    /// per-group under net).
+    /// holding in-scope servers: 1 under sim, one per worker group under
+    /// live and net).
     pub control_replies: u64,
-    /// Wire bytes of QUERY/QREPLY/DECISION control frames (net only).
+    /// Wire bytes of QUERY/QREPLY/DECISION control frames (live and net).
     pub control_wire_bytes: u64,
 }
 

@@ -6,8 +6,8 @@
 //! (grow/shrink plus the migration list). This module defines those
 //! messages as carriage structs so the [`ExecutionBackend::control`]
 //! hook can route them over whatever medium the backend provides —
-//! in-process audit under sim, cross-thread channels under live, TCP
-//! frames under net — while the *decision logic* stays in the EMR.
+//! in-process audit under sim, TCP frames to worker threads (live) or
+//! worker processes (net) — while the *decision logic* stays in the EMR.
 //!
 //! # Determinism contract
 //!
@@ -156,8 +156,8 @@ pub fn report_scale_votes(candidates: &[ServerReport], upper: f64, lower: f64) -
 }
 
 /// Answers a query from a held report set: the pure evaluation every
-/// carrier shares (the sim backend calls it inline; each net worker and
-/// live worker thread calls it against the reports it holds).
+/// carrier shares (the sim backend calls it inline; each `plasma-net`
+/// worker calls it against the reports its group holds).
 ///
 /// Candidates are the held rows named by `query.scope`, **in scope
 /// order** — the same order `EvalCtx::scoped` materializes server rows
@@ -243,7 +243,11 @@ mod tests {
         };
         let reply = answer_query(9, &held, &query);
         assert_eq!(
-            reply.candidates.iter().map(|c| c.server).collect::<Vec<_>>(),
+            reply
+                .candidates
+                .iter()
+                .map(|c| c.server)
+                .collect::<Vec<_>>(),
             vec![7, 2],
             "candidates follow scope order, holes skipped"
         );

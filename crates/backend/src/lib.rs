@@ -12,33 +12,28 @@
 //! carrier surface:
 //!
 //! - **clock** — [`ExecutionBackend::monotonic_ns`]: virtual (identically
-//!   zero offsets) under sim, a real monotonic clock under live.
+//!   zero offsets) under sim, a real monotonic clock under live and net.
 //! - **transport** — [`ExecutionBackend::transmit`]: a counter under sim,
-//!   a real cross-thread channel send under live.
+//!   a wire frame to the server's worker under live and net.
 //! - **spawn surface** — [`ExecutionBackend::server_up`] /
-//!   [`ExecutionBackend::server_down`]: bookkeeping under sim, an OS worker
-//!   thread per server under live.
+//!   [`ExecutionBackend::server_down`]: bookkeeping under sim, a per-server
+//!   accounting bucket in the server's worker under live and net.
 //! - **windows and rounds** — [`ExecutionBackend::window_close`] /
 //!   [`ExecutionBackend::round_barrier`]: no-ops under sim, real barriers
-//!   under live that verify exactly-once carriage of every event.
+//!   under live and net that verify exactly-once carriage of every event.
 //!
-//! The two implementations are [`SimBackend`] (an adapter over the
+//! This crate holds the trait, [`SimBackend`] (an adapter over the
 //! `plasma-sim` event loop: the queue itself already *is* the carrier, so
-//! the backend only audits) and [`LiveBackend`] (OS threads plus real
-//! channels, conservatively time-stepped: the logical schedule stays
-//! deterministic and single-threaded while every delivery and service is
-//! carried to per-server worker threads over real channels and re-counted
-//! at window barriers). Decision-relevant ordering is therefore identical
-//! by construction — the parity the `backend-parity` CI job gates.
-//!
-//! A third implementation lives one crate up: `plasma-net`'s `NetBackend`
-//! carries the same surface across real process boundaries — worker
-//! processes over localhost TCP speaking the length-prefixed wire format
-//! whose field codec is this crate's [`wire`] module. The `net-parity` CI
-//! job extends the gate three ways (sim/live/net).
+//! the backend only audits), the [`control`] message grammar, and the
+//! [`wire`] field codecs. The real carrier lives one crate up:
+//! `plasma-net`'s `NetBackend` runs one worker loop per server group over
+//! localhost TCP, hosted either by `plasma-server` processes (net) or by
+//! threads of the coordinator's process (live). The logical schedule stays
+//! single-threaded and deterministic in the coordinator, so decision-relevant
+//! ordering is identical by construction — the three-way parity the
+//! `net-parity` CI job gates.
 
 pub mod control;
-pub mod live;
 pub mod sim;
 pub mod wire;
 
@@ -46,7 +41,6 @@ pub use control::{
     answer_query, report_scale_votes, ControlDecision, ControlMsg, ControlQuery, ControlReply,
     MigrationOrder, ServerReport,
 };
-pub use live::LiveBackend;
 pub use sim::SimBackend;
 
 /// Which execution backend carries a run.
@@ -55,10 +49,12 @@ pub enum BackendKind {
     /// The discrete-event simulator carries everything (the default).
     #[default]
     Sim,
-    /// OS threads and real channels carry deliveries and services.
+    /// Worker threads of this process carry deliveries and services on
+    /// the `plasma-net` wire format over localhost TCP (one thread per
+    /// server group).
     Live,
-    /// Worker processes over localhost TCP carry deliveries and services
-    /// on the `plasma-net` wire format (one process per server group).
+    /// Worker processes carry deliveries and services on the `plasma-net`
+    /// wire format over localhost TCP (one process per server group).
     Net,
 }
 
@@ -106,8 +102,8 @@ pub struct Execution {
     pub server: u32,
     /// The serviced actor.
     pub actor: u64,
-    /// Simulated service time in nanoseconds (the live backend accounts it
-    /// as busy time; it does not dilate wall-clock to simulated durations).
+    /// Simulated service time in nanoseconds (real carriers account it as
+    /// busy time; they do not dilate wall-clock to simulated durations).
     pub service_ns: u64,
 }
 
@@ -126,7 +122,8 @@ pub struct WindowReport {
 }
 
 /// Cumulative backend counters, exported as `backend.*` report scalars for
-/// live runs (sim runs export nothing, keeping their reports byte-stable).
+/// live and net runs (sim runs export nothing, keeping their reports
+/// byte-stable).
 ///
 /// All wall-clock fields are measurement side-channels: they never feed
 /// back into scheduling or decisions, and they are excluded from decision
@@ -144,42 +141,45 @@ pub struct BackendStats {
     pub window_mismatches: u64,
     /// Elasticity-round barriers completed.
     pub rounds: u64,
-    /// Worker threads ever spawned.
+    /// Worker groups started: `plasma-server` processes under net, worker
+    /// threads under live.
     pub workers_spawned: u64,
     /// Wall-clock nanoseconds since the backend was created (0 under sim).
     pub wall_ns: u64,
     /// Simulated service time carried by workers, in nanoseconds.
     pub worker_busy_ns: u64,
-    /// Total transport latency over sampled deliveries, ns. Wall-clock
-    /// under live; deterministic *injected* (chaos link-degradation) delay
-    /// under net.
+    /// Total transport latency over sampled deliveries, ns: the
+    /// deterministic *injected* (chaos link-degradation) delay stamped onto
+    /// remote deliveries under live and net. There is no shared clock
+    /// between a worker and the coordinator to time real one-way latency.
     pub channel_ns_total: u64,
     /// Worst transport latency over sampled deliveries, ns.
     pub channel_ns_max: u64,
     /// Deliveries with a transport-latency sample.
     pub channel_samples: u64,
-    /// Wire frames written by the coordinator (net backend only).
+    /// Wire frames written by the coordinator (0 under sim).
     pub frames_sent: u64,
-    /// Wire frames read back by the coordinator (net backend only).
+    /// Wire frames read back by the coordinator (0 under sim).
     pub frames_received: u64,
-    /// Wire bytes written by the coordinator (net backend only).
+    /// Wire bytes written by the coordinator (0 under sim).
     pub wire_bytes_sent: u64,
-    /// Wire bytes read back by the coordinator (net backend only).
+    /// Wire bytes read back by the coordinator (0 under sim).
     pub wire_bytes_received: u64,
-    /// Most frames ever outstanding between two carrier barriers (net
-    /// backend only): frames written since the last fully-acked barrier.
+    /// Most frames ever outstanding between two carrier barriers (0 under
+    /// sim): frames written since the last fully-acked barrier.
     pub max_inflight_frames: u64,
     /// LEM report rows published to the carrier.
     pub control_reports: u64,
     /// GEM control queries carried.
     pub control_queries: u64,
     /// Query replies carried back. Carrier-dependent fan-out: one merged
-    /// reply under sim, one per in-scope worker under live/net.
+    /// reply under sim, one per worker group holding in-scope servers
+    /// under live and net.
     pub control_replies: u64,
     /// Round decisions broadcast.
     pub control_decisions: u64,
-    /// Wire bytes of control-plane traffic, both directions (net backend
-    /// only; 0 under sim/live where control rides channels, not bytes).
+    /// Wire bytes of control-plane traffic, both directions (0 under sim,
+    /// where control is an in-process call).
     pub control_wire_bytes: u64,
 }
 
@@ -239,8 +239,9 @@ pub trait ExecutionBackend {
     /// window's event counts arrived exactly once.
     fn window_close(&mut self, generation: u64) -> WindowReport;
 
-    /// Barriers all carriers at an elasticity-round boundary.
-    fn round_barrier(&mut self, round: u64);
+    /// Barriers all carriers at an elasticity-round boundary. Returns
+    /// whether every carrier acknowledged it (always `true` under sim).
+    fn round_barrier(&mut self, round: u64) -> bool;
 
     /// Publishes one server's LEM report row to the carrier — the REPORT
     /// step of the control plane. Called once per running server when a
@@ -254,8 +255,8 @@ pub trait ExecutionBackend {
     ///
     /// For [`ControlMsg::Query`] the call is synchronous: the carrier
     /// routes the query to every LEM holding in-scope reports and returns
-    /// their replies in a deterministic order (scope-group order under
-    /// net, server order under live, one merged reply under sim). For
+    /// their replies in a deterministic order (ascending group order under
+    /// live and net, one merged reply under sim). For
     /// [`ControlMsg::Decision`] the message is broadcast and the return is
     /// empty. [`ControlMsg::Reply`] never originates at the coordinator.
     ///
@@ -274,33 +275,14 @@ pub trait ExecutionBackend {
     /// stamps subsequent remote deliveries with the delay and accounts it
     /// as deterministic transport latency. Purely a measurement
     /// side-channel: it must never alter carriage or logical scheduling.
-    /// Default: ignored (sim and live model the delay in the event queue).
+    /// Default: ignored (sim models the delay in the event queue).
     fn link_delay(&mut self, _extra_ns: u64) {}
 
     /// Snapshot of the cumulative counters.
     fn stats(&self) -> BackendStats;
 
-    /// Stops the carrier (joins worker threads under live). Idempotent.
+    /// Stops the carrier, reaping its workers. Idempotent.
     fn shutdown(&mut self);
-}
-
-/// Constructs the in-process backend for `kind`.
-///
-/// # Panics
-///
-/// [`BackendKind::Net`] cannot be constructed here: it spawns worker
-/// *processes* and lives in the `plasma-net` crate (above this one in the
-/// dependency order). The actor runtime routes `Net` to
-/// `plasma_net::NetBackend::launch` itself; calling `make(Net)` directly
-/// panics with a pointer there.
-pub fn make(kind: BackendKind) -> Box<dyn ExecutionBackend> {
-    match kind {
-        BackendKind::Sim => Box::new(SimBackend::new()),
-        BackendKind::Live => Box::new(LiveBackend::new()),
-        BackendKind::Net => {
-            panic!("BackendKind::Net is constructed by plasma_net::NetBackend::launch")
-        }
-    }
 }
 
 #[cfg(test)]
@@ -317,106 +299,5 @@ mod tests {
         assert_eq!(BackendKind::Live.name(), "live");
         assert_eq!(BackendKind::Net.name(), "net");
         assert_eq!(BackendKind::default(), BackendKind::Sim);
-    }
-
-    /// Both backends, driven with the same event stream, agree on every
-    /// logical counter — the unit-level version of the parity property.
-    #[test]
-    fn backends_agree_on_logical_counters() {
-        let mut counts = Vec::new();
-        for kind in [BackendKind::Sim, BackendKind::Live] {
-            let mut b = make(kind);
-            b.server_up(0, 2);
-            b.server_up(1, 2);
-            for i in 0..10u64 {
-                b.transmit(Delivery {
-                    server: (i % 2) as u32,
-                    actor: i,
-                    bytes: 64,
-                    remote: i % 2 == 1,
-                });
-                b.execute(Execution {
-                    server: (i % 2) as u32,
-                    actor: i,
-                    service_ns: 1_000,
-                });
-            }
-            let w = b.window_close(1);
-            assert!(w.matched, "{kind:?} window must verify");
-            b.round_barrier(1);
-            b.server_down(1);
-            b.shutdown();
-            let s = b.stats();
-            counts.push((s.deliveries, s.executions, s.windows_closed, s.rounds));
-        }
-        assert_eq!(counts[0], counts[1]);
-    }
-
-    /// Both in-process carriers hand back the same merged candidate rows
-    /// for a query — the control-plane half of the parity property.
-    #[test]
-    fn backends_agree_on_control_candidates() {
-        let query = ControlQuery {
-            gem: 0,
-            round: 1,
-            generation: 1,
-            upper_bits: 0.8_f64.to_bits(),
-            lower_bits: 0.2_f64.to_bits(),
-            scope: vec![1, 0],
-        };
-        let mut merged = Vec::new();
-        for kind in [BackendKind::Sim, BackendKind::Live] {
-            let mut b = make(kind);
-            b.server_up(0, 2);
-            b.server_up(1, 2);
-            for s in 0..2u32 {
-                b.publish_report(
-                    1,
-                    &ServerReport {
-                        server: s,
-                        vcpus: 2,
-                        actor_count: u64::from(s),
-                        mem_bytes: 1 << 30,
-                        total_speed_bits: 1000.0_f64.to_bits(),
-                        net_bps_bits: 1e9_f64.to_bits(),
-                        cpu_bits: (0.3 + f64::from(s) * 0.2).to_bits(),
-                        mem_bits: 0.1_f64.to_bits(),
-                        net_bits: 0.0_f64.to_bits(),
-                    },
-                );
-            }
-            let replies = b.control(&ControlMsg::Query(query.clone()));
-            assert!(!replies.is_empty(), "{kind:?} must answer a query");
-            // Reassemble candidates in scope order, as the GEM does.
-            let mut rows = Vec::new();
-            for &s in &query.scope {
-                for r in &replies {
-                    if let Some(c) = r.candidates.iter().find(|c| c.server == s) {
-                        rows.push(*c);
-                    }
-                }
-            }
-            assert!(
-                b.control(&ControlMsg::Decision(ControlDecision {
-                    round: 1,
-                    grow: 0,
-                    shrink: 0,
-                    migrations: vec![MigrationOrder {
-                        actor: 7,
-                        src: 0,
-                        dst: 1
-                    }],
-                }))
-                .is_empty(),
-                "decisions return no replies"
-            );
-            let s = b.stats();
-            assert_eq!((s.control_reports, s.control_queries), (2, 1));
-            assert_eq!(s.control_decisions, 1);
-            b.shutdown();
-            merged.push(rows);
-        }
-        assert_eq!(merged[0].len(), 2);
-        assert_eq!(merged[0], merged[1]);
     }
 }

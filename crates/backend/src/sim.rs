@@ -82,8 +82,9 @@ impl ExecutionBackend for SimBackend {
         report
     }
 
-    fn round_barrier(&mut self, _round: u64) {
+    fn round_barrier(&mut self, _round: u64) -> bool {
         self.stats.rounds += 1;
+        true
     }
 
     fn publish_report(&mut self, generation: u64, report: &ServerReport) {

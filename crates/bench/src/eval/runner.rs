@@ -126,7 +126,7 @@ fn push_common(result: &mut ScenarioResult, eval: &ElasticityEval, rebalance_dir
     );
     // Low 32 bits of the order-sensitive decision-sequence digest. An f64
     // carries a u32 exactly, so the value survives the round-trip through
-    // the BENCH file and backend-parity can compare it byte-for-byte.
+    // the BENCH file and the parity gate can compare it byte-for-byte.
     result.push(
         "decision_digest",
         (eval.decision_digest & 0xFFFF_FFFF) as f64,
@@ -306,8 +306,9 @@ pub fn run_scenario(name: &str, scale: EvalScale, seed: Option<u64>) -> Option<S
 /// [`run_scenario`] with an explicit execution backend.
 ///
 /// All BENCH metrics derive from logical state only, so a scenario run
-/// under [`BackendKind::Live`] must produce a byte-identical result — that
-/// equivalence is the backend-parity gate. The `eval-engine` scenario has
+/// under [`BackendKind::Live`] or [`BackendKind::Net`] must produce a
+/// byte-identical normalized result — that equivalence is the backend
+/// parity gate. The `eval-engine` scenario has
 /// no runtime (it probes the evaluator on a synthetic world) and ignores
 /// the backend.
 pub fn run_scenario_on(

@@ -37,9 +37,10 @@ USAGE:
   plasma-eval list
 
 `run` writes one BENCH_<scenario>.json per scenario (default: repo root)
-and prints a human summary; `--backend live` carries the run on OS threads
-instead of the simulated event loop, `--backend net` on plasma-server
-worker processes over localhost TCP (results must not change either way).
+and prints a human summary; `--backend live` carries the run on worker
+threads and `--backend net` on plasma-server worker processes, both over
+localhost TCP, instead of the simulated event loop (results must not
+change either way).
 `parity` runs each scenario under every backend listed in `--backends`
 (default sim,live,net — the first is the reference) and exits 1 unless the
 normalized serialized results are byte-identical (the `eval-engine`

@@ -106,6 +106,21 @@ fn chaos_scenarios_match_checked_in_baselines() {
     }
 }
 
+/// The `full` eval-engine scale is a checked-in baseline. It has no
+/// runtime, so it is cheap enough to pin byte-for-byte in the suite as
+/// well as in CI.
+#[test]
+fn full_scale_eval_engine_matches_checked_in_baseline() {
+    let r = run_scenario("eval-engine", EvalScale::Full, None).unwrap();
+    let baseline = std::fs::read_to_string(baseline_dir("full").join("BENCH_eval-engine.json"))
+        .expect("baselines/full checked in");
+    assert_eq!(
+        r.to_pretty_string(),
+        baseline,
+        "full-scale eval-engine diverged from baselines/full"
+    );
+}
+
 #[test]
 fn chatroom_chaos_recovers_everything_it_breaks() {
     let r = run_scenario("chatroom-chaos", EvalScale::Smoke, None).unwrap();

@@ -7,8 +7,6 @@
 //! as fast (used for clients), and an `m5.large` has 2 modern vCPUs and a
 //! 10 Gbps NIC (§5.4).
 
-use serde::{Deserialize, Serialize};
-
 use plasma_sim::{SimDuration, SimTime};
 
 /// Static description of a server flavor.
@@ -16,7 +14,7 @@ use plasma_sim::{SimDuration, SimTime};
 /// One *work unit* is defined as one second of compute on a `speed = 1.0`
 /// vCPU, so [`InstanceType::service_time`] for `work = 0.001` on an
 /// `m1.small` is one millisecond.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InstanceType {
     /// Flavor name, e.g. `"m1.small"`.
     pub name: String,

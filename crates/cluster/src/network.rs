@@ -11,12 +11,10 @@
 //! The gap between the two is exactly what `colocate` rules exploit
 //! (Figs. 5, 11), so the model keeps it explicit and configurable.
 
-use serde::{Deserialize, Serialize};
-
 use plasma_sim::SimDuration;
 
 /// Parameters of the cluster interconnect.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NetworkModel {
     /// Delivery latency between actors on the same server.
     pub local_latency: SimDuration,

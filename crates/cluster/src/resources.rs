@@ -3,12 +3,10 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 /// The three resource dimensions the EPL exposes (`cpu`, `mem`, `net`).
 ///
 /// Matches the `res` production of the paper's Fig. 3 grammar.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ResourceKind {
     /// Processor time.
     Cpu,
@@ -59,7 +57,7 @@ impl fmt::Display for ResourceKind {
 /// assert!(u[ResourceKind::Cpu] > 0.8);
 /// assert_eq!(u[ResourceKind::Net], 0.0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct ResourceUsage([f64; 3]);
 
 impl ResourceUsage {

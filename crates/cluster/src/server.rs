@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use plasma_sim::metrics::BusyMeter;
 use plasma_sim::{SimDuration, SimTime};
 
@@ -11,7 +9,7 @@ use crate::instance::InstanceType;
 use crate::resources::ResourceUsage;
 
 /// Identifier of a server within a [`Cluster`](crate::Cluster).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerId(pub u32);
 
 impl fmt::Debug for ServerId {
@@ -27,7 +25,7 @@ impl fmt::Display for ServerId {
 }
 
 /// Lifecycle state of a server.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ServerState {
     /// Requested from the provider; becomes usable at the contained time.
     Booting {

@@ -1,7 +1,5 @@
 //! Cluster membership: the server registry and provisioning mechanics.
 
-use serde::{Deserialize, Serialize};
-
 use plasma_sim::metrics::TimeSeries;
 use plasma_sim::SimTime;
 use plasma_trace::{Component, TraceEventKind, Tracer};
@@ -13,7 +11,7 @@ use crate::server::{Server, ServerId, ServerState};
 
 /// Static limits on cluster growth, mirroring the paper's setups
 /// (e.g., §5.6 scales from 4 to at most 65 instances).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterLimits {
     /// Maximum number of servers that may exist concurrently.
     pub max_servers: usize,
@@ -33,9 +31,9 @@ impl Default for ClusterLimits {
 /// One server lifecycle transition, journaled for the execution backend.
 ///
 /// The runtime drains these (see [`Cluster::drain_lifecycle`]) and forwards
-/// them to the carrier so worker threads come and go exactly when servers
-/// do, regardless of which path (boot, reboot, crash, decommission) caused
-/// the transition.
+/// them to the carrier so per-server carriers open and close exactly when
+/// servers do, regardless of which path (boot, reboot, crash, decommission)
+/// caused the transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LifecycleEvent {
     /// When the transition happened.

@@ -143,11 +143,13 @@ impl PlasmaBuilder {
         self
     }
 
-    /// Selects the execution backend carrying deliveries and service time
-    /// (simulated event loop by default, OS threads under
-    /// [`BackendKind::Live`]). Elasticity decisions are a pure function of
-    /// logical state, so both backends produce the same decision sequence
-    /// for the same seed.
+    /// Selects the execution backend carrying deliveries and service time:
+    /// the simulated event loop by default, or `plasma-net`'s worker loop
+    /// on one OS thread per server group under [`BackendKind::Live`] and
+    /// one `plasma-server` process per group under [`BackendKind::Net`]
+    /// (`PLASMA_NET_GROUPS` sizes both). Elasticity decisions are a pure
+    /// function of logical state, so every backend produces the same
+    /// decision sequence for the same seed.
     pub fn backend(mut self, kind: BackendKind) -> Self {
         self.runtime_cfg.backend = kind;
         self

@@ -59,7 +59,7 @@ impl fmt::Display for SemanticError {
 impl std::error::Error for SemanticError {}
 
 /// Severity of a compiler warning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Severity {
     /// A probable mistake (e.g. `colocate` and `separate` on one pair).
     Warning,

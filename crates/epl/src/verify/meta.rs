@@ -7,8 +7,6 @@
 //! same last-mention-wins convention the GEM has always used: in
 //! `server.cpu.perc > 80 or server.cpu.perc > 90` the `90` wins.
 
-use serde::Serialize;
-
 use crate::ast::{Comp, Cond, Feature, Res, Stat};
 
 /// The `server.<res>.perc` watermarks a condition states, in percent.
@@ -16,7 +14,7 @@ use crate::ast::{Comp, Cond, Feature, Res, Stat};
 /// `server.cpu.perc > 80 or server.cpu.perc < 60` yields
 /// `upper = Some(80.0), lower = Some(60.0)`. Sides the condition does not
 /// mention stay `None`; callers substitute their own defaults.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Band {
     /// Upper watermark (`>` / `>=` comparisons), percent.
     pub upper: Option<f64>,

@@ -57,13 +57,11 @@ mod scaling;
 
 use std::fmt;
 
-use serde::Serialize;
-
 use crate::analyze::CompiledPolicy;
 use crate::error::Severity;
 
 /// Bounds of the abstract cluster models.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct VerifyConfig {
     /// Smallest deployment the scaling model considers. The default of 3
     /// encodes a deployment floor: a band like 80/60 is provably
@@ -94,7 +92,7 @@ impl Default for VerifyConfig {
 }
 
 /// The temporal property a finding violates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Property {
     /// Grow→shrink→grow cycle on unchanged abstract load.
     Oscillation,
@@ -119,7 +117,7 @@ impl Property {
 }
 
 /// One round of a counterexample, named in the trace subsystem's vocabulary.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TraceStep {
     /// Abstract round number, starting at 1.
     pub round: usize,
@@ -130,7 +128,7 @@ pub struct TraceStep {
 }
 
 /// A verifier diagnostic with its counterexample.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Finding {
     /// Which property the rule set violates.
     pub property: Property,
@@ -182,7 +180,7 @@ impl fmt::Display for Finding {
 }
 
 /// The verifier's overall answer for one policy.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Verdict {
     /// All findings, gating or not.
     pub findings: Vec<Finding>,

@@ -1,13 +1,16 @@
-//! The coordinator side: spawn workers, multiplex frames, barrier windows.
+//! The coordinator side: start workers, multiplex frames, barrier windows.
 //!
-//! `NetBackend` implements `ExecutionBackend` across real process
-//! boundaries. At launch it binds an ephemeral localhost listener, spawns
-//! one `plasma-server` process per server *group*, and waits for each to
-//! connect and identify itself with a `Hello` frame. Servers map onto
-//! groups by `server % groups`, so every server's frames ride exactly one
-//! FIFO TCP connection — the ordering property the exactly-once barrier
-//! argument needs — while one connection multiplexes the carriage of many
-//! servers.
+//! `NetBackend` implements `ExecutionBackend` for both real carriers. At
+//! launch it binds an ephemeral localhost listener, starts one worker per
+//! server *group* — a `plasma-server` process under net, an OS thread
+//! running the same [`worker::run`](crate::worker::run) loop under live —
+//! and waits for each to connect and identify itself with a `Hello` frame.
+//! Servers map onto groups by `server % groups`, so every server's frames
+//! ride exactly one FIFO TCP connection — the ordering property the
+//! exactly-once barrier argument needs — while one connection multiplexes
+//! the carriage of many servers. Past launch the two hosts share every
+//! line: the only fork is [`Host`], which checks for a worker that died
+//! during launch and reaps workers at shutdown.
 //!
 //! Data frames (`ServerUp`/`ServerDown`/`Deliver`/`Execute`) are written
 //! through a buffered writer and only flushed at barriers, so carriage
@@ -16,19 +19,19 @@
 //! then blocks (with a timeout) for each worker's ack, folds the returned
 //! window counters together with any partial windows drained from retired
 //! servers, and compares the total against its own send tally — any loss
-//! or duplication is a `window_mismatches` increment, gated to zero by the
-//! three-way parity suite.
+//! or duplication is a `window_mismatches` increment, and the runtime
+//! stops the run on it.
 //!
-//! Nothing a worker returns feeds back into logical scheduling; like the
-//! thread backend, the wire is a carrier and a measurement side-channel,
-//! which is why a same-seed run serializes to byte-identical BENCH JSON
-//! under sim, live, and net.
+//! Nothing a worker returns feeds back into logical scheduling: the wire is
+//! a carrier and a measurement side-channel, which is why a same-seed run
+//! serializes to byte-identical BENCH JSON under sim, live, and net.
 
 use std::collections::BTreeSet;
 use std::io::{BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use plasma_backend::{
@@ -37,6 +40,7 @@ use plasma_backend::{
 };
 
 use crate::frame::{Frame, FrameBuffer, WindowCounters, WIRE_VERSION};
+use crate::worker::WorkerExit;
 
 /// How long launch waits for all workers to connect and hello.
 const LAUNCH_TIMEOUT: Duration = Duration::from_secs(20);
@@ -44,13 +48,15 @@ const LAUNCH_TIMEOUT: Duration = Duration::from_secs(20);
 /// does counter arithmetic per frame.
 const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long shutdown waits for a worker process to exit before killing it.
+/// Worker threads cannot be killed; closing their socket ends them.
 const EXIT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Configuration for [`NetBackend::launch`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Worker processes to spawn; servers map onto them by
-    /// `server % groups`. Must be at least 1.
+    /// Worker groups to start (processes under [`NetBackend::launch`],
+    /// threads under [`NetBackend::launch_threads`]); servers map onto
+    /// them by `server % groups`. Must be at least 1.
     pub groups: u32,
     /// Path to the `plasma-server` binary. `None` resolves via
     /// [`locate_worker`] (the `PLASMA_SERVER_BIN` environment variable,
@@ -74,7 +80,8 @@ impl Default for NetConfig {
 impl NetConfig {
     /// The default configuration with the group count taken from the
     /// `PLASMA_NET_GROUPS` environment variable (carriage topology only;
-    /// it cannot affect logical results).
+    /// it cannot affect logical results). The runtime sizes both the
+    /// process and the thread host from it.
     ///
     /// An unset variable keeps the default of 2. A set-but-invalid value —
     /// not an integer, or below 1 — is rejected *here*, at parse time,
@@ -90,7 +97,7 @@ impl NetConfig {
                         std::io::ErrorKind::InvalidInput,
                         format!(
                             "PLASMA_NET_GROUPS={v:?} is invalid: expected an integer >= 1 \
-                             (number of worker processes)"
+                             (number of worker groups)"
                         ),
                     ));
                 }
@@ -142,6 +149,17 @@ pub fn locate_worker() -> std::io::Result<PathBuf> {
     ))
 }
 
+/// Rejects a topology with no worker group.
+fn check_groups(groups: u32) -> std::io::Result<()> {
+    if groups < 1 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("NetConfig.groups = {groups} is invalid: at least 1 worker group is required"),
+        ));
+    }
+    Ok(())
+}
+
 /// Reads and validates a worker's `Hello` from `r`, returning the
 /// announced group.
 ///
@@ -186,9 +204,127 @@ pub(crate) fn read_hello(r: &mut dyn Read, fb: &mut FrameBuffer) -> std::io::Res
     }
 }
 
-/// One worker connection: the child process plus its FIFO TCP stream.
+/// What runs one group's worker loop: a `plasma-server` child process
+/// (net) or an OS thread of this process (live). Past launch both speak
+/// the same frames over the same loopback connection; the host only
+/// matters for noticing a worker that died during launch and for reaping.
+enum Host {
+    Process(Child),
+    /// `None` once joined.
+    Thread(Option<JoinHandle<std::io::Result<WorkerExit>>>),
+}
+
+impl Host {
+    /// Why the worker has already ended, or `None` while it runs.
+    fn exited(&mut self) -> Option<String> {
+        match self {
+            Host::Process(child) => child.try_wait().ok().flatten().map(|s| s.to_string()),
+            Host::Thread(handle) => {
+                if !handle.as_ref().is_some_and(JoinHandle::is_finished) {
+                    return None;
+                }
+                Some(match handle.take().expect("finished handle").join() {
+                    Ok(Ok(exit)) => format!("{exit:?}"),
+                    Ok(Err(e)) => e.to_string(),
+                    Err(_) => "worker thread panicked".to_string(),
+                })
+            }
+        }
+    }
+
+    /// Waits for the worker to end. A process still running after `grace`
+    /// is killed; a thread is joined (its socket must already be closed).
+    fn reap(&mut self, grace: Duration) {
+        match self {
+            Host::Process(child) => {
+                let deadline = Instant::now() + grace;
+                while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+            Host::Thread(handle) => {
+                if let Some(h) = handle.take() {
+                    let _ = h.join();
+                }
+            }
+        }
+    }
+
+    fn pid(&self) -> u32 {
+        match self {
+            Host::Process(child) => child.id(),
+            Host::Thread(_) => std::process::id(),
+        }
+    }
+}
+
+/// Accepts one connection per host until every group said hello, pairing
+/// streams to groups by the Hello payload, not accept order.
+fn accept_hellos(
+    listener: &TcpListener,
+    hosts: &mut [Host],
+) -> std::io::Result<Vec<(TcpStream, FrameBuffer)>> {
+    let deadline = Instant::now() + LAUNCH_TIMEOUT;
+    let mut slots: Vec<Option<(TcpStream, FrameBuffer)>> = hosts.iter().map(|_| None).collect();
+    let mut pending = hosts.len();
+    while pending > 0 {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                stream.set_nodelay(true)?;
+                stream.set_read_timeout(Some(ACK_TIMEOUT))?;
+                let mut fb = FrameBuffer::new();
+                let group = {
+                    let mut rd = &stream;
+                    read_hello(&mut rd, &mut fb)?
+                };
+                let slot = slots.get_mut(group as usize).ok_or_else(|| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("worker announced out-of-range group {group}"),
+                    )
+                })?;
+                if slot.is_some() {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("two workers announced group {group}"),
+                    ));
+                }
+                *slot = Some((stream, fb));
+                pending -= 1;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if Instant::now() > deadline {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::TimedOut,
+                        format!("{pending} worker(s) never connected"),
+                    ));
+                }
+                // A worker that died before connecting would hang the
+                // accept loop to the deadline; fail fast instead.
+                for host in hosts.iter_mut() {
+                    if let Some(why) = host.exited() {
+                        return Err(std::io::Error::new(
+                            std::io::ErrorKind::BrokenPipe,
+                            format!("worker exited during launch: {why}"),
+                        ));
+                    }
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(slots
+        .into_iter()
+        .map(|s| s.expect("all slots filled"))
+        .collect())
+}
+
+/// One worker connection: its host plus its FIFO TCP stream.
 struct Conn {
-    child: Child,
+    host: Host,
     /// Read side (acks). `writer` owns a clone of the same socket.
     stream: TcpStream,
     writer: BufWriter<TcpStream>,
@@ -224,17 +360,18 @@ impl Conn {
     }
 }
 
-/// The multi-process TCP carrier: spawns `plasma-server` worker
-/// processes (one per server group), multiplexes carriage frames over
-/// per-group localhost TCP connections, and verifies exactly-once
-/// carriage at window/round barriers. See the `backend` module source
-/// for the full protocol walkthrough.
+/// The real carrier behind both `--backend net` and `--backend live`:
+/// starts one worker per server group (a `plasma-server` process or a
+/// thread), multiplexes carriage frames over per-group localhost TCP
+/// connections, and verifies exactly-once carriage at window/round
+/// barriers. See the `backend` module source for the full protocol
+/// walkthrough.
 pub struct NetBackend {
+    kind: BackendKind,
     epoch: Instant,
     conns: Vec<Conn>,
     /// Servers currently up, coordinator-side; frames for servers outside
-    /// this set are dropped and excluded from the send tally (mirroring
-    /// the thread backend's unknown-server semantics).
+    /// this set are dropped and excluded from the send tally.
     up: BTreeSet<u32>,
     stats: BackendStats,
     sent_deliveries: u64,
@@ -255,109 +392,83 @@ pub struct NetBackend {
 }
 
 impl NetBackend {
-    /// Spawns the worker processes and waits for all of them to connect
-    /// and complete the Hello version handshake.
+    /// Spawns one `plasma-server` process per group and waits for all of
+    /// them to connect and complete the Hello version handshake.
     pub fn launch(cfg: NetConfig) -> std::io::Result<NetBackend> {
-        if cfg.groups < 1 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "NetConfig.groups = {} is invalid: at least 1 worker group is required",
-                    cfg.groups
-                ),
-            ));
-        }
+        check_groups(cfg.groups)?;
         let bin = match &cfg.worker_bin {
             Some(p) => p.clone(),
             None => locate_worker()?,
         };
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
-        let mut children: Vec<Child> = Vec::with_capacity(cfg.groups as usize);
-        for group in 0..cfg.groups {
-            let child = Command::new(&bin)
+        Self::start(BackendKind::Net, cfg.groups, |addr, group| {
+            Command::new(&bin)
                 .arg("--connect")
-                .arg(addr.to_string())
+                .arg(addr)
                 .arg("--group")
                 .arg(group.to_string())
                 .stdin(Stdio::null())
                 .stdout(Stdio::null())
                 .spawn()
+                .map(Host::Process)
                 .map_err(|e| {
                     std::io::Error::new(
                         e.kind(),
                         format!("spawning {} for group {group}: {e}", bin.display()),
                     )
-                })?;
-            children.push(child);
-        }
+                })
+        })
+    }
 
-        // Accept until every group said hello; pair streams to groups by
-        // the Hello payload, not accept order.
-        let deadline = Instant::now() + LAUNCH_TIMEOUT;
-        let mut slots: Vec<Option<(TcpStream, FrameBuffer)>> =
-            (0..cfg.groups).map(|_| None).collect();
-        let mut pending = cfg.groups as usize;
-        while pending > 0 {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nodelay(true)?;
-                    stream.set_read_timeout(Some(ACK_TIMEOUT))?;
-                    let mut fb = FrameBuffer::new();
-                    let group = {
-                        let mut rd = &stream;
-                        read_hello(&mut rd, &mut fb)?
-                    };
-                    let slot = slots.get_mut(group as usize).ok_or_else(|| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("worker announced out-of-range group {group}"),
-                        )
-                    })?;
-                    if slot.is_some() {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("two workers announced group {group}"),
-                        ));
-                    }
-                    *slot = Some((stream, fb));
-                    pending -= 1;
+    /// Runs each group's [`worker::run`](crate::worker::run) loop on an OS
+    /// thread of this process instead of a `plasma-server` process — the
+    /// live carrier. It needs no worker binary; the loopback connection,
+    /// handshake, framing and barriers are the process host's.
+    pub fn launch_threads(groups: u32) -> std::io::Result<NetBackend> {
+        check_groups(groups)?;
+        Self::start(BackendKind::Live, groups, |addr, group| {
+            let addr = addr.to_string();
+            std::thread::Builder::new()
+                .name(format!("plasma-group-{group}"))
+                .spawn(move || crate::worker::run(&addr, group))
+                .map(|h| Host::Thread(Some(h)))
+        })
+    }
+
+    /// Binds the loopback listener, starts one worker per group with
+    /// `spawn(addr, group)`, and completes every handshake.
+    fn start(
+        kind: BackendKind,
+        groups: u32,
+        mut spawn: impl FnMut(&str, u32) -> std::io::Result<Host>,
+    ) -> std::io::Result<NetBackend> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?.to_string();
+        listener.set_nonblocking(true)?;
+        let mut hosts: Vec<Host> = Vec::with_capacity(groups as usize);
+        let accepted = (0..groups)
+            .try_for_each(|group| {
+                hosts.push(spawn(&addr, group)?);
+                Ok(())
+            })
+            .and_then(|()| accept_hellos(&listener, &mut hosts));
+        // Closing the listener first fails any worker still queued in its
+        // backlog, so a failed launch can join its threads.
+        drop(listener);
+        let streams = match accepted {
+            Ok(streams) => streams,
+            Err(e) => {
+                for host in &mut hosts {
+                    host.reap(Duration::ZERO);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
-                        for c in &mut children {
-                            let _ = c.kill();
-                            let _ = c.wait();
-                        }
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            format!("{pending} worker(s) never connected"),
-                        ));
-                    }
-                    // A worker that died before connecting would hang the
-                    // accept loop to the deadline; fail fast instead.
-                    for c in &mut children {
-                        if let Ok(Some(status)) = c.try_wait() {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::BrokenPipe,
-                                format!("worker exited during launch: {status}"),
-                            ));
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(e),
+                return Err(e);
             }
-        }
+        };
 
-        let mut conns = Vec::with_capacity(cfg.groups as usize);
-        for (child, slot) in children.into_iter().zip(slots) {
-            let (stream, rbuf) = slot.expect("all slots filled");
+        let mut conns = Vec::with_capacity(hosts.len());
+        for (host, (stream, rbuf)) in hosts.into_iter().zip(streams) {
             let writer = BufWriter::with_capacity(64 * 1024, stream.try_clone()?);
             conns.push(Conn {
-                child,
+                host,
                 stream,
                 writer,
                 rbuf,
@@ -366,10 +477,11 @@ impl NetBackend {
             });
         }
         let stats = BackendStats {
-            workers_spawned: cfg.groups as u64,
+            workers_spawned: u64::from(groups),
             ..BackendStats::default()
         };
         Ok(NetBackend {
+            kind,
             epoch: Instant::now(),
             conns,
             up: BTreeSet::new(),
@@ -388,12 +500,13 @@ impl NetBackend {
         })
     }
 
-    /// OS process ids of the worker processes, by group.
+    /// OS process ids hosting each group's worker: distinct `plasma-server`
+    /// processes under net, this process under live.
     pub fn worker_pids(&self) -> Vec<u32> {
-        self.conns.iter().map(|c| c.child.id()).collect()
+        self.conns.iter().map(|c| c.host.pid()).collect()
     }
 
-    /// Worker processes spawned (the group count).
+    /// Worker groups started.
     pub fn worker_count(&self) -> usize {
         self.conns.len()
     }
@@ -489,7 +602,7 @@ impl NetBackend {
 
 impl ExecutionBackend for NetBackend {
     fn kind(&self) -> BackendKind {
-        BackendKind::Net
+        self.kind
     }
 
     fn monotonic_ns(&self) -> u64 {
@@ -598,7 +711,7 @@ impl ExecutionBackend for NetBackend {
         report
     }
 
-    fn round_barrier(&mut self, round: u64) {
+    fn round_barrier(&mut self, round: u64) -> bool {
         self.flush_all();
         let mut marked: Vec<usize> = Vec::with_capacity(self.conns.len());
         for g in 0..self.conns.len() {
@@ -620,6 +733,7 @@ impl ExecutionBackend for NetBackend {
             self.inflight = 0;
         }
         self.stats.rounds += 1;
+        complete
     }
 
     fn link_delay(&mut self, extra_ns: u64) {
@@ -688,7 +802,12 @@ impl ExecutionBackend for NetBackend {
                 // Decisions are broadcast: every group learns the round's
                 // outcome even if none of its servers moved.
                 for g in 0..self.conns.len() {
-                    if self.send(g, &Frame::Decision { decision: d.clone() }) {
+                    if self.send(
+                        g,
+                        &Frame::Decision {
+                            decision: d.clone(),
+                        },
+                    ) {
                         self.sent_decisions += 1;
                     }
                 }
@@ -717,20 +836,7 @@ impl ExecutionBackend for NetBackend {
             // Closing our copies of the socket unblocks a worker stuck in
             // read even if the Shutdown frame never made it out.
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            let deadline = Instant::now() + EXIT_TIMEOUT;
-            loop {
-                match conn.child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    _ => {
-                        let _ = conn.child.kill();
-                        let _ = conn.child.wait();
-                        break;
-                    }
-                }
-            }
+            conn.host.reap(EXIT_TIMEOUT);
         }
     }
 }
@@ -789,7 +895,9 @@ mod tests {
         let mut fb = FrameBuffer::new();
         let err = read_hello(&mut r, &mut fb).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("wire version mismatch in handshake"));
+        assert!(err
+            .to_string()
+            .contains("wire version mismatch in handshake"));
     }
 
     #[test]
@@ -831,11 +939,13 @@ mod tests {
             groups: 0,
             worker_bin: None,
         };
-        let err = match NetBackend::launch(cfg) {
-            Err(e) => e,
-            Ok(_) => panic!("groups = 0 must be rejected"),
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-        assert!(err.to_string().contains("at least 1 worker group"));
+        for launched in [NetBackend::launch(cfg), NetBackend::launch_threads(0)] {
+            let err = match launched {
+                Err(e) => e,
+                Ok(_) => panic!("groups = 0 must be rejected"),
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("at least 1 worker group"));
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! The `plasma-server` worker binary: hosts one server group's carriage
-//! accounting in its own OS process. Spawned by `NetBackend::launch`; not
+//! The `plasma-server` worker binary: hosts one server group's worker loop
+//! in its own OS process. Spawned by `NetBackend::launch`; not
 //! meant to be run by hand (it immediately dials back to the coordinator
 //! address it was given and exits when that connection closes).
 

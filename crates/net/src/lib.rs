@@ -1,16 +1,20 @@
 #![warn(missing_docs)]
 
-//! Multi-process TCP execution backend for the PLASMA runtime.
+//! The real execution carrier for the PLASMA runtime.
 //!
-//! `plasma-net` is the third rung of the backend ladder. The backend crate
-//! proves the carrier abstraction with an in-queue adapter (sim) and an
-//! OS-thread carrier (live); this crate carries the same surface across
-//! real *process* boundaries: every [`Delivery`](plasma_backend::Delivery)
-//! and [`Execution`](plasma_backend::Execution) is serialized onto a
-//! versioned, length-prefixed binary wire format and shipped over
-//! localhost TCP to `plasma-server` worker processes — one process per
-//! server group — which account the carriage and answer window/round
-//! barriers over the same FIFO connection.
+//! `plasma-net` carries the `ExecutionBackend` surface for both real
+//! backends. Every [`Delivery`](plasma_backend::Delivery),
+//! [`Execution`](plasma_backend::Execution) and control message is
+//! serialized onto a versioned, length-prefixed binary wire format and
+//! shipped over localhost TCP to one worker per server group, which
+//! accounts the carriage and answers window/round barriers and GEM queries
+//! over the same FIFO connection. The worker loop is one function,
+//! [`worker::run`]; only its host differs:
+//!
+//! - **net** — one `plasma-server` process per group
+//!   ([`NetBackend::launch`]);
+//! - **live** — one OS thread per group in the coordinator's process
+//!   ([`NetBackend::launch_threads`]), which needs no worker binary.
 //!
 //! The layering mirrors the paper's separation of mechanism from policy:
 //! elasticity decisions are made once, by the deterministic coordinator,
@@ -26,13 +30,13 @@
 //!   message kinds, strict decode, and [`FrameBuffer`] reassembly over
 //!   torn reads. Field-level codecs for the carriage types live in
 //!   `plasma_backend::wire` so the types and their encoding stay together.
-//! - [`worker`] — the `plasma-server` loop: per-server accounting buckets
-//!   and barrier acks. The binary itself is a thin wrapper over
-//!   [`worker::run`].
-//! - [`NetBackend`] — the coordinator side: spawns and addresses workers,
+//! - [`worker`] — the worker loop: per-server accounting buckets, held
+//!   report rows, and barrier and query replies. The `plasma-server`
+//!   binary is a thin wrapper over [`worker::run`].
+//! - [`NetBackend`] — the coordinator side: starts and addresses workers,
 //!   multiplexes frames over per-group connections, drains retired
-//!   carriers, and preserves the exactly-once window-close and
-//!   round-barrier semantics of the thread backend.
+//!   carriers, and verifies exactly-once carriage at window and round
+//!   barriers.
 
 pub mod frame;
 pub mod worker;

@@ -1,13 +1,15 @@
-//! The `plasma-server` worker loop: one process, one server group.
+//! The worker loop: one server group, hosted by a `plasma-server` process
+//! (net) or by a thread of the coordinator's process (live).
 //!
-//! A worker is the process-level analogue of `LiveBackend`'s per-server
-//! thread: it connects back to the coordinator, announces its group with a
-//! [`Frame::Hello`], then services the coordinator's frame stream — opening
-//! per-server accounting buckets on `ServerUp`, tallying `Deliver`/
-//! `Execute` carriage, and answering window/round barriers over the same
-//! TCP connection. Because TCP is FIFO, a barrier ack proves every frame
-//! written before the mark was received before it — the same exactly-once
-//! argument the thread backend makes with channel markers.
+//! A worker connects back to the coordinator, announces its group with a
+//! [`Frame::Hello`], then services the coordinator's frame stream —
+//! opening per-server accounting buckets on `ServerUp`, tallying
+//! `Deliver`/`Execute` carriage, holding LEM report rows, and answering
+//! window/round barriers and GEM queries over the same TCP connection.
+//! Because TCP is FIFO, a barrier ack proves every frame written before
+//! the mark was received before it — the exactly-once argument both hosts
+//! rely on. This loop is the only code that answers `WindowMark`,
+//! `RoundMark` and `Query`.
 //!
 //! A worker owns no policy and no clock authority: it counts what it is
 //! handed and echoes barriers. When the coordinator's connection closes

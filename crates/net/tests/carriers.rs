@@ -1,0 +1,322 @@
+//! The carrier suite. Both real carriers are `plasma-net`'s worker loop,
+//! hosted by `plasma-server` processes (net) or by threads of this process
+//! (live); every test body runs against both hosts, and against the
+//! audit-only `SimBackend` where logical counters are compared. Carriers
+//! must keep exactly-once window/round semantics, carry the control plane,
+//! and shut down cleanly. The PID and orphan checks apply to processes
+//! only.
+
+mod common;
+
+use std::path::PathBuf;
+
+use common::{running, sigkill};
+use plasma_backend::{
+    BackendKind, ControlDecision, ControlMsg, ControlQuery, Delivery, Execution, ExecutionBackend,
+    MigrationOrder, ServerReport, SimBackend,
+};
+use plasma_net::{NetBackend, NetConfig};
+
+/// The two hosts of the real carrier.
+const HOSTS: [BackendKind; 2] = [BackendKind::Net, BackendKind::Live];
+
+fn launch(host: BackendKind, groups: u32) -> NetBackend {
+    let b = match host {
+        BackendKind::Net => NetBackend::launch(NetConfig {
+            groups,
+            worker_bin: Some(PathBuf::from(env!("CARGO_BIN_EXE_plasma-server"))),
+        }),
+        _ => NetBackend::launch_threads(groups),
+    }
+    .expect("launch workers");
+    assert_eq!(b.kind(), host);
+    assert_eq!(b.stats().workers_spawned, u64::from(groups));
+    b
+}
+
+/// Sim plus both real hosts with two groups each.
+fn every_carrier() -> Vec<Box<dyn ExecutionBackend>> {
+    let mut all: Vec<Box<dyn ExecutionBackend>> = vec![Box::new(SimBackend::new())];
+    for host in HOSTS {
+        all.push(Box::new(launch(host, 2)));
+    }
+    all
+}
+
+fn deliver(b: &mut dyn ExecutionBackend, server: u32, actor: u64, remote: bool) {
+    b.transmit(Delivery {
+        server,
+        actor,
+        bytes: 32,
+        remote,
+    });
+}
+
+/// The same event stream on every carrier: each verifies the window
+/// exactly once and agrees with sim on every logical counter.
+#[test]
+fn carriers_agree_on_logical_counters() {
+    let mut counts = Vec::new();
+    for mut b in every_carrier() {
+        let kind = b.kind();
+        b.server_up(0, 2);
+        b.server_up(1, 2);
+        for i in 0..10u64 {
+            deliver(b.as_mut(), (i % 2) as u32, i, i % 2 == 1);
+            b.execute(Execution {
+                server: (i % 2) as u32,
+                actor: i,
+                service_ns: 1_000,
+            });
+        }
+        let w = b.window_close(1);
+        assert!(
+            w.matched,
+            "{kind:?} window must verify exactly-once carriage"
+        );
+        assert_eq!((w.deliveries, w.executions), (10, 10), "{kind:?}");
+        assert!(b.round_barrier(1), "{kind:?} round must be acked");
+        if kind != BackendKind::Sim {
+            let s = b.stats();
+            assert_eq!(s.window_mismatches, 0);
+            assert!(s.frames_sent > 0 && s.frames_received > 0, "{kind:?}");
+            assert!(
+                s.wire_bytes_sent > 0 && s.wire_bytes_received > 0,
+                "{kind:?}"
+            );
+            assert!(s.max_inflight_frames > 0, "{kind:?}");
+        }
+        b.server_down(1);
+        b.shutdown();
+        let s = b.stats();
+        counts.push((
+            s.deliveries,
+            s.executions,
+            s.windows_closed,
+            s.rounds,
+            s.worker_busy_ns,
+        ));
+    }
+    assert!(counts.iter().all(|c| *c == counts[0]), "{counts:?}");
+}
+
+/// A server retired mid-window still has its partial carriage folded into
+/// the next barrier; deliveries to a down or never-up server are dropped
+/// without unbalancing a window; a rebooted server carries again.
+#[test]
+fn retired_server_carriage_folds_into_next_window() {
+    for host in HOSTS {
+        let mut b = launch(host, 2);
+        b.server_up(0, 2);
+        b.server_up(1, 2);
+        for i in 0..6u64 {
+            deliver(&mut b, (i % 2) as u32, i, false);
+        }
+        // Server 1 crashes mid-window: its 3 deliveries must not vanish.
+        b.server_down(1);
+        let w = b.window_close(1);
+        assert!(
+            w.matched,
+            "{host:?}: retired carriage must balance the window"
+        );
+        assert_eq!(w.deliveries, 6);
+
+        deliver(&mut b, 1, 99, false);
+        deliver(&mut b, 9, 100, true);
+        let w2 = b.window_close(2);
+        assert!(
+            w2.matched,
+            "{host:?}: dropped deliveries must not unbalance"
+        );
+        assert_eq!(w2.deliveries, 0);
+
+        b.server_up(1, 2);
+        deliver(&mut b, 1, 101, false);
+        deliver(&mut b, 1, 102, false);
+        let w3 = b.window_close(3);
+        assert!(w3.matched, "{host:?}: a rebooted server must carry again");
+        assert_eq!(w3.deliveries, 2);
+        assert_eq!(b.stats().deliveries, 10, "{host:?}: every call is counted");
+        b.shutdown();
+    }
+}
+
+/// GEM control traffic rides the same per-group connections as carriage:
+/// reports published to workers come back bit-for-bit as query candidates,
+/// the decision broadcast reaches every group, and the window barrier
+/// still balances with control frames in flight. Sim answers the same
+/// query with one merged reply holding the same candidates.
+#[test]
+fn control_queries_return_published_rows_and_balance_windows() {
+    let mk = |server: u32, cpu: f64| ServerReport {
+        server,
+        vcpus: 2,
+        actor_count: 3,
+        mem_bytes: 1 << 30,
+        total_speed_bits: 2.0f64.to_bits(),
+        net_bps_bits: 1e9f64.to_bits(),
+        cpu_bits: cpu.to_bits(),
+        mem_bits: 0.25f64.to_bits(),
+        net_bits: 0.1f64.to_bits(),
+    };
+    let r0 = mk(0, 0.9);
+    let r1 = mk(1, 0.2);
+    let q = ControlQuery {
+        gem: 0,
+        round: 1,
+        generation: 7,
+        upper_bits: 0.8f64.to_bits(),
+        lower_bits: 0.3f64.to_bits(),
+        scope: vec![1, 0],
+    };
+    for mut b in every_carrier() {
+        let kind = b.kind();
+        b.server_up(0, 2);
+        b.server_up(1, 2);
+        b.publish_report(7, &r0);
+        b.publish_report(7, &r1);
+        let replies = b.control(&ControlMsg::Query(q.clone()));
+        if kind == BackendKind::Sim {
+            assert_eq!(replies.len(), 1, "sim answers with one merged reply");
+        } else {
+            assert_eq!(replies.len(), 2, "{kind:?}: one reply per group");
+            // Group 0 holds the hot server, group 1 the idle one; each
+            // votes from its own holdings.
+            assert!(replies[0].vote_out && !replies[0].vote_in);
+            assert!(!replies[1].vote_out && replies[1].vote_in);
+        }
+        // Reassembling candidates in scope order across the replies
+        // recovers exactly what was published — the bit-parity property
+        // the EMR's merge step relies on.
+        let mut merged = Vec::new();
+        for &s in &q.scope {
+            for rep in &replies {
+                if let Some(c) = rep.candidates.iter().find(|c| c.server == s) {
+                    merged.push(*c);
+                }
+            }
+        }
+        assert_eq!(merged, vec![r1, r0], "{kind:?}");
+        let out = b.control(&ControlMsg::Decision(ControlDecision {
+            round: 1,
+            grow: 1,
+            shrink: 0,
+            migrations: vec![MigrationOrder {
+                actor: 5,
+                src: 0,
+                dst: 1,
+            }],
+        }));
+        assert!(out.is_empty(), "decisions return no replies");
+        let w = b.window_close(1);
+        assert!(w.matched, "{kind:?}: control carriage must balance");
+        let s = b.stats();
+        assert_eq!((s.control_reports, s.control_queries), (2, 1));
+        assert_eq!(s.control_decisions, 1);
+        if kind != BackendKind::Sim {
+            assert_eq!(s.control_replies, 2);
+            assert!(s.control_wire_bytes > 0, "control frames must be accounted");
+        }
+        b.shutdown();
+    }
+}
+
+/// Injected link delay is stamped onto remote deliveries and accounted as
+/// deterministic transport latency — same numbers every run, either host.
+#[test]
+fn link_delay_accounts_deterministic_transport_latency() {
+    for host in HOSTS {
+        let collect = || {
+            let mut b = launch(host, 2);
+            b.server_up(0, 1);
+            b.server_up(1, 1);
+            b.link_delay(5_000);
+            for i in 0..4u64 {
+                // Only remote deliveries ride the degraded link.
+                deliver(&mut b, (i % 2) as u32, i, i % 2 == 1);
+            }
+            b.link_delay(0);
+            deliver(&mut b, 0, 9, true);
+            let w = b.window_close(1);
+            assert!(w.matched);
+            let s = b.stats();
+            b.shutdown();
+            (s.channel_samples, s.channel_ns_total, s.channel_ns_max)
+        };
+        let a = collect();
+        assert_eq!(a, (2, 10_000, 5_000), "{host:?}");
+        assert_eq!(a, collect(), "{host:?}: delay accounting must repeat");
+    }
+}
+
+/// Net groups are separate processes, none of them this one, and live
+/// groups are threads of this process. Shutdown reaps every worker and is
+/// idempotent; process workers are gone afterwards (the `net-parity` CI
+/// job checks the same property fleet-wide with pgrep after the parity
+/// run).
+#[test]
+fn shutdown_leaves_no_orphan_workers() {
+    for host in HOSTS {
+        let mut b = launch(host, 3);
+        let pids = b.worker_pids();
+        assert_eq!(pids.len(), 3);
+        let me = std::process::id();
+        if host == BackendKind::Net {
+            assert!(pids[0] != pids[1] && pids[1] != pids[2] && pids[0] != pids[2]);
+            assert!(
+                pids.iter().all(|&p| p != me),
+                "groups must be separate processes"
+            );
+        } else {
+            assert!(pids.iter().all(|&p| p == me), "live groups are threads");
+        }
+        b.server_up(0, 1);
+        assert!(b.window_close(1).matched);
+        b.shutdown();
+        b.shutdown();
+        if host == BackendKind::Net {
+            for pid in pids {
+                assert!(!running(pid), "worker {pid} still running after shutdown");
+            }
+        }
+    }
+}
+
+/// Dropping the backend without an explicit shutdown still reaps workers.
+#[test]
+fn drop_shuts_down_workers() {
+    for host in HOSTS {
+        let pids = {
+            let mut b = launch(host, 2);
+            b.server_up(0, 1);
+            deliver(&mut b, 0, 1, false);
+            b.worker_pids()
+        };
+        if host == BackendKind::Net {
+            for pid in pids {
+                assert!(!running(pid), "worker {pid} survived Drop");
+            }
+        }
+    }
+}
+
+/// A SIGKILLed worker process fails the next window barrier instead of
+/// letting it pass with the dead group's carriage missing.
+#[cfg(target_os = "linux")]
+#[test]
+fn killed_worker_fails_the_next_window() {
+    let mut b = launch(BackendKind::Net, 2);
+    b.server_up(0, 1);
+    b.server_up(1, 1);
+    deliver(&mut b, 1, 1, false);
+    assert!(b.window_close(1).matched);
+    sigkill(b.worker_pids()[1]);
+    deliver(&mut b, 0, 2, false);
+    deliver(&mut b, 1, 3, false);
+    assert!(
+        !b.window_close(2).matched,
+        "a dead group must fail the barrier"
+    );
+    assert_eq!(b.stats().window_mismatches, 1);
+    b.shutdown();
+}

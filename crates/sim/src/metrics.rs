@@ -9,12 +9,10 @@
 //! - [`BucketedSeries`] — aggregates raw observations into fixed windows
 //!   (e.g., mean latency per second), matching how the paper plots latency.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// A monotonically increasing event counter.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -58,7 +56,7 @@ impl Counter {
 /// assert_eq!(h.mean(), 2.5);
 /// assert_eq!(h.quantile(0.5), 2.0);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Histogram {
     samples: Vec<f64>,
     sorted: bool,
@@ -163,7 +161,7 @@ impl Histogram {
 }
 
 /// A `(time, value)` series, the backing store for every paper figure.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -249,7 +247,7 @@ impl TimeSeries {
 /// assert_eq!(buckets[0], (SimTime::ZERO, 15.0));
 /// assert_eq!(buckets[1], (SimTime::from_secs(1), 40.0));
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BucketedSeries {
     width: SimDuration,
     /// Per-bucket `(sum, count)` indexed by bucket number.
@@ -330,7 +328,7 @@ impl BucketedSeries {
 /// assert_eq!(s.max, 4.0);
 /// assert_eq!(s.p50, 2.0);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Summary {
     /// Number of finite samples summarized.
     pub count: u64,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in virtual time, counted in microseconds since simulation start.
 ///
 /// `SimTime` is a plain `u64` wrapper so it is cheap to copy, totally
@@ -21,11 +19,11 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_micros(), 2_000_000);
 /// assert_eq!(t - SimTime::ZERO, SimDuration::from_secs(2));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of virtual time in microseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
