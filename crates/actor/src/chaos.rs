@@ -19,6 +19,7 @@ use plasma_trace::EventId;
 
 use crate::ids::{ActorId, ActorTypeId};
 use crate::logic::ActorLogic;
+use crate::stats::RefMap;
 
 /// An actor whose hosting server crashed, parked until recovery respawns
 /// it. Its state is gone (accounted in [`ChaosStats::state_bytes_lost`]);
@@ -34,7 +35,7 @@ pub(crate) struct OrphanActor {
     /// State size the respawned incarnation starts with.
     pub state_size: u64,
     /// Reference properties, preserved by the directory.
-    pub refs: BTreeMap<String, Vec<ActorId>>,
+    pub refs: RefMap,
     /// Whether a `pin` behavior was active.
     pub pinned: bool,
     /// Migration-attempt counter, preserved so stale in-flight arrivals

@@ -1,6 +1,6 @@
 //! Per-actor runtime record: mailbox, location, references, migration state.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use plasma_cluster::ServerId;
 use plasma_sim::SimTime;
@@ -8,7 +8,7 @@ use plasma_sim::SimTime;
 use crate::ids::{ActorId, ActorTypeId};
 use crate::logic::ActorLogic;
 use crate::message::Message;
-use crate::stats::ActorCounters;
+use crate::stats::{ActorCounters, RefMap};
 
 /// Why an actor cannot be migrated right now.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -56,8 +56,9 @@ pub struct ActorEntry {
     pub logic: Option<Box<dyn ActorLogic>>,
     /// Serialized-state size in bytes, drives migration and `mem` features.
     pub state_size: u64,
-    /// Reference properties (`prop` fields holding actor references).
-    pub refs: BTreeMap<String, Vec<ActorId>>,
+    /// Reference properties (`prop` fields holding actor references),
+    /// shared copy-on-write with the snapshot rows taken of this actor.
+    pub refs: RefMap,
     /// Queued messages.
     pub mailbox: VecDeque<Message>,
     /// Whether the actor currently occupies a CPU lane.
@@ -99,7 +100,7 @@ impl ActorEntry {
             server,
             logic: Some(logic),
             state_size,
-            refs: BTreeMap::new(),
+            refs: RefMap::default(),
             mailbox: VecDeque::new(),
             servicing: false,
             in_runq: false,
@@ -146,17 +147,12 @@ impl ActorEntry {
 
     /// Adds an actor reference under a property name.
     pub fn add_ref(&mut self, prop: &str, target: ActorId) {
-        let list = self.refs.entry(prop.to_string()).or_default();
-        if !list.contains(&target) {
-            list.push(target);
-        }
+        self.refs.add(prop, target);
     }
 
     /// Removes an actor reference.
     pub fn remove_ref(&mut self, prop: &str, target: ActorId) {
-        if let Some(list) = self.refs.get_mut(prop) {
-            list.retain(|&a| a != target);
-        }
+        self.refs.remove(prop, target);
     }
 }
 

@@ -1502,10 +1502,11 @@ impl Runtime {
                     state_size: entry.state_size,
                     pinned: entry.pinned,
                     cpu_share,
-                    counters: entry.counters.clone(),
+                    // Taking the counters leaves them reset for the next
+                    // window; the refs map is shared, not copied.
+                    counters: std::mem::take(&mut entry.counters),
                     refs: entry.refs.clone(),
                 });
-                entry.counters.reset();
             }
         } else {
             for entry in self.actors.iter_mut().flatten() {

@@ -7,6 +7,8 @@
 //! The EMR evaluates EPL conditions against those snapshots.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use plasma_cluster::{ResourceUsage, ServerId};
 use plasma_sim::{SimDuration, SimTime};
@@ -108,6 +110,64 @@ impl ActorCounters {
     }
 }
 
+/// An actor's reference properties: property name to referenced actors.
+///
+/// The map is shared copy-on-write between the actor's runtime entry and
+/// every snapshot row taken of it, so a window roll shares it instead of
+/// copying it. Most actors hold no references; they store no map at all,
+/// so cloning or dropping theirs allocates nothing and performs no atomic
+/// operation. A non-empty map lives behind an [`Arc`]: [`RefMap::add`] and
+/// [`RefMap::remove`] copy it only when they change it while a snapshot
+/// still holds it. Reads go through [`Deref`] to the map itself.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RefMap(Option<Arc<BTreeMap<String, Vec<ActorId>>>>);
+
+/// What an empty [`RefMap`] dereferences to.
+static NO_REFS: BTreeMap<String, Vec<ActorId>> = BTreeMap::new();
+
+impl RefMap {
+    /// Adds `target` to property `prop` unless it is already there.
+    pub fn add(&mut self, prop: &str, target: ActorId) {
+        if self.get(prop).is_some_and(|list| list.contains(&target)) {
+            return;
+        }
+        let map = Arc::make_mut(self.0.get_or_insert_with(Arc::default));
+        match map.get_mut(prop) {
+            Some(list) => list.push(target),
+            None => {
+                map.insert(prop.to_string(), vec![target]);
+            }
+        }
+    }
+
+    /// Removes `target` from property `prop`; the property stays, possibly
+    /// empty. A no-op when `target` is not there.
+    pub fn remove(&mut self, prop: &str, target: ActorId) {
+        if !self.get(prop).is_some_and(|list| list.contains(&target)) {
+            return;
+        }
+        if let Some(map) = self.0.as_mut() {
+            if let Some(list) = Arc::make_mut(map).get_mut(prop) {
+                list.retain(|&a| a != target);
+            }
+        }
+    }
+}
+
+impl Deref for RefMap {
+    type Target = BTreeMap<String, Vec<ActorId>>;
+
+    fn deref(&self) -> &Self::Target {
+        self.0.as_deref().unwrap_or(&NO_REFS)
+    }
+}
+
+impl From<BTreeMap<String, Vec<ActorId>>> for RefMap {
+    fn from(map: BTreeMap<String, Vec<ActorId>>) -> Self {
+        RefMap((!map.is_empty()).then(|| Arc::new(map)))
+    }
+}
+
 /// Snapshot of one actor's activity over the last profiling window.
 #[derive(Clone, Debug)]
 pub struct ActorWindowStats {
@@ -125,8 +185,9 @@ pub struct ActorWindowStats {
     pub cpu_share: f64,
     /// Raw counters for the window.
     pub counters: ActorCounters,
-    /// Reference fields: property name to referenced actors.
-    pub refs: BTreeMap<String, Vec<ActorId>>,
+    /// Reference fields: property name to referenced actors, shared with
+    /// the actor's runtime entry.
+    pub refs: RefMap,
 }
 
 /// Snapshot of one server's utilization over the last profiling window.
@@ -168,9 +229,13 @@ impl ProfileSnapshot {
         self.servers.iter().find(|s| s.server == server)
     }
 
-    /// Returns the stats for one actor, if present.
+    /// Returns the stats for one actor, if present (a binary search over
+    /// the id-ordered rows).
     pub fn actor(&self, actor: ActorId) -> Option<&ActorWindowStats> {
-        self.actors.iter().find(|a| a.actor == actor)
+        self.actors
+            .binary_search_by(|a| a.actor.cmp(&actor))
+            .ok()
+            .map(|i| &self.actors[i])
     }
 }
 
@@ -393,17 +458,17 @@ mod tests {
                     pinned: false,
                     cpu_share: 0.5,
                     counters: ActorCounters::default(),
-                    refs: BTreeMap::new(),
+                    refs: RefMap::default(),
                 },
                 ActorWindowStats {
-                    actor: ActorId(2),
+                    actor: ActorId(3),
                     type_id: ActorTypeId(0),
                     server: ServerId(1),
                     state_size: 10,
                     pinned: true,
                     cpu_share: 0.1,
                     counters: ActorCounters::default(),
-                    refs: BTreeMap::new(),
+                    refs: RefMap::default(),
                 },
             ],
             servers: vec![ServerWindowStats {
@@ -416,7 +481,39 @@ mod tests {
         assert_eq!(snap.actors_on(ServerId(1)).count(), 1);
         assert!(snap.server(ServerId(0)).is_some());
         assert!(snap.server(ServerId(9)).is_none());
-        assert!(snap.actor(ActorId(2)).unwrap().pinned);
+        assert!(snap.actor(ActorId(3)).unwrap().pinned);
+        assert!(!snap.actor(ActorId(1)).unwrap().pinned);
+        // Absent ids: below, between and above the present ones.
+        assert!(snap.actor(ActorId(0)).is_none());
+        assert!(snap.actor(ActorId(2)).is_none());
+        assert!(snap.actor(ActorId(4)).is_none());
+    }
+
+    #[test]
+    fn ref_map_copies_on_write_only_while_shared() {
+        let mut refs = RefMap::default();
+        assert!(refs.is_empty());
+        // Removing from an empty map stays allocation-free.
+        refs.remove("files", ActorId(1));
+        assert_eq!(refs, RefMap::default());
+        refs.add("files", ActorId(7));
+        refs.add("files", ActorId(7));
+        refs.add("files", ActorId(8));
+        assert_eq!(refs["files"], vec![ActorId(7), ActorId(8)]);
+        let held = refs.clone();
+        refs.add("files", ActorId(9));
+        refs.remove("files", ActorId(7));
+        assert_eq!(refs["files"], vec![ActorId(8), ActorId(9)]);
+        assert_eq!(held["files"], vec![ActorId(7), ActorId(8)]);
+        // A no-op change leaves the shared map shared.
+        let again = refs.clone();
+        refs.add("files", ActorId(8));
+        refs.remove("files", ActorId(1));
+        assert!(Arc::ptr_eq(
+            refs.0.as_ref().unwrap(),
+            again.0.as_ref().unwrap()
+        ));
+        assert_eq!(RefMap::from(BTreeMap::new()), RefMap::default());
     }
 
     /// Minimal snapshot: actors given as `(id, server, cpu_share)` rows
@@ -436,7 +533,7 @@ mod tests {
                     pinned: false,
                     cpu_share: cpu,
                     counters: ActorCounters::default(),
-                    refs: BTreeMap::new(),
+                    refs: RefMap::default(),
                 })
                 .collect(),
             servers: servers

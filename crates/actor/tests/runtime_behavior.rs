@@ -228,6 +228,47 @@ fn profiling_snapshot_reports_usage_and_calls() {
     assert_eq!(srv.actor_count, 1);
 }
 
+/// Snapshot rows share each actor's refs map with the runtime entry; a
+/// reference edit after the window roll must copy the map, never reach
+/// into the snapshot a consumer still holds.
+#[test]
+fn snapshot_refs_are_copy_on_write() {
+    let mut rt = Runtime::new(small_config());
+    let s = rt.add_server(InstanceType::m1_small());
+    let mut spawn = || rt.spawn_actor("Echo", Box::new(Echo { work: 0.001 }), 64, s);
+    let (owner, a, b, c, quiet) = (spawn(), spawn(), spawn(), spawn(), spawn());
+    rt.actor_add_ref(owner, "children", a);
+    rt.actor_add_ref(owner, "children", b);
+    let window = rt.config().profile_window;
+    rt.run_until(SimTime::ZERO + window);
+    let held = rt.snapshot_shared();
+    assert_eq!(held.generation, 1);
+    assert_eq!(held.actor(owner).unwrap().refs["children"], vec![a, b]);
+    assert!(held.actor(quiet).unwrap().refs.is_empty());
+
+    rt.actor_add_ref(owner, "children", c);
+    rt.actor_remove_ref(owner, "children", a);
+    rt.actor_add_ref(quiet, "peers", owner);
+    assert_eq!(rt.actor_refs(owner, "children"), vec![b, c]);
+    assert_eq!(rt.actor_refs(quiet, "peers"), vec![owner]);
+    assert_eq!(held.actor(owner).unwrap().refs["children"], vec![a, b]);
+    assert!(held.actor(quiet).unwrap().refs.is_empty());
+
+    // The next window's rows carry the edits; the held rows still do not.
+    rt.run_until(SimTime::ZERO + window * 2);
+    let next = rt.snapshot_shared();
+    assert_eq!(next.generation, 2);
+    assert_eq!(next.actor(owner).unwrap().refs["children"], vec![b, c]);
+    assert_eq!(next.actor(quiet).unwrap().refs["peers"], vec![owner]);
+    assert_eq!(held.actor(owner).unwrap().refs["children"], vec![a, b]);
+
+    // Removing the last reference empties the list in place; the rows
+    // taken before the edit keep theirs.
+    rt.actor_remove_ref(quiet, "peers", owner);
+    assert!(rt.actor_refs(quiet, "peers").is_empty());
+    assert_eq!(next.actor(quiet).unwrap().refs["peers"], vec![owner]);
+}
+
 #[test]
 fn server_boot_delay_applies() {
     struct Watcher;

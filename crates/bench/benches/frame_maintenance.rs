@@ -48,7 +48,7 @@ fn main() {
     let mut ratios = Vec::new();
     for (label, n_servers, n_actors) in [("full", 32u32, 3000u64), ("xl", 128, 50_000)] {
         let (snap0, servers) = synth::synth_world(n_servers, n_actors, 0x504C_4153);
-        let snap1 = synth::churn_world(&snap0, 0.01, 0x6368_7572_6E ^ n_actors);
+        let snap1 = synth::churn_world(&snap0, 0.01, 0x63_6875_726E ^ n_actors);
         let (snap0, snap1) = (Arc::new(snap0), Arc::new(snap1));
         let forward = SnapshotDelta::between(&snap0, &snap1);
         let backward = SnapshotDelta::between(&snap1, &snap0);

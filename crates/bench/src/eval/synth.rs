@@ -161,7 +161,7 @@ pub fn synth_world(n_servers: u32, n_actors: u64, seed: u64) -> (ProfileSnapshot
                     calls,
                     bytes_sent: 0,
                 },
-                refs,
+                refs: refs.into(),
             }
         })
         .collect();
@@ -218,7 +218,7 @@ pub fn churn_world(base: &ProfileSnapshot, frac: f64, seed: u64) -> ProfileSnaps
                         calls,
                         bytes_sent: 0,
                     },
-                    refs: BTreeMap::new(),
+                    refs: Default::default(),
                 });
                 next_id += 1;
             }

@@ -28,39 +28,141 @@
 //! the test oracle; both produce identical environment sets, which the
 //! oracle's property tests pin.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::fmt;
 
 use plasma_actor::ids::{ActorId, FnId};
 use plasma_actor::message::CallerKind;
 use plasma_actor::stats::ActorWindowStats;
 use plasma_cluster::ServerId;
-use plasma_epl::analyze::{CompiledPolicy, CompiledRule};
-use plasma_epl::ast::{ActorRef, Comp, Res, Stat};
+use plasma_epl::analyze::{CompiledBehavior, CompiledPolicy, CompiledRule};
+use plasma_epl::ast::{ActorRef, Behavior, Comp, Res, Stat};
 use plasma_epl::plan::{CallerPlan, CondPlan, FeatPlan, FnSym, RefPlan, StepCond, TypePat};
 
 use crate::view::{EvalCtx, EvalFrame, TypeSel};
 
+/// Variable slots an environment stores inline. Every shipped policy binds
+/// at most three variables per rule; environments of a rule with more
+/// spill their slots to the heap.
+const INLINE_VARS: usize = 3;
+
+/// The variable slots of one environment.
+#[derive(Clone)]
+enum Slots {
+    Inline {
+        len: u8,
+        vars: [Option<ActorId>; INLINE_VARS],
+    },
+    Spilled(Box<[Option<ActorId>]>),
+}
+
 /// A (partial) satisfying assignment for one rule.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+///
+/// Environments order by `(server, vars)`, comparing the variable slots
+/// lexicographically; that order is what the LEM and GEM enumerate them
+/// in, so it feeds action order. A rule's slots live inline (no heap
+/// allocation per environment) unless it has more than three variables.
+#[derive(Clone)]
 pub struct Env {
     /// The server bound by `server.*` conditions, if any.
     pub server: Option<ServerId>,
-    /// Variable slots (indexed like `CompiledRule::vars`).
-    pub vars: Vec<Option<ActorId>>,
+    slots: Slots,
 }
 
 impl Env {
     /// Creates an empty environment for a rule with `nvars` variables.
     pub fn empty(nvars: usize) -> Self {
+        let slots = if nvars <= INLINE_VARS {
+            Slots::Inline {
+                len: nvars as u8,
+                vars: [None; INLINE_VARS],
+            }
+        } else {
+            Slots::Spilled(vec![None; nvars].into_boxed_slice())
+        };
         Env {
             server: None,
-            vars: vec![None; nvars],
+            slots,
+        }
+    }
+
+    /// Variable slots (indexed like `CompiledRule::vars`).
+    pub fn vars(&self) -> &[Option<ActorId>] {
+        match &self.slots {
+            Slots::Inline { len, vars } => &vars[..*len as usize],
+            Slots::Spilled(vars) => vars,
         }
     }
 
     /// Returns the actor bound to `slot`, if any.
     pub fn var(&self, slot: usize) -> Option<ActorId> {
-        self.vars.get(slot).copied().flatten()
+        self.vars().get(slot).copied().flatten()
+    }
+
+    /// Binds `slot` to `actor`.
+    fn bind(&mut self, slot: usize, actor: ActorId) {
+        let vars = match &mut self.slots {
+            Slots::Inline { len, vars } => &mut vars[..*len as usize],
+            Slots::Spilled(vars) => vars,
+        };
+        vars[slot] = Some(actor);
+    }
+
+    /// Returns a copy with `slot`, if any, bound to `actor`.
+    fn with(&self, slot: Option<usize>, actor: ActorId) -> Env {
+        let mut env = self.clone();
+        if let Some(s) = slot {
+            env.bind(s, actor);
+        }
+        env
+    }
+}
+
+impl PartialEq for Env {
+    fn eq(&self, other: &Self) -> bool {
+        self.server == other.server && self.vars() == other.vars()
+    }
+}
+
+impl Eq for Env {}
+
+impl Ord for Env {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.server
+            .cmp(&other.server)
+            .then_with(|| self.vars().cmp(other.vars()))
+    }
+}
+
+impl PartialOrd for Env {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Debug for Env {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Env")
+            .field("server", &self.server)
+            .field("vars", &self.vars())
+            .finish()
+    }
+}
+
+/// A behavior argument resolved at bind time: the variable slot it names,
+/// if any, and the type selector it expands over when unbound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BehaviorRef {
+    /// Variable slot in the rule's environment, if the reference is named.
+    pub slot: Option<usize>,
+    /// The reference's declared type, bound against the frame's registry.
+    pub sel: TypeSel,
+}
+
+impl BehaviorRef {
+    /// Returns the actor `env` binds this reference to, if any.
+    pub fn bound(self, env: &Env) -> Option<ActorId> {
+        self.slot.and_then(|s| env.var(s))
     }
 }
 
@@ -73,10 +175,14 @@ pub struct BoundRule<'r> {
     pub rule: &'r CompiledRule,
     types: Vec<TypeSel>,
     fns: Vec<Option<FnId>>,
+    /// Each behavior's actor arguments in argument order, indexed like
+    /// `rule.behaviors`.
+    behavior_refs: Vec<Vec<BehaviorRef>>,
 }
 
 impl<'r> BoundRule<'r> {
-    /// Resolves `rule`'s plan symbols against `frame`'s name tables.
+    /// Resolves `rule`'s plan symbols and behavior arguments against
+    /// `frame`'s name tables.
     pub fn bind(rule: &'r CompiledRule, frame: &EvalFrame) -> Self {
         let types = rule
             .plan
@@ -93,7 +199,38 @@ impl<'r> BoundRule<'r> {
             .iter()
             .map(|name| frame.fn_id(name))
             .collect();
-        BoundRule { rule, types, fns }
+        let bind_ref = |aref: &ActorRef| BehaviorRef {
+            slot: match aref {
+                ActorRef::Decl(_, v) | ActorRef::Var(v) => rule.var_slot(v),
+                ActorRef::Type(_) => None,
+            },
+            sel: frame.type_sel(&rule.ref_type(aref)),
+        };
+        let behavior_refs = rule
+            .behaviors
+            .iter()
+            .map(|cb| match &cb.behavior {
+                Behavior::Pin(a) | Behavior::Reserve { actor: a, .. } => vec![bind_ref(a)],
+                Behavior::Colocate(a, b) | Behavior::Separate(a, b) => {
+                    vec![bind_ref(a), bind_ref(b)]
+                }
+                Behavior::Balance { .. } => Vec::new(),
+            })
+            .collect();
+        BoundRule {
+            rule,
+            types,
+            fns,
+            behavior_refs,
+        }
+    }
+
+    /// The rule's behaviors, each with its actor arguments resolved.
+    pub fn behaviors(&self) -> impl Iterator<Item = (&'r CompiledBehavior, &[BehaviorRef])> {
+        self.rule
+            .behaviors
+            .iter()
+            .zip(self.behavior_refs.iter().map(Vec::as_slice))
     }
 
     fn sel(&self, pat: TypePat) -> TypeSel {
@@ -137,17 +274,23 @@ pub fn solve(rule: &CompiledRule, ctx: &EvalCtx<'_>) -> Vec<Env> {
 }
 
 /// Computes all satisfying environments of a pre-bound rule within `ctx`.
+///
+/// The result is sorted by `(server, vars)` and free of duplicates.
 pub fn solve_bound(rule: &BoundRule<'_>, ctx: &EvalCtx<'_>) -> Vec<Env> {
     let plan = &rule.rule.plan;
     let start = vec![Env::empty(plan.nvars)];
-    let mut result = solve_plan(&plan.cond, start, rule, ctx);
-    dedupe(&mut result);
+    // The start list holds one environment and every plan step keeps its
+    // list deduplicated, so the result needs no final dedupe.
+    let result = solve_plan(&plan.cond, start, rule, ctx);
+    debug_assert!(result.windows(2).all(|w| w[0] < w[1]));
     result
 }
 
+/// Sorts `envs` by `(server, vars)` and drops duplicates: the order and
+/// the set a `BTreeSet` round trip gives.
 fn dedupe(envs: &mut Vec<Env>) {
-    let set: BTreeSet<Env> = envs.drain(..).collect();
-    envs.extend(set);
+    envs.sort_unstable();
+    envs.dedup();
 }
 
 fn solve_plan(
@@ -219,26 +362,20 @@ fn plan_candidates<'c>(
     ctx.select(rule.sel(refp.ty), on_server)
 }
 
-/// Extends `out` with `env` bound to each of `matches` in turn, cloning
-/// only for all but the last match (the environment itself is consumed).
+/// Extends `out` with a copy of `env` bound to each of `matches` in turn.
 /// With no slot to bind, any match leaves `env` unchanged, so one copy
 /// suffices — the per-step dedupe collapses duplicates anyway.
-fn push_bindings(out: &mut Vec<Env>, env: Env, slot: Option<usize>, matches: Vec<ActorId>) {
-    let Some((last, rest)) = matches.split_last() else {
-        return;
-    };
-    match slot {
-        None => out.push(env),
-        Some(s) => {
-            for &actor in rest {
-                let mut e = env.clone();
-                e.vars[s] = Some(actor);
-                out.push(e);
-            }
-            let mut e = env;
-            e.vars[s] = Some(*last);
-            out.push(e);
-        }
+fn push_bindings(
+    out: &mut Vec<Env>,
+    env: &Env,
+    slot: Option<usize>,
+    matches: impl IntoIterator<Item = ActorId>,
+) {
+    let mut matches = matches.into_iter();
+    if slot.is_some() {
+        out.extend(matches.map(|actor| env.with(slot, actor)));
+    } else if matches.next().is_some() {
+        out.push(env.clone());
     }
 }
 
@@ -265,23 +402,13 @@ fn solve_compare(
                         }
                     }
                     None => {
-                        let hits: Vec<ServerId> = ctx
-                            .servers
-                            .iter()
-                            .filter(|meta| comp.eval(meta.usage(*res) * 100.0, val))
-                            .map(|meta| meta.id)
-                            .collect();
-                        let Some((last, rest)) = hits.split_last() else {
-                            continue;
-                        };
-                        for &sid in rest {
-                            let mut e = env.clone();
-                            e.server = Some(sid);
-                            out.push(e);
+                        for meta in &ctx.servers {
+                            if comp.eval(meta.usage(*res) * 100.0, val) {
+                                let mut e = env.clone();
+                                e.server = Some(meta.id);
+                                out.push(e);
+                            }
                         }
-                        let mut e = env;
-                        e.server = Some(*last);
-                        out.push(e);
                     }
                 }
             }
@@ -307,23 +434,20 @@ fn solve_compare(
                 let sel = rule.sel(refp.ty);
                 // `actor.cpu.perc comp val` compares `cpu_share * 100`
                 // directly, so the sorted index answers it exactly.
-                let matches: Vec<ActorId> = if *res == Res::Cpu && stat == Stat::Perc {
-                    ctx.select_cpu_threshold(sel, env.server, comp, val)
-                        .iter()
-                        .map(|a| a.actor)
-                        .collect()
+                if *res == Res::Cpu && stat == Stat::Perc {
+                    let hits = ctx.select_cpu_threshold(sel, env.server, comp, val);
+                    push_bindings(&mut out, &env, refp.slot, hits.iter().map(|a| a.actor));
                 } else {
-                    ctx.select(sel, env.server)
+                    let hits = ctx
+                        .select(sel, env.server)
                         .into_iter()
                         .filter(|actor| match stat {
                             Stat::Perc => comp.eval(ctx.actor_usage(actor, *res) * 100.0, val),
                             Stat::Size => comp.eval(actor.state_size as f64, val),
                             Stat::Count => false,
-                        })
-                        .map(|a| a.actor)
-                        .collect()
-                };
-                push_bindings(&mut out, env, refp.slot, matches);
+                        });
+                    push_bindings(&mut out, &env, refp.slot, hits.map(|a| a.actor));
+                }
             }
         }
         FeatPlan::Call {
@@ -337,32 +461,19 @@ fn solve_compare(
                 let callee_cands = plan_candidates(*callee, &env, rule, ctx, true);
                 match caller {
                     CallerPlan::Client => {
-                        let matches: Vec<ActorId> = callee_cands
-                            .iter()
-                            .filter(|cs| {
-                                let stat_val = fnid
-                                    .map(|f| {
-                                        call_stat_value(ctx, cs, CallerKind::Client, None, f, stat)
-                                    })
-                                    .unwrap_or(0.0);
-                                comp.eval(stat_val, val)
-                            })
-                            .map(|cs| cs.actor)
-                            .collect();
-                        push_bindings(&mut out, env, callee.slot, matches);
+                        let matches = callee_cands.iter().filter(|cs| {
+                            let stat_val = fnid
+                                .map(|f| {
+                                    call_stat_value(ctx, cs, CallerKind::Client, None, f, stat)
+                                })
+                                .unwrap_or(0.0);
+                            comp.eval(stat_val, val)
+                        });
+                        push_bindings(&mut out, &env, callee.slot, matches.map(|cs| cs.actor));
                     }
                     CallerPlan::Actor(caller_ref) => {
-                        let mut base = Some(env);
-                        let last = callee_cands.len().saturating_sub(1);
-                        for (i, callee_stats) in callee_cands.iter().enumerate() {
-                            let mut env2 = if i == last {
-                                base.take().expect("consumed only on the last callee")
-                            } else {
-                                base.as_ref().expect("still present before last").clone()
-                            };
-                            if let Some(s) = callee.slot {
-                                env2.vars[s] = Some(callee_stats.actor);
-                            }
+                        for callee_stats in &callee_cands {
+                            let env2 = env.with(callee.slot, callee_stats.actor);
                             let caller_bound = caller_ref.slot.and_then(|s| env2.var(s));
                             // An unrecorded caller always reads a stat of
                             // exactly 0 (count, size, and perc alike). When
@@ -422,7 +533,7 @@ fn solve_compare(
                                     .map(|caller_stats| caller_stats.actor)
                                     .collect(),
                             };
-                            push_bindings(&mut out, env2, caller_ref.slot, matches);
+                            push_bindings(&mut out, &env2, caller_ref.slot, matches);
                         }
                     }
                 }
@@ -479,15 +590,12 @@ fn solve_inref(
 ) -> Vec<Env> {
     let mut out = Vec::new();
     let member_sel = rule.sel(member.ty);
-    for env in envs {
-        for owner_stats in plan_candidates(owner, &env, rule, ctx, false) {
+    for env in &envs {
+        for owner_stats in plan_candidates(owner, env, rule, ctx, false) {
             let Some(refs) = owner_stats.refs.get(prop) else {
                 continue;
             };
-            let mut env2 = env.clone();
-            if let Some(s) = owner.slot {
-                env2.vars[s] = Some(owner_stats.actor);
-            }
+            let env2 = env.with(owner.slot, owner_stats.actor);
             // Fast path: iterate the owner's reference list rather than all
             // actors of the member type.
             if let Some(bound) = member.slot.and_then(|s| env2.var(s)) {
@@ -496,12 +604,11 @@ fn solve_inref(
                 }
                 continue;
             }
-            let matches: Vec<ActorId> = refs
+            let matches = refs
                 .iter()
-                .filter(|&&m| ctx.actor(m).is_some_and(|ms| member_sel.matches(ms)))
                 .copied()
-                .collect();
-            push_bindings(&mut out, env2, member.slot, matches);
+                .filter(|&m| ctx.actor(m).is_some_and(|ms| member_sel.matches(ms)));
+            push_bindings(&mut out, &env2, member.slot, matches);
         }
     }
     dedupe(&mut out);
@@ -510,22 +617,13 @@ fn solve_inref(
 
 /// Expands a behavior-side actor reference under a satisfying environment:
 /// the bound actor if the variable is bound, otherwise all actors of the
-/// type on the environment's server (or in scope when no server is bound).
-pub fn expand_behavior_ref(
-    aref: &ActorRef,
-    env: &Env,
-    rule: &CompiledRule,
-    ctx: &EvalCtx<'_>,
-) -> Vec<ActorId> {
-    let slot = match aref {
-        ActorRef::Decl(_, v) | ActorRef::Var(v) => rule.var_slot(v),
-        ActorRef::Type(_) => None,
-    };
-    if let Some(actor) = slot.and_then(|s| env.var(s)) {
+/// type on the environment's server (or in scope when no server is bound),
+/// in id order.
+pub fn expand_behavior_ref(aref: BehaviorRef, env: &Env, ctx: &EvalCtx<'_>) -> Vec<ActorId> {
+    if let Some(actor) = aref.bound(env) {
         return ctx.actor(actor).into_iter().map(|a| a.actor).collect();
     }
-    let atype = rule.ref_type(aref);
-    ctx.actors_matching(&atype, env.server)
+    ctx.select(aref.sel, env.server)
         .into_iter()
         .map(|a| a.actor)
         .collect()
@@ -624,13 +722,10 @@ pub mod naive {
     }
 
     fn bind(aref: &ActorRef, env: &Env, rule: &CompiledRule, actor: ActorId) -> Env {
-        let mut out = env.clone();
-        if let ActorRef::Decl(_, v) | ActorRef::Var(v) = aref {
-            if let Some(slot) = rule.var_slot(v) {
-                out.vars[slot] = Some(actor);
-            }
+        match aref {
+            ActorRef::Decl(_, v) | ActorRef::Var(v) => env.with(rule.var_slot(v), actor),
+            ActorRef::Type(_) => env.clone(),
         }
-        out
     }
 
     fn solve_compare(
@@ -807,5 +902,41 @@ pub mod naive {
         }
         dedupe(&mut out);
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Inline and spilled environments order exactly like
+    /// `(server, Vec<Option<ActorId>>)` pairs, the order action planning
+    /// enumerates them in.
+    #[test]
+    fn env_order_matches_server_then_slot_vector() {
+        let servers = [None, Some(ServerId(0)), Some(ServerId(1))];
+        let values = [None, Some(ActorId(0)), Some(ActorId(7))];
+        for nvars in [0, 2, 5] {
+            let mut envs = Vec::new();
+            for (i, &server) in servers.iter().cycle().take(24).enumerate() {
+                let mut env = Env::empty(nvars);
+                env.server = server;
+                let mut vars = vec![None; nvars];
+                for (slot, var) in vars.iter_mut().enumerate() {
+                    *var = values[(i * 7 + slot * 5) % values.len()];
+                    if let Some(actor) = *var {
+                        env.bind(slot, actor);
+                    }
+                }
+                assert_eq!(env.vars(), &vars[..]);
+                envs.push((env, (server, vars)));
+            }
+            for (a, ka) in &envs {
+                for (b, kb) in &envs {
+                    assert_eq!(a.cmp(b), ka.cmp(kb), "{a:?} vs {b:?}");
+                    assert_eq!(a == b, ka == kb);
+                }
+            }
+        }
     }
 }

@@ -52,7 +52,9 @@ impl Mix {
 
 const TYPES: [&str; 3] = ["T0", "T1", "T2"];
 const FNS: [&str; 2] = ["f0", "f1"];
-const VARS: [&str; 3] = ["a", "b", "c"];
+/// More names than an environment stores inline, so rules whose
+/// environments spill to the heap are checked against the oracle too.
+const VARS: [&str; 5] = ["a", "b", "c", "d", "e"];
 const CMPS: [&str; 4] = ["<", ">", "<=", ">="];
 
 fn schema() -> ActorSchema {
@@ -63,12 +65,13 @@ fn schema() -> ActorSchema {
     s
 }
 
-/// Draws a variable from the 3-name pool. Each name carries a fixed type
-/// (`a: T0`, `b: T1`, `c: T2`) so conjuncts that reuse a name produce a
-/// *join* on the shared slot rather than a type-clash compile error.
+/// Draws a variable from the name pool. Each name carries a fixed type
+/// (`a: T0`, `b: T1`, `c: T2`, `d: T0`, `e: T1`) so conjuncts that reuse
+/// a name produce a *join* on the shared slot rather than a type-clash
+/// compile error.
 fn gen_var(mix: &mut Mix) -> (&'static str, &'static str) {
     let i = mix.below(VARS.len() as u64) as usize;
-    (TYPES[i], VARS[i])
+    (TYPES[i % TYPES.len()], VARS[i])
 }
 
 /// Draws a statistic plus a value within its legal range (`perc` bounds
@@ -189,7 +192,7 @@ fn gen_actor(mix: &mut Mix, id: u64, n_actors: u64, n_servers: u32) -> ActorWind
             calls,
             bytes_sent: mix.below(1 << 20),
         },
-        refs,
+        refs: refs.into(),
     }
 }
 
@@ -241,12 +244,13 @@ fn name_tables() -> (BTreeMap<String, ActorTypeId>, BTreeMap<String, FnId>) {
 }
 
 /// Guards the generator against becoming vacuous: across a fixed seed
-/// range, most rules must compile and a healthy share of the compiled ones
-/// must produce at least one matching environment. (Purely deterministic —
+/// range, most rules must compile, a healthy share of the compiled ones
+/// must produce at least one matching environment, and some must have more
+/// variables than an environment stores inline. (Purely deterministic —
 /// `Mix` derives everything from the seed.)
 #[test]
 fn generator_is_not_vacuous() {
-    let (mut compiled, mut matched) = (0u32, 0u32);
+    let (mut compiled, mut matched, mut spilled) = (0u32, 0u32, 0u32);
     let total = 400;
     for seed in 0..total {
         let mut mix = Mix(seed);
@@ -255,6 +259,7 @@ fn generator_is_not_vacuous() {
             continue;
         };
         compiled += 1;
+        spilled += u32::from(policy.rules[0].vars.len() > 3);
         let (snap, servers) = gen_world(&mut mix);
         let (types, fns) = name_tables();
         let frame = EvalFrame::from_parts(Arc::new(snap), servers.clone(), types, fns);
@@ -272,6 +277,10 @@ fn generator_is_not_vacuous() {
     assert!(
         matched >= compiled / 10,
         "only {matched}/{compiled} compiled rules ever matched"
+    );
+    assert!(
+        spilled >= compiled / 10,
+        "only {spilled}/{compiled} compiled rules have more than 3 variables"
     );
 }
 

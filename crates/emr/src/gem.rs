@@ -16,7 +16,7 @@ use plasma_epl::ast::{AType, Behavior, Cond, Res};
 
 use crate::action::{Action, ActionKind, RuleStat};
 use crate::eval::{expand_behavior_ref, solve_bound, BoundPolicy};
-use crate::view::EvalCtx;
+use crate::view::{EvalCtx, TypeSel};
 
 /// Utilization bounds extracted from a rule's condition.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -123,7 +123,7 @@ pub fn plan(
             });
             continue;
         }
-        for cb in &rule.behaviors {
+        for (cb, refs) in bound.behaviors() {
             match &cb.behavior {
                 Behavior::Balance { types, res } => {
                     let bounds = extract_bounds(&rule.cond, *res, cfg.default_bounds);
@@ -141,11 +141,11 @@ pub fn plan(
                         reserved_servers,
                     );
                 }
-                Behavior::Reserve { actor, res } => {
+                Behavior::Reserve { res, .. } => {
                     let bounds = extract_bounds(&rule.cond, *res, cfg.default_bounds);
                     let mut targets: BTreeSet<ActorId> = BTreeSet::new();
                     for env in &envs {
-                        targets.extend(expand_behavior_ref(actor, env, rule, ctx));
+                        targets.extend(expand_behavior_ref(refs[0], env, ctx));
                     }
                     plan_reserve(
                         &mut plan,
@@ -204,6 +204,7 @@ fn plan_balance(
     reserved_servers: &BTreeSet<ServerId>,
 ) {
     let ridx = res_index(res);
+    let sels: Vec<TypeSel> = types.iter().map(|t| ctx.type_sel(t)).collect();
     for _ in 0..cfg.max_balance_moves {
         // Source: the most loaded server; prefer ones above the upper bound.
         let Some(src) = ctx
@@ -254,10 +255,10 @@ fn plan_balance(
         // destination after the move, so rebalancing can never oscillate.
         let gap = src_u - dst_u;
         let movable: Vec<(ActorId, f64)> = ctx
-            .actors()
-            .iter()
-            .filter(|a| a.server == src.id && !a.pinned && !moved.contains(&a.actor))
-            .filter(|a| types.iter().any(|t| ctx.matches_type(a, t)))
+            .select(TypeSel::Any, Some(src.id))
+            .into_iter()
+            .filter(|a| !a.pinned && !moved.contains(&a.actor))
+            .filter(|a| sels.iter().any(|sel| sel.matches(a)))
             .map(|a| (a.actor, ctx.actor_usage(a, res)))
             .filter(|&(_, share)| share > 0.0)
             .collect();

@@ -33,6 +33,7 @@
 //! a patched frame is index-for-index identical to a rebuilt one, which
 //! the churn property tests assert.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -925,6 +926,17 @@ impl EvalFrame {
         self.fn_names.get(name).copied()
     }
 
+    /// Binds a type pattern to a selector over the frame's registry.
+    pub fn type_sel(&self, pattern: &AType) -> TypeSel {
+        match pattern {
+            AType::Any => TypeSel::Any,
+            AType::Named(name) => match self.type_id(name) {
+                Some(t) => TypeSel::Id(t),
+                None => TypeSel::Unknown,
+            },
+        }
+    }
+
     fn group(&self, sel: TypeSel, on_server: Option<ServerId>, cpu_sorted: bool) -> &[ActorId] {
         if cpu_sorted {
             return self.cpu_group(sel, on_server).map_or(&[], |g| &g.ids);
@@ -997,8 +1009,9 @@ pub struct EvalCtx<'a> {
     pub servers: Vec<ServerMeta>,
     /// `None` when the scope covers the whole frame.
     scope: Option<BTreeMap<ServerId, ()>>,
-    /// In-scope actor rows, in id order.
-    actors: Vec<&'a ActorWindowStats>,
+    /// In-scope actor rows, in id order; built on the first
+    /// [`EvalCtx::actors`] call, since most rounds never need the list.
+    actors: OnceCell<Vec<&'a ActorWindowStats>>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -1006,32 +1019,12 @@ impl<'a> EvalCtx<'a> {
     /// Servers absent from the frame (not running at build time) are
     /// skipped.
     pub fn scoped(frame: &'a EvalFrame, scope: &[ServerId]) -> Self {
-        let servers: Vec<ServerMeta> = scope
+        let servers = scope
             .iter()
             .filter_map(|&sid| frame.server(sid))
             .copied()
             .collect();
-        let full = servers.len() == frame.servers.len();
-        let scope_set: Option<BTreeMap<ServerId, ()>> = if full {
-            None
-        } else {
-            Some(servers.iter().map(|s| (s.id, ())).collect())
-        };
-        let actors: Vec<&'a ActorWindowStats> = frame
-            .snap
-            .actors
-            .iter()
-            .filter(|a| match &scope_set {
-                Some(set) => set.contains_key(&a.server),
-                None => frame.scope_has(a.server),
-            })
-            .collect();
-        EvalCtx {
-            frame,
-            servers,
-            scope: scope_set,
-            actors,
-        }
+        Self::over(frame, servers)
     }
 
     /// Builds a context from wire-carried LEM report rows — the QREPLY
@@ -1045,27 +1038,17 @@ impl<'a> EvalCtx<'a> {
     /// decision digests byte-identical with the control plane on the
     /// wire.
     pub fn for_reports(frame: &'a EvalFrame, reports: &[ServerReport]) -> Self {
-        let servers: Vec<ServerMeta> = reports.iter().map(ServerMeta::from_report).collect();
-        let full = servers.len() == frame.servers.len();
-        let scope_set: Option<BTreeMap<ServerId, ()>> = if full {
-            None
-        } else {
-            Some(servers.iter().map(|s| (s.id, ())).collect())
-        };
-        let actors: Vec<&'a ActorWindowStats> = frame
-            .snap
-            .actors
-            .iter()
-            .filter(|a| match &scope_set {
-                Some(set) => set.contains_key(&a.server),
-                None => frame.scope_has(a.server),
-            })
-            .collect();
+        Self::over(frame, reports.iter().map(ServerMeta::from_report).collect())
+    }
+
+    fn over(frame: &'a EvalFrame, servers: Vec<ServerMeta>) -> Self {
+        let scope = (servers.len() != frame.servers.len())
+            .then(|| servers.iter().map(|s| (s.id, ())).collect());
         EvalCtx {
             frame,
             servers,
-            scope: scope_set,
-            actors,
+            scope,
+            actors: OnceCell::new(),
         }
     }
 
@@ -1085,9 +1068,16 @@ impl<'a> EvalCtx<'a> {
         self.frame.snap.window.as_secs_f64().max(1e-9)
     }
 
-    /// Returns every in-scope actor.
+    /// Returns every in-scope actor, in id order.
     pub fn actors(&self) -> &[&'a ActorWindowStats] {
-        &self.actors
+        self.actors.get_or_init(|| {
+            self.frame
+                .snap
+                .actors
+                .iter()
+                .filter(|a| self.in_scope(a.server))
+                .collect()
+        })
     }
 
     /// Returns the stats of one actor, if in scope.
@@ -1122,13 +1112,7 @@ impl<'a> EvalCtx<'a> {
 
     /// Binds a type pattern to a selector over this context's registry.
     pub fn type_sel(&self, pattern: &AType) -> TypeSel {
-        match pattern {
-            AType::Any => TypeSel::Any,
-            AType::Named(name) => match self.type_id(name) {
-                Some(t) => TypeSel::Id(t),
-                None => TypeSel::Unknown,
-            },
-        }
+        self.frame.type_sel(pattern)
     }
 
     /// Returns the in-scope actors matching a type pattern, optionally
@@ -1152,7 +1136,7 @@ impl<'a> EvalCtx<'a> {
         match (sel, on_server) {
             (TypeSel::Unknown, _) => Vec::new(),
             (_, Some(s)) if !self.in_scope(s) => Vec::new(),
-            (TypeSel::Any, None) => self.actors.clone(),
+            (TypeSel::Any, None) => self.actors().to_vec(),
             (sel, on_server @ Some(_)) => frame
                 .group(sel, on_server, false)
                 .iter()

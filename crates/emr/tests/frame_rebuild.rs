@@ -70,7 +70,7 @@ fn observe(frame: &EvalFrame, rt: &Runtime) -> (u64, Vec<String>, Vec<(u64, u32,
     let actors = ctx
         .actors()
         .iter()
-        .map(|a| (a.actor.0 as u64, a.server.0, a.cpu_share))
+        .map(|a| (a.actor.0, a.server.0, a.cpu_share))
         .collect();
     (frame.generation(), servers, actors)
 }

@@ -22,8 +22,8 @@
 //! checks — any byte string that decodes re-encodes to itself.
 
 use plasma_backend::wire::{put_u32, put_u64, DecodeError, WireCursor};
-use plasma_backend::{ControlDecision, ControlQuery, ControlReply, Delivery, Execution};
 use plasma_backend::ServerReport;
+use plasma_backend::{ControlDecision, ControlQuery, ControlReply, Delivery, Execution};
 
 /// Protocol version stamped into (and required of) every frame, and
 /// carried explicitly in the [`Frame::Hello`] handshake so a version
