@@ -399,6 +399,7 @@ pub fn run(cfg: &EstoreConfig) -> EstoreReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plasma_sim::DetRng;
 
     #[test]
     fn cascade_weights_sum_to_one_and_decay() {
@@ -407,6 +408,26 @@ mod tests {
         assert!(w[0] > w[1] && w[1] > w[2]);
         assert!((w[0] - 0.35).abs() < 1e-12);
         assert!((w[1] - 0.35 * 0.65).abs() < 1e-12);
+    }
+
+    /// The first 64 roots `DetRng::new(17)` draws from cascades longer than
+    /// one of `weighted_index`'s skip chunks, and the generator's next output
+    /// after them, as the plain two-pass draw produced them. The smoke and
+    /// full presets draw over 16 and 40 roots, inside a single chunk.
+    #[test]
+    fn cascade_draws_past_one_skip_chunk_are_pinned() {
+        const DRAWS: [usize; 64] = [
+            2, 2, 6, 7, 2, 6, 4, 4, 1, 2, 0, 7, 1, 0, 0, 0, 0, 0, 6, 1, 5, 0, 1, 1, 0, 1, 0, 5, 2,
+            3, 0, 0, 0, 1, 2, 2, 6, 0, 1, 7, 0, 0, 0, 0, 4, 3, 0, 0, 0, 3, 3, 2, 7, 0, 1, 1, 3, 2,
+            1, 0, 0, 0, 1, 5,
+        ];
+        for roots in [8192, 512] {
+            let weights = cascade_weights(roots, 0.35);
+            let mut rng = DetRng::new(17);
+            let drawn: Vec<usize> = (0..64).map(|_| rng.weighted_index(&weights)).collect();
+            assert_eq!(drawn, DRAWS, "{roots} roots");
+            assert_eq!(rng.next_u64(), 0xbc65_0a44_3de4_1cb0, "{roots} roots");
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Diffs two result sets (baseline vs current) metric by metric. A
 //! directional metric regresses when it moves against its direction by more
-//! than the configured relative threshold (default 10%); informational
+//! than the configured relative threshold (default 10%); an exact metric
+//! (the decision digest) regresses on any difference; informational
 //! metrics are reported but never gate. Scenarios missing from the current
 //! set fail the comparison (a silently dropped benchmark is itself a
 //! regression); scenarios new in the current set are reported as notes.
@@ -27,7 +28,8 @@ impl Default for CompareOptions {
 /// Classification of one metric diff.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiffKind {
-    /// Moved against its direction past the threshold — fails the gate.
+    /// Moved against its direction past the threshold, or an exact metric
+    /// moved at all — fails the gate.
     Regressed,
     /// Moved with its direction past the threshold.
     Improved,
@@ -153,13 +155,21 @@ impl CompareReport {
 
 /// Classifies one metric pair under `threshold`.
 fn classify(direction: Direction, baseline: f64, current: f64, threshold: f64) -> (f64, DiffKind) {
+    let rel = (current - baseline) / baseline.abs().max(1e-9);
+    if direction == Direction::Exact {
+        let kind = if current == baseline {
+            DiffKind::Unchanged
+        } else {
+            DiffKind::Regressed
+        };
+        return (rel, kind);
+    }
     // Both effectively zero: equal by definition (avoids 0-vs-1e-12 blowups).
     if baseline.abs() < 1e-9 && current.abs() < 1e-9 {
         return (0.0, DiffKind::Unchanged);
     }
-    let rel = (current - baseline) / baseline.abs().max(1e-9);
     let kind = match direction {
-        Direction::Info => DiffKind::Unchanged,
+        Direction::Info | Direction::Exact => DiffKind::Unchanged,
         Direction::Lower => {
             if rel > threshold {
                 DiffKind::Regressed
@@ -313,6 +323,42 @@ mod tests {
         let base = vec![result("media", &[("peak_servers", 4.0, Direction::Info)])];
         let cur = vec![result("media", &[("peak_servers", 400.0, Direction::Info)])];
         assert!(compare(&base, &cur, CompareOptions::default()).passed());
+    }
+
+    #[test]
+    fn exact_metrics_fail_on_any_difference() {
+        let digest = |v| {
+            vec![result(
+                "estore",
+                &[("decision_digest", v, Direction::Exact)],
+            )]
+        };
+        let report = compare(
+            &digest(3528993624.0),
+            &digest(3528993625.0),
+            CompareOptions::default(),
+        );
+        assert!(
+            !report.passed(),
+            "a 3e-10 relative move is far inside the threshold"
+        );
+        assert_eq!(report.regressions(), 1);
+        assert!(report
+            .render(0.10)
+            .contains("REGRESSED estore/decision_digest"));
+        // Near zero too, where the threshold rules treat both sides as equal.
+        assert!(!compare(&digest(0.0), &digest(1.0), CompareOptions::default()).passed());
+    }
+
+    #[test]
+    fn equal_exact_metrics_pass() {
+        let base = vec![result(
+            "estore",
+            &[("decision_digest", 3528993624.0, Direction::Exact)],
+        )];
+        let report = compare(&base, &base.clone(), CompareOptions::default());
+        assert!(report.passed());
+        assert_eq!(report.regressions(), 0);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use serde_json::Value;
 /// schema changes incompatibly.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Whether smaller or larger values of a metric are better, or whether the
-/// metric is purely informational (never gated on).
+/// Whether smaller or larger values of a metric are better, whether it must
+/// not move at all, or whether it is purely informational (never gated on).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
     /// Lower is better (latencies, makespans, rebalance times).
@@ -23,6 +23,8 @@ pub enum Direction {
     Higher,
     /// Diagnostic only; the comparator reports but never fails on it.
     Info,
+    /// Any difference from the baseline fails (decision digests).
+    Exact,
 }
 
 impl Direction {
@@ -32,6 +34,7 @@ impl Direction {
             Direction::Lower => "lower",
             Direction::Higher => "higher",
             Direction::Info => "info",
+            Direction::Exact => "exact",
         }
     }
 
@@ -41,6 +44,7 @@ impl Direction {
             "lower" => Some(Direction::Lower),
             "higher" => Some(Direction::Higher),
             "info" => Some(Direction::Info),
+            "exact" => Some(Direction::Exact),
             _ => None,
         }
     }
@@ -215,6 +219,7 @@ mod tests {
         r.push("tail_ms", 12.345678912, Direction::Lower);
         r.push("balance_score", 0.75, Direction::Higher);
         r.push("migrations_completed", 9.0, Direction::Info);
+        r.push("decision_digest", 3528993624.0, Direction::Exact);
         r
     }
 

@@ -126,11 +126,12 @@ fn push_common(result: &mut ScenarioResult, eval: &ElasticityEval, rebalance_dir
     );
     // Low 32 bits of the order-sensitive decision-sequence digest. An f64
     // carries a u32 exactly, so the value survives the round-trip through
-    // the BENCH file and the parity gate can compare it byte-for-byte.
+    // the BENCH file, the parity gate can compare it byte-for-byte, and
+    // `compare` fails on any change to it.
     result.push(
         "decision_digest",
         (eval.decision_digest & 0xFFFF_FFFF) as f64,
-        Direction::Info,
+        Direction::Exact,
     );
     result.push(
         "snapshot_skew_rounds",
@@ -529,6 +530,7 @@ pub fn render_summary(result: &ScenarioResult) -> String {
             Direction::Lower => "↓",
             Direction::Higher => "↑",
             Direction::Info => " ",
+            Direction::Exact => "=",
         };
         out.push_str(&format!("  {tag} {name:<28} {:>14.6}\n", m.value));
     }
