@@ -119,6 +119,12 @@ impl ActorCounters {
 /// operation. A non-empty map lives behind an [`Arc`]: [`RefMap::add`] and
 /// [`RefMap::remove`] copy it only when they change it while a snapshot
 /// still holds it. Reads go through [`Deref`] to the map itself.
+///
+/// Sharing proves equality: while the runtime's latest snapshot holds
+/// every actor's map, any change copies the map first, so a row that still
+/// shares the previous row's map (one allocation, or both empty) holds the
+/// same references. [`SnapshotDelta::between`] relies on this to list
+/// changed maps without comparing their contents.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RefMap(Option<Arc<BTreeMap<String, Vec<ActorId>>>>);
 
@@ -150,6 +156,16 @@ impl RefMap {
             if let Some(list) = Arc::make_mut(map).get_mut(prop) {
                 list.retain(|&a| a != target);
             }
+        }
+    }
+
+    /// Returns whether `self` and `other` are the same map: both empty, or
+    /// one shared allocation. Two equal maps built separately do not share.
+    pub(crate) fn shares(&self, other: &RefMap) -> bool {
+        match (&self.0, &other.0) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 }
@@ -258,7 +274,10 @@ pub const CPU_DELTA_EPSILON: f64 = 0.0;
 /// deltas to patch retained indexes in place instead of rebuilding them —
 /// only `server`, `type_id`, and `cpu_share` feed indexes, so those are the
 /// only per-actor stats diffed; everything else is read straight from the
-/// current snapshot.
+/// current snapshot. Reference maps are not diffed by content: a row whose
+/// [`RefMap`] no longer shares the previous row's map is listed in
+/// `refs_changed`, which is what lets the EMR keep the pairs of `in ref`
+/// rules across rounds.
 ///
 /// All id vectors are sorted and deduplicated. After [`merge`], an id may
 /// appear in more than one category (e.g. added in one window and removed a
@@ -281,6 +300,10 @@ pub struct SnapshotDelta {
     /// Actors present in both whose `cpu_share` changed beyond
     /// [`CPU_DELTA_EPSILON`].
     pub stat_changed: Vec<ActorId>,
+    /// Actors present in both whose reference map is no longer the map the
+    /// earlier row shared (see [`RefMap`]); a superset of the actors whose
+    /// references changed.
+    pub refs_changed: Vec<ActorId>,
     /// Servers reporting in `to` but not in `from` (booted).
     pub servers_added: Vec<ServerId>,
     /// Servers reporting in `from` but not in `to` (decommissioned or
@@ -308,6 +331,9 @@ impl SnapshotDelta {
                     }
                     if (o.cpu_share - n.cpu_share).abs() > CPU_DELTA_EPSILON {
                         delta.stat_changed.push(o.actor);
+                    }
+                    if !o.refs.shares(&n.refs) {
+                        delta.refs_changed.push(o.actor);
                     }
                     i += 1;
                     j += 1;
@@ -352,6 +378,7 @@ impl SnapshotDelta {
             && self.removed.is_empty()
             && self.moved.is_empty()
             && self.stat_changed.is_empty()
+            && self.refs_changed.is_empty()
             && self.servers_added.is_empty()
             && self.servers_removed.is_empty()
     }
@@ -381,11 +408,13 @@ impl SnapshotDelta {
         union(&mut self.removed, &later.removed);
         union(&mut self.moved, &later.moved);
         union(&mut self.stat_changed, &later.stat_changed);
+        union(&mut self.refs_changed, &later.refs_changed);
         union(&mut self.servers_added, &later.servers_added);
         union(&mut self.servers_removed, &later.servers_removed);
     }
 
-    /// Every actor id this delta touches, sorted and deduplicated.
+    /// Every actor id whose indexed stats this delta may touch, sorted and
+    /// deduplicated (`refs_changed` feeds no index, so it is left out).
     pub fn touched_actors(&self) -> Vec<ActorId> {
         let mut all = Vec::with_capacity(
             self.added.len() + self.removed.len() + self.moved.len() + self.stat_changed.len(),
@@ -547,10 +576,35 @@ mod tests {
         }
     }
 
+    /// A reference map holding `kids`.
+    fn kids(targets: &[u64]) -> RefMap {
+        let mut refs = RefMap::default();
+        for &t in targets {
+            refs.add("kids", ActorId(t));
+        }
+        refs
+    }
+
     #[test]
     fn delta_between_classifies_every_category() {
-        let a = snap_of(1, &[(1, 0, 0.2), (2, 0, 0.3), (3, 1, 0.4)], &[0, 1]);
-        let b = snap_of(2, &[(2, 1, 0.3), (3, 1, 0.9), (5, 0, 0.1)], &[0, 2]);
+        let mut a = snap_of(
+            1,
+            &[(1, 0, 0.2), (2, 0, 0.3), (3, 1, 0.4), (4, 1, 0.5)],
+            &[0, 1],
+        );
+        let mut b = snap_of(
+            2,
+            &[(2, 1, 0.3), (3, 1, 0.9), (4, 1, 0.5), (5, 0, 0.1)],
+            &[0, 2],
+        );
+        // Actor 3's row keeps sharing its map through a no-op add; adding a
+        // new target to actor 4's copies the map the old row still holds.
+        a.actors[2].refs = kids(&[1]);
+        a.actors[3].refs = kids(&[1]);
+        b.actors[1].refs = a.actors[2].refs.clone();
+        b.actors[1].refs.add("kids", ActorId(1));
+        b.actors[2].refs = a.actors[3].refs.clone();
+        b.actors[2].refs.add("kids", ActorId(2));
         let d = SnapshotDelta::between(&a, &b);
         assert_eq!(d.from_generation, 1);
         assert_eq!(d.to_generation, 2);
@@ -558,14 +612,25 @@ mod tests {
         assert_eq!(d.removed, vec![ActorId(1)]);
         assert_eq!(d.moved, vec![ActorId(2)]);
         assert_eq!(d.stat_changed, vec![ActorId(3)]);
+        assert_eq!(d.refs_changed, vec![ActorId(4)]);
         assert_eq!(d.servers_added, vec![ServerId(2)]);
         assert_eq!(d.servers_removed, vec![ServerId(1)]);
         assert!(d.scope_changed());
         assert!(!d.is_empty());
+        // A changed map feeds no index, so actor 4 is not touched.
         assert_eq!(
             d.touched_actors(),
             vec![ActorId(1), ActorId(2), ActorId(3), ActorId(5)]
         );
+        // Equal contents built separately do not share: the delta lists
+        // them (a superset of the real changes is what it promises).
+        let mut c = b.clone();
+        c.generation = 3;
+        c.actors[1].refs = kids(&[1]);
+        let d = SnapshotDelta::between(&b, &c);
+        assert_eq!(d.refs_changed, vec![ActorId(3)]);
+        assert!(!d.is_empty(), "a delta with only a map change is not empty");
+        assert!(d.touched_actors().is_empty());
     }
 
     #[test]
@@ -593,13 +658,29 @@ mod tests {
 
     #[test]
     fn merge_spans_generations_and_unions_categories() {
-        let a = snap_of(1, &[(1, 0, 0.2), (2, 0, 0.3)], &[0]);
-        // Window 2: actor 3 appears, actor 1's cpu changes.
-        let b = snap_of(2, &[(1, 0, 0.5), (2, 0, 0.3), (3, 0, 0.1)], &[0]);
-        // Window 3: actor 3 disappears again, actor 2 moves.
-        let c = snap_of(3, &[(1, 0, 0.5), (2, 1, 0.3)], &[0, 1]);
-        let mut d = SnapshotDelta::between(&a, &b);
-        d.merge(&SnapshotDelta::between(&b, &c));
+        let mut a = snap_of(1, &[(1, 0, 0.2), (2, 0, 0.3)], &[0]);
+        // Window 2: actor 3 appears, actor 1's cpu changes, actor 2's map
+        // gains a target and actor 1's takes a no-op add.
+        let mut b = snap_of(2, &[(1, 0, 0.5), (2, 0, 0.3), (3, 0, 0.1)], &[0]);
+        // Window 3: actor 3 disappears again, actor 2 moves, actor 1's map
+        // loses a target and actor 2's takes a no-op remove.
+        let mut c = snap_of(3, &[(1, 0, 0.5), (2, 1, 0.3)], &[0, 1]);
+        a.actors[0].refs = kids(&[5]);
+        a.actors[1].refs = kids(&[6]);
+        b.actors[0].refs = a.actors[0].refs.clone();
+        b.actors[0].refs.add("kids", ActorId(5));
+        b.actors[1].refs = a.actors[1].refs.clone();
+        b.actors[1].refs.add("kids", ActorId(7));
+        c.actors[0].refs = b.actors[0].refs.clone();
+        c.actors[0].refs.remove("kids", ActorId(5));
+        c.actors[1].refs = b.actors[1].refs.clone();
+        c.actors[1].refs.remove("kids", ActorId(9));
+        let first = SnapshotDelta::between(&a, &b);
+        let second = SnapshotDelta::between(&b, &c);
+        assert_eq!(first.refs_changed, vec![ActorId(2)]);
+        assert_eq!(second.refs_changed, vec![ActorId(1)]);
+        let mut d = first;
+        d.merge(&second);
         assert_eq!(d.from_generation, 1);
         assert_eq!(d.to_generation, 3);
         // Actor 3 is listed as both added and removed: the merged delta
@@ -608,6 +689,7 @@ mod tests {
         assert_eq!(d.removed, vec![ActorId(3)]);
         assert_eq!(d.moved, vec![ActorId(2)]);
         assert_eq!(d.stat_changed, vec![ActorId(1)]);
+        assert_eq!(d.refs_changed, vec![ActorId(1), ActorId(2)]);
         assert_eq!(d.servers_added, vec![ServerId(1)]);
         // touched_actors dedups across categories.
         assert_eq!(d.touched_actors(), vec![ActorId(1), ActorId(2), ActorId(3)]);
@@ -617,5 +699,6 @@ mod tests {
         assert_eq!(direct.added, Vec::<ActorId>::new());
         assert_eq!(direct.moved, d.moved);
         assert_eq!(direct.stat_changed, d.stat_changed);
+        assert_eq!(direct.refs_changed, d.refs_changed);
     }
 }

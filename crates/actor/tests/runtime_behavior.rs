@@ -270,6 +270,37 @@ fn snapshot_refs_are_copy_on_write() {
 }
 
 #[test]
+fn delta_lists_actors_whose_refs_changed() {
+    let mut rt = Runtime::new(small_config());
+    let s = rt.add_server(InstanceType::m1_small());
+    let mut spawn = || rt.spawn_actor("Echo", Box::new(Echo { work: 0.001 }), 64, s);
+    let (owner, a, b, steady) = (spawn(), spawn(), spawn(), spawn());
+    rt.actor_add_ref(owner, "children", a);
+    rt.actor_add_ref(steady, "children", a);
+    let window = rt.config().profile_window;
+    rt.run_until(SimTime::ZERO + window);
+    let g = rt.snapshot_builds();
+
+    // A new target copies the owner's map. Re-adding a present target and
+    // removing an absent one leave the steady actor's map shared, and the
+    // ref-less actors keep holding no map at all.
+    rt.actor_add_ref(owner, "children", b);
+    rt.actor_add_ref(steady, "children", a);
+    rt.actor_remove_ref(steady, "children", b);
+    rt.actor_remove_ref(a, "children", b);
+    rt.run_until(SimTime::ZERO + window * 2);
+    let delta = rt.delta_since(g).expect("one window back is in history");
+    assert_eq!(delta.refs_changed, vec![owner]);
+    assert!(delta.touched_actors().is_empty(), "maps feed no index");
+
+    // A window without edits lists nothing; the span from `g` still
+    // carries the owner's change.
+    rt.run_until(SimTime::ZERO + window * 3);
+    assert!(rt.delta_since(g + 1).unwrap().is_empty());
+    assert_eq!(rt.delta_since(g).unwrap().refs_changed, vec![owner]);
+}
+
+#[test]
 fn server_boot_delay_applies() {
     struct Watcher;
     impl ElasticityController for Watcher {

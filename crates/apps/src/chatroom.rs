@@ -236,10 +236,16 @@ pub fn run(cfg: &ChatConfig) -> ChatReport {
         .and_then(|s| s.points().iter().map(|&(t, _)| t).max())
         .map(|t| t.saturating_since(SimTime::ZERO))
         .unwrap_or(SimDuration::MAX);
+    // The run idles on to the 3,600 s cap after the last user is done, so
+    // the room's rates are taken over its makespan.
+    let mut eval = ElasticityEval::collect(&rt);
+    if makespan != SimDuration::MAX {
+        eval.rate_over(makespan.as_secs_f64());
+    }
     ChatReport {
         makespan,
         mean_latency_ms: rt.report().mean_latency_ms(),
-        eval: ElasticityEval::collect(&rt),
+        eval,
     }
 }
 
@@ -343,6 +349,22 @@ mod tests {
         });
         assert!(report.makespan < SimDuration::from_secs(3_600));
         assert!(report.mean_latency_ms > 0.0);
+    }
+
+    #[test]
+    fn rates_are_taken_over_the_makespan() {
+        let report = run(&ChatConfig::preset(EvalScale::Smoke));
+        let eval = report.eval;
+        assert_eq!(eval.run_secs, report.makespan.as_secs_f64());
+        assert!(eval.run_secs < 3_600.0, "run_secs {}", eval.run_secs);
+        assert!(eval.replies > 0 && eval.delivered_messages > 0);
+        let replies = eval.throughput_rps * eval.run_secs;
+        assert!((replies - eval.replies as f64).abs() < 1e-6, "{replies}");
+        let messages = eval.message_throughput_per_s * eval.run_secs;
+        assert!(
+            (messages - eval.delivered_messages as f64).abs() < 1e-6,
+            "{messages}"
+        );
     }
 
     #[test]

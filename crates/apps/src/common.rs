@@ -129,19 +129,32 @@ pub struct ElasticityEval {
     pub control_wire_bytes: u64,
 }
 
+/// `n` events over `secs` seconds as a rate (0 over an empty span).
+fn per_sec(n: u64, secs: f64) -> f64 {
+    if secs > 0.0 {
+        n as f64 / secs
+    } else {
+        0.0
+    }
+}
+
 impl ElasticityEval {
+    /// Rates the traffic over the first `secs` seconds instead of the whole
+    /// simulated run: `run_secs`, `throughput_rps` and
+    /// `message_throughput_per_s` all use `secs`. For closed workloads that
+    /// finish well before their `run_until` cap.
+    pub(crate) fn rate_over(&mut self, secs: f64) {
+        self.run_secs = secs;
+        self.throughput_rps = per_sec(self.replies, secs);
+        self.message_throughput_per_s = per_sec(self.delivered_messages, secs);
+    }
+
     /// Collects the stats from a finished runtime.
     pub fn collect(rt: &Runtime) -> Self {
         let report = rt.report();
         let backend = rt.backend_stats();
         let run_secs = rt.now().as_secs_f64();
-        let per_sec = |n: u64| {
-            if run_secs > 0.0 {
-                n as f64 / run_secs
-            } else {
-                0.0
-            }
-        };
+        let per_sec = |n: u64| per_sec(n, run_secs);
         let delivered = report.local_messages + report.remote_messages;
         let decision = report
             .series("emr.decision_latency_ms")

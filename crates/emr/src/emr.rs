@@ -163,6 +163,12 @@ pub struct EmrStats {
     /// patching the retained frame (a subset of `eval_ns`, with the same
     /// backend caveat: identically 0 under sim).
     pub frame_patch_ns: u64,
+    /// Interaction-rule pairs the LEM pass handed to its per-pair planner;
+    /// pairs the retained LEM proved inert are not counted.
+    pub lem_pairs_planned: u64,
+    /// Rounds whose LEM pass reused the pairs a pair-only rule retained
+    /// from an earlier round instead of solving the rule again.
+    pub lem_env_reuses: u64,
 }
 
 /// The PLASMA elasticity management runtime.
@@ -191,6 +197,8 @@ pub struct PlasmaEmr {
     /// The retained evaluation frame, advanced across rounds by applying
     /// snapshot deltas; `None` until the first planning round.
     frame: Option<EvalFrame>,
+    /// Pair-only interaction rules' pairs, kept beside the frame.
+    lem: lem::RetainedLem,
     stats: EmrStats,
 }
 
@@ -210,6 +218,7 @@ impl PlasmaEmr {
             failed_gems: BTreeSet::new(),
             placement_counter: 0,
             frame: None,
+            lem: lem::RetainedLem::default(),
             stats: EmrStats::default(),
         }
     }
@@ -374,17 +383,21 @@ impl PlasmaEmr {
         // Advance the retained frame to this round's snapshot generation by
         // applying the runtime's deltas; fall back to a from-scratch build
         // on the first round, on scope changes, and on generation gaps
-        // beyond the bounded delta history.
-        let mut retained = self.frame.take();
-        let frame = match retained.take_if(|f| f.advance(rt)) {
-            Some(f) => {
+        // beyond the bounded delta history. The applied delta tells the
+        // retained LEM what changed.
+        let advanced = self
+            .frame
+            .take()
+            .and_then(|mut f| f.advance_delta(rt).map(|delta| (f, delta)));
+        let (frame, change) = match advanced {
+            Some((f, delta)) => {
                 self.stats.frame_patches += 1;
                 self.stats.frame_patch_ns += rt.monotonic_ns().saturating_sub(eval_start);
-                f
+                (f, Some(delta))
             }
             None => {
                 self.stats.frame_rebuilds += 1;
-                EvalFrame::new(rt)
+                (EvalFrame::new(rt), None)
             }
         };
         let mut consumers: u32 = 0;
@@ -512,16 +525,19 @@ impl PlasmaEmr {
                     consumers,
                 }
             });
-            let plan = lem::plan(
+            let plan = self.lem.plan(
                 &bound,
                 &ctx,
                 &pending_dst,
                 bounds.upper,
                 &self.reserved_servers,
+                change.as_ref(),
             );
             (plan, frame.generation())
         };
         self.frame = Some(frame);
+        self.stats.lem_pairs_planned += lem_plan.pairs_planned;
+        self.stats.lem_env_reuses += u64::from(lem_plan.reused_envs);
         self.stats.eval_ns += rt.monotonic_ns().saturating_sub(eval_start);
         self.stats.snapshot_reuse += consumers.saturating_sub(1) as u64;
         Self::trace_rule_events(
@@ -874,6 +890,8 @@ impl PlasmaEmr {
         rt.record_scalar("emr.frame_rebuilds", s.frame_rebuilds as f64);
         rt.record_scalar("emr.frame_patches", s.frame_patches as f64);
         rt.record_scalar("emr.frame_patch_ns", s.frame_patch_ns as f64);
+        rt.record_scalar("emr.lem_pairs_planned", s.lem_pairs_planned as f64);
+        rt.record_scalar("emr.lem_env_reuses", s.lem_env_reuses as f64);
     }
 
     /// Returns whether the policy wants `type_name` colocated with anything

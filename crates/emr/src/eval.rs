@@ -225,6 +225,13 @@ impl<'r> BoundRule<'r> {
         }
     }
 
+    /// The selectors the rule's condition plan binds its type symbols to,
+    /// indexed like the plan's `type_syms`. They change when a named type
+    /// registers after an earlier bind.
+    pub(crate) fn type_sels(&self) -> &[TypeSel] {
+        &self.types
+    }
+
     /// The rule's behaviors, each with its actor arguments resolved.
     pub fn behaviors(&self) -> impl Iterator<Item = (&'r CompiledBehavior, &[BehaviorRef])> {
         self.rule

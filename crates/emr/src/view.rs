@@ -420,17 +420,22 @@ impl EvalFrame {
     /// longer reaches this frame's generation, or the delta itself reports
     /// servers entering or leaving the profile.
     pub fn advance(&mut self, rt: &Runtime) -> bool {
+        self.advance_delta(rt).is_some()
+    }
+
+    /// [`EvalFrame::advance`], returning the composed delta it applied (the
+    /// span from the frame's old generation to its new one), or `None`
+    /// when a full rebuild is required.
+    pub fn advance_delta(&mut self, rt: &Runtime) -> Option<SnapshotDelta> {
         let scope = rt.cluster().running_ids();
         if scope.len() != self.servers.len()
             || !scope.iter().zip(&self.servers).all(|(s, m)| *s == m.id)
         {
-            return false;
+            return None;
         }
-        let Some(delta) = rt.delta_since(self.snap.generation) else {
-            return false;
-        };
+        let delta = rt.delta_since(self.snap.generation)?;
         if delta.scope_changed() {
-            return false;
+            return None;
         }
         // Late registrations only ever grow the name tables; refresh them
         // in place instead of rebuilding the whole frame.
@@ -449,6 +454,7 @@ impl EvalFrame {
         }
         let servers = Self::server_metas(rt, &scope);
         self.apply(rt.snapshot_shared(), servers, &delta)
+            .then_some(delta)
     }
 
     /// Applies one composed delta, advancing the frame from its current

@@ -461,3 +461,62 @@ fn gem_waits_for_k_reports() {
         "below the K-report threshold the GEM must not act"
     );
 }
+
+#[test]
+fn quiet_estore_world_plans_few_lem_pairs() {
+    // The paper's three E-Store rules (§3.3) over idle partitions: every
+    // root's children sit beside it except one displaced child in every
+    // sixteenth root, which the colocate rule brings home.
+    let mut schema = ActorSchema::new();
+    schema.actor_type("Partition").prop("children").func("read");
+    let policy =
+        "server.cpu.perc > 80 and client.call(Partition(p1).read).perc > 30 => reserve(p1, cpu);\n\
+                  Partition(p2) in ref(Partition(p1).children) => colocate(p1, p2);\n\
+                  server.cpu.perc < 50 => balance({Partition}, cpu);";
+    let mut rt = Runtime::new(RuntimeConfig {
+        seed: 3,
+        elasticity_period: SimDuration::from_secs(5),
+        min_residency: SimDuration::from_secs(5),
+        ..RuntimeConfig::default()
+    });
+    rt.set_controller(Box::new(emr_for(policy, &schema, EmrConfig::default())));
+    let servers: Vec<ServerId> = (0..4)
+        .map(|_| rt.add_server(InstanceType::m1_small()))
+        .collect();
+    let (roots, children) = (64, 4);
+    let mut displaced = Vec::new();
+    for r in 0..roots {
+        let home = servers[r % servers.len()];
+        let root = rt.spawn_actor("Partition", Box::new(Worker { work: 0.001 }), 4 << 10, home);
+        for c in 0..children {
+            let away = r % 16 == 0 && c == 0;
+            let at = if away {
+                servers[(r + 1) % servers.len()]
+            } else {
+                home
+            };
+            let child = rt.spawn_actor("Partition", Box::new(Worker { work: 0.001 }), 1 << 10, at);
+            rt.actor_add_ref(root, "children", child);
+            if away {
+                displaced.push((root, child));
+            }
+        }
+    }
+    rt.run_until(SimTime::from_secs(60));
+    for &(root, child) in &displaced {
+        assert_eq!(rt.actor_server(child), rt.actor_server(root));
+    }
+    let scalar = |name: &str| rt.report().scalar(name).expect(name);
+    let ticks = scalar("emr.ticks");
+    let envs = (roots * children) as f64;
+    assert!(ticks >= 10.0, "{ticks} rounds");
+    // Only the first round solves the colocate rule; every later one
+    // reuses its environments and plans only the pairs that can move.
+    assert_eq!(scalar("emr.lem_env_reuses"), ticks - 1.0);
+    let pairs = scalar("emr.lem_pairs_planned");
+    assert!(pairs >= displaced.len() as f64, "{pairs} pairs planned");
+    assert!(
+        pairs * 50.0 < envs * ticks,
+        "{pairs} pairs planned over {ticks} rounds of {envs} environments"
+    );
+}
