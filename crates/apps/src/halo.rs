@@ -470,6 +470,8 @@ pub struct HaloScaleReport {
     pub tail_ms: f64,
     /// Migrations performed.
     pub migrations: usize,
+    /// FNV-1a digest of the run's elasticity decision sequence.
+    pub decision_digest: u64,
 }
 
 /// Runs the Fig. 11c resource-rule experiment.
@@ -555,6 +557,7 @@ pub fn run_scale(cfg: &HaloScaleConfig) -> HaloScaleReport {
             tail.iter().sum::<f64>() / tail.len() as f64
         },
         migrations: report.migrations.len(),
+        decision_digest: report.decision_digest(),
         latency_series,
     }
 }

@@ -91,6 +91,8 @@ pub struct MetadataReport {
     pub after_ms: f64,
     /// Migrations performed.
     pub migrations: usize,
+    /// FNV-1a digest of the run's elasticity decision sequence.
+    pub decision_digest: u64,
 }
 
 struct Folder {
@@ -258,6 +260,7 @@ pub fn run(cfg: &MetadataConfig) -> MetadataReport {
         before_ms: mean_over(SimTime::ZERO, first_period_end),
         after_ms: mean_over(tail_start, end),
         migrations: report.migrations.len(),
+        decision_digest: report.decision_digest(),
         latency_series: report.latency_series.clone(),
     }
 }

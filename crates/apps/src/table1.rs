@@ -87,7 +87,8 @@ pub fn applications() -> Vec<AppEntry> {
     ]
 }
 
-/// Compiles one entry's policy (panics on error; used by the Table-1 bench).
+/// Compiles one entry's policy (panics on error; used by the `table1`
+/// scenario).
 pub fn compile_entry(entry: &AppEntry) -> CompiledPolicy {
     compile(entry.policy, &entry.schema)
         .unwrap_or_else(|e| panic!("{} policy failed to compile: {e}", entry.name))

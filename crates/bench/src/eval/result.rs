@@ -7,7 +7,7 @@
 //! files — the property CI's regression gate and the determinism tests rely
 //! on.
 
-use serde_json::Value;
+use plasma_trace::json;
 
 /// Version stamp written into every result file; bump when the metric
 /// schema changes incompatibly.
@@ -124,38 +124,44 @@ impl ScenarioResult {
         format!("BENCH_{}.json", self.scenario)
     }
 
-    /// Serializes to the canonical JSON tree (fixed key order).
-    pub fn to_json(&self) -> Value {
-        let mut metrics = serde_json::Map::new();
-        for (name, m) in &self.metrics {
-            metrics.insert(
-                name.clone(),
-                serde_json::json!({
-                    "value": m.value,
-                    "direction": m.direction.as_str(),
-                }),
-            );
-        }
-        serde_json::json!({
-            "schema_version": SCHEMA_VERSION,
-            "scenario": self.scenario.clone(),
-            "paper_section": self.paper_section.clone(),
-            "scale": self.scale.clone(),
-            "seed": self.seed,
-            "metrics": Value::Object(metrics),
-        })
-    }
-
-    /// Serializes to the canonical on-disk representation (pretty JSON with
-    /// a trailing newline).
+    /// Serializes to the canonical on-disk representation: two-space
+    /// indented JSON in fixed key order, values in Rust's shortest
+    /// round-trip float form, and a trailing newline.
     pub fn to_pretty_string(&self) -> String {
-        let mut s = serde_json::to_string_pretty(&self.to_json()).expect("result serializes");
-        s.push('\n');
-        s
+        let metrics: Vec<String> = self
+            .metrics
+            .iter()
+            .map(|(name, m)| {
+                format!(
+                    "    {}: {{\n      \"value\": {:?},\n      \"direction\": \"{}\"\n    }}",
+                    json::quote(name),
+                    m.value,
+                    m.direction.as_str()
+                )
+            })
+            .collect();
+        let metrics = if metrics.is_empty() {
+            "{}".to_string()
+        } else {
+            format!("{{\n{}\n  }}", metrics.join(",\n"))
+        };
+        format!(
+            "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"scenario\": {},\n  \
+             \"paper_section\": {},\n  \"scale\": {},\n  \"seed\": {},\n  \"metrics\": {metrics}\n}}\n",
+            json::quote(&self.scenario),
+            json::quote(&self.paper_section),
+            json::quote(&self.scale),
+            self.seed
+        )
     }
+}
 
-    /// Parses a result from its JSON tree.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
+impl std::str::FromStr for ScenarioResult {
+    type Err = String;
+
+    /// Parses a result from JSON text.
+    fn from_str(text: &str) -> Result<Self, String> {
+        let v = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
         let field = |name: &str| v.get(name).ok_or_else(|| format!("missing field `{name}`"));
         let version = field("schema_version")?
             .as_u64()
@@ -181,14 +187,14 @@ impl ScenarioResult {
         let metrics = field("metrics")?
             .as_object()
             .ok_or("`metrics` must be an object")?;
-        for (name, entry) in metrics.iter() {
+        for (name, entry) in metrics {
             let value = entry
                 .get("value")
-                .and_then(Value::as_f64)
+                .and_then(json::Value::as_f64)
                 .ok_or_else(|| format!("metric `{name}` has no numeric `value`"))?;
             let direction = entry
                 .get("direction")
-                .and_then(Value::as_str)
+                .and_then(json::Value::as_str)
                 .and_then(Direction::parse)
                 .ok_or_else(|| format!("metric `{name}` has no valid `direction`"))?;
             result
@@ -196,16 +202,6 @@ impl ScenarioResult {
                 .push((name.clone(), MetricValue { value, direction }));
         }
         Ok(result)
-    }
-}
-
-impl std::str::FromStr for ScenarioResult {
-    type Err = String;
-
-    /// Parses a result from JSON text.
-    fn from_str(text: &str) -> Result<Self, String> {
-        let v = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        Self::from_json(&v)
     }
 }
 

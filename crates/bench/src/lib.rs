@@ -1,91 +1,8 @@
-//! Shared output helpers for the reproduction harnesses.
+//! The PLASMA paper-evaluation harness behind the `plasma-eval` binary.
 //!
-//! Every `benches/figN_*.rs` target prints the rows/series its paper figure
-//! reports and also dumps machine-readable JSON under
-//! `target/plasma-results/`, which `EXPERIMENTS.md` is written from.
-
-use std::fs;
-use std::path::PathBuf;
+//! [`eval`] runs the §5 application scenarios, their chaos variants and the
+//! paper-figure scenarios under fixed seeds, writes one
+//! `BENCH_<scenario>.json` per scenario and compares result sets. The
+//! Criterion microbenches under `benches/` time individual layers.
 
 pub mod eval;
-
-/// Prints a banner naming the experiment.
-pub fn banner(id: &str, claim: &str) {
-    println!("================================================================");
-    println!("{id}");
-    println!("paper claim: {claim}");
-    println!("================================================================");
-}
-
-/// Prints a `(time, value)` series with a label, decimated to at most
-/// `max_rows` rows.
-pub fn print_series(label: &str, series: &[(f64, f64)], max_rows: usize) {
-    println!("-- {label} --");
-    if series.is_empty() {
-        println!("   (empty)");
-        return;
-    }
-    let step = (series.len() / max_rows.max(1)).max(1);
-    for (i, &(t, v)) in series.iter().enumerate() {
-        if i % step == 0 || i + 1 == series.len() {
-            println!("   t={t:>8.1}s  {v:>10.3}");
-        }
-    }
-}
-
-/// Returns the directory JSON results are written to
-/// (`<workspace>/target/plasma-results`, independent of the bench's CWD).
-pub fn results_dir() -> PathBuf {
-    let dir = match std::env::var("CARGO_TARGET_DIR") {
-        Ok(t) => PathBuf::from(t),
-        Err(_) => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("..")
-            .join("..")
-            .join("target"),
-    }
-    .join("plasma-results");
-    let _ = fs::create_dir_all(&dir);
-    dir
-}
-
-/// Writes a JSON value under `target/plasma-results/<name>.json`.
-pub fn write_json(name: &str, value: &serde_json::Value) {
-    let path = results_dir().join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(text) => {
-            if let Err(e) = fs::write(&path, text) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("[results written to {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
-    }
-}
-
-/// Mean of a slice (0 when empty).
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mean_handles_empty_and_values() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[1.0, 3.0]), 2.0);
-    }
-
-    #[test]
-    fn results_dir_exists_after_call() {
-        let dir = results_dir();
-        assert!(dir.ends_with("plasma-results"));
-        assert!(dir.exists());
-    }
-}

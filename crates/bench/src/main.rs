@@ -1,9 +1,8 @@
 //! `plasma-eval`: CLI over the deterministic paper-evaluation harness.
 //!
 //! ```text
-//! plasma-eval run all [--scale smoke|full] [--seed N] [--out DIR] [--backend sim|live|net]
-//! plasma-eval run <scenario>... [--scale smoke|full] [--seed N] [--out DIR] [--backend sim|live|net]
-//! plasma-eval parity all|<scenario>... [--scale smoke|full] [--seed N] [--backends sim,live,net]
+//! plasma-eval run all|figures|<scenario>... [--scale smoke|full|xl] [--seed N] [--out DIR] [--backend sim|live|net]
+//! plasma-eval parity all|<scenario>... [--scale smoke|full|xl] [--seed N] [--backends sim,live,net]
 //! plasma-eval compare <baseline-dir-or-file> [current-dir-or-file] [--threshold F]
 //! plasma-eval verify <file.epl>... [--schema FILE] [--json] [--allow-uncompilable]
 //! plasma-eval list
@@ -21,16 +20,19 @@ use std::str::FromStr;
 use plasma_actor::BackendKind;
 use plasma_apps::common::EvalScale;
 use plasma_bench::eval::{
-    compare, render_summary, run_scenario_on, CompareOptions, ScenarioResult, SCENARIOS,
+    compare, normalize_for_parity, render_summary, run_figure, run_scenario_on, CompareOptions,
+    ScenarioResult, FIGURES, SCENARIOS,
 };
 use plasma_epl::verify::{verify, Verdict, VerifyConfig};
+use plasma_trace::json::quote;
 
 const USAGE: &str = "\
 plasma-eval: deterministic PLASMA paper-evaluation harness
 
 USAGE:
-  plasma-eval run all|<scenario>... [--scale smoke|full] [--seed N] [--out DIR] [--backend sim|live|net]
-  plasma-eval parity all|<scenario>... [--scale smoke|full] [--seed N] [--backends sim,live,net]
+  plasma-eval run all|figures|<scenario>... [--scale smoke|full|xl] [--seed N] [--out DIR]
+                  [--backend sim|live|net]
+  plasma-eval parity all|<scenario>... [--scale smoke|full|xl] [--seed N] [--backends sim,live,net]
   plasma-eval compare <baseline> [current] [--threshold F]
   plasma-eval verify <file.epl>... [--schema FILE] [--min-servers N] [--max-servers N]
                     [--quanta N] [--thrash-window K] [--allow-uncompilable] [--json]
@@ -40,7 +42,10 @@ USAGE:
 and prints a human summary; `--backend live` carries the run on worker
 threads and `--backend net` on plasma-server worker processes, both over
 localhost TCP, instead of the simulated event loop (results must not
-change either way).
+change either way). `all` names the application and chaos scenarios;
+`figures` names the paper-figure scenarios (table1, table3, fig5 ... fig11,
+ablations), which run only their paper config: sim, fixed seeds, full
+scale, so `--seed`, another `--scale` or another `--backend` is an error.
 `parity` runs each scenario under every backend listed in `--backends`
 (default sim,live,net — the first is the reference) and exits 1 unless the
 normalized serialized results are byte-identical (the `eval-engine`
@@ -100,19 +105,23 @@ fn load_results(path: &Path) -> Result<Vec<ScenarioResult>, String> {
     Ok(results)
 }
 
-/// Expands `all`, validates every name, and returns the vetted list.
-fn resolve_names(mut names: Vec<String>) -> Result<Vec<String>, String> {
-    if names.iter().any(|n| n == "all") {
-        names = SCENARIOS.iter().map(|s| s.name.to_string()).collect();
-    }
-    for name in &names {
-        if plasma_bench::eval::spec(name).is_none() {
-            return Err(format!(
-                "unknown scenario `{name}` (try `plasma-eval list`)"
-            ));
+fn is_figure(name: &str) -> bool {
+    FIGURES.iter().any(|s| s.name == name)
+}
+
+/// Expands `all` and `figures`, validates every name, and returns the
+/// vetted list.
+fn resolve_names(names: Vec<String>) -> Result<Vec<String>, String> {
+    let mut vetted = Vec::new();
+    for name in names {
+        match name.as_str() {
+            "all" => vetted.extend(SCENARIOS.iter().map(|s| s.name.to_string())),
+            "figures" => vetted.extend(FIGURES.iter().map(|s| s.name.to_string())),
+            n if plasma_bench::eval::spec(n).is_some() || is_figure(n) => vetted.push(name.clone()),
+            n => return Err(format!("unknown scenario `{n}` (try `plasma-eval list`)")),
         }
     }
-    Ok(names)
+    Ok(vetted)
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
@@ -126,7 +135,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         match arg.as_str() {
             "--scale" => match it.next().map(|s| EvalScale::parse(s)) {
                 Some(Some(s)) => scale = s,
-                _ => return fail("--scale expects `smoke` or `full`"),
+                _ => return fail("--scale expects `smoke`, `full` or `xl`"),
             },
             "--seed" => match it.next().and_then(|s| s.parse::<u64>().ok()) {
                 Some(s) => seed = Some(s),
@@ -147,12 +156,19 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
     if names.is_empty() {
-        return fail("`run` expects `all` or one or more scenario names");
+        return fail("`run` expects `all`, `figures` or one or more scenario names");
     }
     let names = match resolve_names(names) {
         Ok(n) => n,
         Err(e) => return fail(&e),
     };
+    if names.iter().any(|n| is_figure(n))
+        && (scale != EvalScale::Full || seed.is_some() || backend != BackendKind::Sim)
+    {
+        return fail(
+            "figure scenarios run only their paper config: no --seed, --scale full, --backend sim",
+        );
+    }
     if let Err(e) = fs::create_dir_all(&out_dir) {
         return fail(&format!("cannot create {}: {e}", out_dir.display()));
     }
@@ -162,7 +178,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
             scale.name(),
             backend.name()
         );
-        let result = run_scenario_on(name, scale, seed, backend).expect("scenario name vetted");
+        let result = run_figure(name).unwrap_or_else(|| {
+            run_scenario_on(name, scale, seed, backend).expect("scenario name vetted")
+        });
         let path = out_dir.join(result.file_name());
         if let Err(e) = fs::write(&path, result.to_pretty_string()) {
             eprintln!("plasma-eval: cannot write {}: {e}", path.display());
@@ -172,24 +190,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
         println!("  -> {}", path.display());
     }
     ExitCode::SUCCESS
-}
-
-/// Zeroes carrier-dependent metrics so the byte comparison only sees
-/// deterministic values: `*_ns` backend-clock counters are identically 0
-/// under sim and host-dependent under live, `backend_*` transport
-/// counters describe the carrier itself (frames, wire bytes, injected
-/// delay), and `control_*` counters depend on how the carrier partitions
-/// the control plane (reply counts per query, wire footprint) — all of
-/// which legitimately differ per medium.
-fn normalize_for_parity(r: &mut ScenarioResult) {
-    for (metric, v) in &mut r.metrics {
-        if metric.ends_with("_ns")
-            || metric.starts_with("backend_")
-            || metric.starts_with("control_")
-        {
-            v.value = 0.0;
-        }
-    }
 }
 
 fn cmd_parity(args: &[String]) -> ExitCode {
@@ -202,7 +202,7 @@ fn cmd_parity(args: &[String]) -> ExitCode {
         match arg.as_str() {
             "--scale" => match it.next().map(|s| EvalScale::parse(s)) {
                 Some(Some(s)) => scale = s,
-                _ => return fail("--scale expects `smoke` or `full`"),
+                _ => return fail("--scale expects `smoke`, `full` or `xl`"),
             },
             "--seed" => match it.next().and_then(|s| s.parse::<u64>().ok()) {
                 Some(s) => seed = Some(s),
@@ -236,6 +236,9 @@ fn cmd_parity(args: &[String]) -> ExitCode {
         Ok(n) => n,
         Err(e) => return fail(&e),
     };
+    if names.iter().any(|n| is_figure(n)) {
+        return fail("figure scenarios run on sim only; `parity` compares backends");
+    }
     let mut divergences = 0usize;
     // First backend listed is the reference the others are diffed against.
     let reference = backends[0];
@@ -475,21 +478,6 @@ fn collect_behavior_refs<'a>(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn cmd_verify(args: &[String]) -> ExitCode {
     let mut files: Vec<PathBuf> = Vec::new();
     let mut schema_path: Option<PathBuf> = None;
@@ -567,9 +555,9 @@ fn cmd_verify(args: &[String]) -> ExitCode {
                 if allow_uncompilable {
                     if json {
                         json_entries.push(format!(
-                            "  {{\"file\": \"{}\", \"compiles\": false, \"error\": \"{}\"}}",
-                            json_escape(&display.to_string()),
-                            json_escape(&e.to_string())
+                            "  {{\"file\": {}, \"compiles\": false, \"error\": {}}}",
+                            quote(&display.to_string()),
+                            quote(&e.to_string())
                         ));
                     } else {
                         println!("{display}: skipped (does not compile: {e})");
@@ -626,56 +614,56 @@ fn cmd_verify(args: &[String]) -> ExitCode {
 }
 
 fn render_verdict_json(file: &str, verdict: &Verdict) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "  {{\"file\": \"{}\", \"compiles\": true, \"gating\": {}, \
-         \"states_explored\": {}, \"findings\": [",
-        json_escape(file),
+    let findings: Vec<String> = verdict
+        .findings
+        .iter()
+        .map(|f| {
+            let severity = match f.severity {
+                plasma_epl::error::Severity::Warning => "warning",
+                plasma_epl::error::Severity::Note => "note",
+            };
+            let rules: Vec<String> = f.rules.iter().map(|r| r.to_string()).collect();
+            let trace: Vec<String> = f
+                .trace
+                .iter()
+                .map(|step| {
+                    let (event, detail) = (quote(&step.event), quote(&step.detail));
+                    format!(
+                        "{{\"round\": {}, \"event\": {event}, \"detail\": {detail}}}",
+                        step.round
+                    )
+                })
+                .collect();
+            format!(
+                "{{\"property\": \"{}\", \"severity\": \"{severity}\", \"gating\": {}, \
+                 \"rules\": [{}], \"message\": {}, \"trace\": [{}]}}",
+                f.property.name(),
+                f.gating(),
+                rules.join(", "),
+                quote(&f.message),
+                trace.join(", ")
+            )
+        })
+        .collect();
+    format!(
+        "  {{\"file\": {}, \"compiles\": true, \"gating\": {}, \
+         \"states_explored\": {}, \"findings\": [{}]}}",
+        quote(file),
         verdict.gating(),
-        verdict.states_explored
-    );
-    for (i, f) in verdict.findings.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let severity = match f.severity {
-            plasma_epl::error::Severity::Warning => "warning",
-            plasma_epl::error::Severity::Note => "note",
-        };
-        let rules: Vec<String> = f.rules.iter().map(|r| r.to_string()).collect();
-        let _ = write!(
-            out,
-            "{{\"property\": \"{}\", \"severity\": \"{severity}\", \"gating\": {}, \
-             \"rules\": [{}], \"message\": \"{}\", \"trace\": [",
-            f.property.name(),
-            f.gating(),
-            rules.join(", "),
-            json_escape(&f.message)
-        );
-        for (j, step) in f.trace.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"round\": {}, \"event\": \"{}\", \"detail\": \"{}\"}}",
-                step.round,
-                json_escape(&step.event),
-                json_escape(&step.detail)
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+        verdict.states_explored,
+        findings.join(", ")
+    )
 }
 
 fn cmd_list() -> ExitCode {
-    println!("scenarios (run order):");
-    for s in SCENARIOS {
-        println!("  {:<10} §{:<4} {}", s.name, s.paper_section, s.summary);
+    for (heading, specs) in [
+        ("scenarios (`all`, in run order):", SCENARIOS),
+        ("paper figures (`figures`, sim only, full scale):", FIGURES),
+    ] {
+        println!("{heading}");
+        for s in specs {
+            println!("  {:<16} §{:<4} {}", s.name, s.paper_section, s.summary);
+        }
     }
     ExitCode::SUCCESS
 }

@@ -5,7 +5,7 @@
 
 use plasma_actor::BackendKind;
 use plasma_apps::common::EvalScale;
-use plasma_bench::eval::{run_scenario_on, ScenarioResult};
+use plasma_bench::eval::{normalize_for_parity, run_scenario_on, ScenarioResult};
 use std::sync::Once;
 
 /// Points worker discovery at the binary cargo built for this test run,
@@ -18,20 +18,10 @@ fn ensure_worker_bin() {
     });
 }
 
-/// The `plasma-eval parity` normalization: backend-clock `*_ns` counters,
-/// `backend_*` transport counters, and `control_*` reply/byte tallies are
-/// carrier-dependent by design (live and net answer one `QReply` per
-/// worker group and count real wire bytes; sim answers each query with one
-/// reply).
+/// The `plasma-eval parity` normalization (carrier-dependent counters
+/// zeroed), serialized.
 fn normalized(mut r: ScenarioResult) -> String {
-    for (metric, v) in &mut r.metrics {
-        if metric.ends_with("_ns")
-            || metric.starts_with("backend_")
-            || metric.starts_with("control_")
-        {
-            v.value = 0.0;
-        }
-    }
+    normalize_for_parity(&mut r);
     r.to_pretty_string()
 }
 

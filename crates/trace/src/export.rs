@@ -15,24 +15,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::event::{Component, TraceEvent, TraceEventKind};
-
-/// Escapes a string into JSON string-literal content (no surrounding
-/// quotes).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
+use crate::json::escape_into;
 
 fn push_opt_u64(out: &mut String, v: Option<u64>) {
     match v {
@@ -442,8 +425,8 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
     out
 }
 
-/// The workspace's shared results directory, `target/plasma-results/`
-/// (the same location the bench harnesses write their figure data to).
+/// The workspace's results directory for trace exports,
+/// `target/plasma-results/`.
 pub fn results_dir() -> PathBuf {
     let target = std::env::var_os("CARGO_TARGET_DIR")
         .map(PathBuf::from)

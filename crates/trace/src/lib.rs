@@ -19,6 +19,8 @@
 //! * [`export`] — deterministic serializers to JSON Lines and Chrome
 //!   `trace_event` JSON (loadable in Perfetto / `chrome://tracing`),
 //!   conventionally written under `target/plasma-results/`.
+//! * [`json`] — the workspace's one JSON codec: the string escaper every
+//!   JSON writer uses and a strict parser for reading JSON back.
 //! * [`audit`] — [`explain`]: reconstructs the
 //!   rule → plan → admission → migration chain for an actor at a point in
 //!   simulated time.
@@ -30,6 +32,7 @@
 pub mod audit;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod record;
 
 pub use audit::{explain, render_explanation};

@@ -4,10 +4,11 @@
 //! Covers the decision audit (`explain` reconstructs the complete
 //! rule → plan → admission → migration chain for a migrated actor),
 //! trace determinism (same seed ⇒ byte-identical JSONL), and exporter
-//! validity (the Chrome trace parses as JSON and lands under
-//! `target/plasma-results/`).
+//! validity (every JSONL line parses as one JSON object, the Chrome trace
+//! parses as JSON, and both land under `target/plasma-results/`).
 
 use plasma::prelude::*;
+use plasma_trace::json;
 
 struct Folder {
     files: Vec<ActorId>,
@@ -226,6 +227,16 @@ fn traces_are_byte_identical_across_identical_runs() {
         "trace captured the elasticity round"
     );
     assert_eq!(a, b, "same seed produces a byte-identical trace");
+    // Every category is on, so this covers the whole event vocabulary.
+    for line in a.lines() {
+        let event = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let first_key = event.as_object().map(|members| members[0].0.as_str());
+        assert_eq!(
+            first_key,
+            Some("id"),
+            "each line is one event object: {line}"
+        );
+    }
 }
 
 #[test]
@@ -234,18 +245,18 @@ fn chrome_trace_is_valid_json_and_lands_in_results_dir() {
     app.run_until(SimTime::from_secs(120));
     let chrome = app.tracer().chrome_trace();
 
-    let value = serde_json::from_str(&chrome).expect("chrome trace parses as JSON");
+    let value = json::parse(&chrome).expect("chrome trace parses as JSON");
     let events = value
         .get("traceEvents")
-        .and_then(|v| v.as_array())
+        .and_then(json::Value::as_array)
         .expect("traceEvents array present");
     assert!(events.len() > 4, "more than the process-name metadata");
     // Every entry carries the mandatory trace_event fields.
     for e in events {
-        let obj = e.as_object().expect("event is an object");
-        assert!(obj.contains_key("ph"));
-        assert!(obj.contains_key("pid"));
-        assert!(obj.contains_key("name"));
+        assert!(e.as_object().is_some(), "event is an object");
+        assert!(e.get("ph").is_some());
+        assert!(e.get("pid").is_some());
+        assert!(e.get("name").is_some());
     }
 
     let dir = results_dir();
