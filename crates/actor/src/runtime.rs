@@ -22,8 +22,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use plasma_backend::{
-    BackendKind, BackendStats, ControlDecision, ControlMsg, ControlQuery, ControlReply, Delivery,
-    Execution, ExecutionBackend, ServerReport, SimBackend,
+    BackendKind, BackendStats, ControlDecision, ControlQuery, ControlReply, Delivery, Execution,
+    ExecutionBackend, ServerReport, SimBackend,
 };
 use plasma_chaos::fault::FaultKind;
 use plasma_chaos::{FaultPlan, RecoveryPolicy};
@@ -517,11 +517,6 @@ impl Runtime {
     /// Returns the runtime configuration.
     pub fn config(&self) -> &RuntimeConfig {
         &self.cfg
-    }
-
-    /// Overrides the placement-stability residency requirement.
-    pub fn set_min_residency(&mut self, d: SimDuration) {
-        self.cfg.min_residency = d;
     }
 
     /// Returns the deterministic RNG.
@@ -2040,9 +2035,9 @@ impl Runtime {
             if ev.up {
                 self.backend.server_up(ev.server.0, ev.vcpus);
                 // A server booted mid-window has no usage row in the
-                // current snapshot; publish the zero-usage row EvalFrame
-                // computes for it so a query between boot and the next
-                // window roll sees the same candidates either way.
+                // current snapshot; publish its zero-usage row so a query
+                // between boot and the next window roll sees the same
+                // candidates as the EMR's frame.
                 let report = self.server_report(ev.server);
                 self.backend
                     .publish_report(self.snapshot.generation, &report);
@@ -2052,17 +2047,32 @@ impl Runtime {
         }
     }
 
-    /// Builds the LEM report row for `sid` against the current snapshot —
-    /// the byte-exact mirror of the EMR's `ServerMeta` derivation (usage
-    /// from the snapshot row, zeros for servers booted after it; capacity
-    /// from the instance type). f64 fields travel as raw bit patterns so
-    /// the wire cannot perturb them.
-    fn server_report(&self, sid: ServerId) -> ServerReport {
+    /// The LEM report row for `sid` against the current snapshot: usage
+    /// from the snapshot row, capacity from the instance type. The one
+    /// source of server rows — the carriers hold it for query replies and
+    /// the EMR's evaluation frame decodes it — so both read the same bits.
+    ///
+    /// A server absent from the snapshot became ready after the window
+    /// closed; it reports zero utilization *and* zero actors, so the row
+    /// stays a pure function of one snapshot generation (mixing in live
+    /// residency counts would make same-generation rows disagree across
+    /// backends and invalidate the EMR's delta patching).
+    pub fn server_report(&self, sid: ServerId) -> ServerReport {
+        let server = self.cluster.server(sid);
+        let inst = server.instance();
         let (cpu, mem, net, actor_count) = match self.snapshot.server(sid) {
             Some(s) => (s.usage.cpu(), s.usage.mem(), s.usage.net(), s.actor_count),
-            None => (0.0, 0.0, 0.0, 0),
+            None => {
+                debug_assert!(
+                    self.snapshot.generation == 0
+                        || server.started_at() + inst.boot_delay >= self.snapshot.at,
+                    "{sid:?} missing from generation {} although it was ready \
+                     before the window closed",
+                    self.snapshot.generation,
+                );
+                (0.0, 0.0, 0.0, 0)
+            }
         };
-        let inst = self.cluster.server(sid).instance();
         ServerReport {
             server: sid.0,
             vcpus: inst.vcpus,
@@ -2081,13 +2091,13 @@ impl Runtime {
     /// carrier and the logical cluster agree on which servers are up.
     pub fn control_query(&mut self, query: ControlQuery) -> Vec<ControlReply> {
         self.sync_backend_lifecycle();
-        self.backend.control(&ControlMsg::Query(query))
+        self.backend.query(&query)
     }
 
     /// Broadcasts a GEM decision over the control carriage (audit/metrics
     /// traffic: workers count it, nothing feeds back).
     pub fn control_decision(&mut self, decision: ControlDecision) {
-        self.backend.control(&ControlMsg::Decision(decision));
+        self.backend.decision(&decision);
     }
 
     fn ensure_server_slots(&mut self, id: ServerId) {
@@ -2170,27 +2180,9 @@ impl Runtime {
         &self.report
     }
 
-    /// Which execution backend carries this run.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
-    }
-
-    /// Nanoseconds on the backend's monotonic clock: identically 0 under
-    /// sim (virtual time lives in the event queue), real wall clock under
-    /// live. Measurement only — never feed this back into scheduling.
-    pub fn monotonic_ns(&self) -> u64 {
-        self.backend.monotonic_ns()
-    }
-
     /// Snapshot of the backend's cumulative carriage counters.
     pub fn backend_stats(&self) -> BackendStats {
         self.backend.stats()
-    }
-
-    /// Consumes the runtime, returning the report plus the cluster for cost
-    /// queries.
-    pub fn into_report(self) -> (RunReport, Cluster) {
-        (self.report, self.cluster)
     }
 
     fn entry(&self, actor: ActorId) -> &ActorEntry {

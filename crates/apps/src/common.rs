@@ -99,9 +99,6 @@ pub struct ElasticityEval {
     /// Decision rounds whose retained evaluation frame was patched in place
     /// from snapshot deltas.
     pub frame_patches: u64,
-    /// Backend-clock nanoseconds spent patching frames (identically 0
-    /// under the sim backend; host-dependent under live).
-    pub frame_patch_ns: u64,
     /// Mean carrier transport latency per sampled delivery, ns: the
     /// deterministic injected chaos delay under live and net, identically
     /// 0 under sim.
@@ -201,7 +198,6 @@ impl ElasticityEval {
             snapshot_skew_rounds: report.scalar("emr.snapshot_skew_rounds").unwrap_or(0.0) as u64,
             frame_rebuilds: report.scalar("emr.frame_rebuilds").unwrap_or(0.0) as u64,
             frame_patches: report.scalar("emr.frame_patches").unwrap_or(0.0) as u64,
-            frame_patch_ns: report.scalar("emr.frame_patch_ns").unwrap_or(0.0) as u64,
             backend_channel_mean_ns: backend.channel_latency_us_mean() * 1e3,
             backend_channel_max_ns: backend.channel_ns_max,
             backend_frames_sent: backend.frames_sent,

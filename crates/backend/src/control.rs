@@ -2,12 +2,13 @@
 //!
 //! PLASMA's elasticity protocol is a message-passing control plane: LEMs
 //! REPORT per-server load profiles, GEMs QUERY the LEMs in their scope,
-//! collect QREPLY candidate rows and scale votes, and publish a DECISION
-//! (grow/shrink plus the migration list). This module defines those
-//! messages as carriage structs so the [`ExecutionBackend::control`]
-//! hook can route them over whatever medium the backend provides —
-//! in-process audit under sim, TCP frames to worker threads (live) or
-//! worker processes (net) — while the *decision logic* stays in the EMR.
+//! collect QREPLY candidate rows, and publish a DECISION (grow/shrink plus
+//! the migration list). This module defines those messages as carriage
+//! structs so [`ExecutionBackend::query`] and
+//! [`ExecutionBackend::decision`] can route them over whatever medium the
+//! backend provides — in-process audit under sim, TCP frames to worker
+//! threads (live) or worker processes (net) — while the *decision logic*,
+//! the scale vote included, stays in the EMR.
 //!
 //! # Determinism contract
 //!
@@ -19,7 +20,8 @@
 //! is what keeps decision digests identical across sim, live, and net
 //! carriages (the N-way parity gate).
 //!
-//! [`ExecutionBackend::control`]: crate::ExecutionBackend::control
+//! [`ExecutionBackend::query`]: crate::ExecutionBackend::query
+//! [`ExecutionBackend::decision`]: crate::ExecutionBackend::decision
 
 use std::collections::BTreeMap;
 
@@ -51,13 +53,6 @@ pub struct ServerReport {
     pub net_bits: u64,
 }
 
-impl ServerReport {
-    /// CPU utilization fraction.
-    pub fn cpu(&self) -> f64 {
-        f64::from_bits(self.cpu_bits)
-    }
-}
-
 /// A GEM's per-round query to the LEMs in its scope.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ControlQuery {
@@ -68,21 +63,15 @@ pub struct ControlQuery {
     /// The snapshot generation the GEM plans against. Replies only carry
     /// candidates whose published report matches this generation.
     pub generation: u64,
-    /// The scale-out CPU threshold the GEM votes with, as `f64` bits.
-    pub upper_bits: u64,
-    /// The scale-in CPU threshold, as `f64` bits.
-    pub lower_bits: u64,
     /// Servers in the GEM's scope, in the GEM's assignment order.
     pub scope: Vec<u32>,
 }
 
 /// A carrier-side answer to a [`ControlQuery`]: the candidate rows it
-/// holds for the queried scope, plus its advisory scale votes.
+/// holds for the queried scope.
 ///
-/// Under net each worker process answers for its own server group, so a
-/// GEM's full candidate set is the merge of every group's reply; the
-/// votes are advisory partial votes over the responder's subset (the GEM
-/// recomputes the authoritative vote over the merged candidates).
+/// Under live and net each worker answers for its own server group, so a
+/// GEM's full candidate set is the merge of every group's reply.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ControlReply {
     /// Echo of the querying GEM's index.
@@ -91,10 +80,6 @@ pub struct ControlReply {
     pub round: u64,
     /// Echo of the snapshot generation.
     pub generation: u64,
-    /// Advisory scale-out vote over this responder's candidates.
-    pub vote_out: bool,
-    /// Advisory scale-in vote over this responder's candidates.
-    pub vote_in: bool,
     /// Candidate rows held for the queried scope, in scope order.
     pub candidates: Vec<ServerReport>,
 }
@@ -125,36 +110,6 @@ pub struct ControlDecision {
     pub migrations: Vec<MigrationOrder>,
 }
 
-/// A control-plane message handed to [`ExecutionBackend::control`].
-///
-/// [`ExecutionBackend::control`]: crate::ExecutionBackend::control
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ControlMsg {
-    /// GEM → LEMs: request candidate rows and votes for a scope.
-    Query(ControlQuery),
-    /// LEM → GEM: candidate rows and advisory votes.
-    Reply(ControlReply),
-    /// GEM → all: the round's published decision.
-    Decision(ControlDecision),
-}
-
-/// Majority scale votes over a set of candidate reports.
-///
-/// This is the report-level twin of `gem::scale_votes` in `plasma-emr`
-/// (`(any cpu > upper && all cpu >= lower, all cpu < lower)`, empty →
-/// neither); a cross-crate test pins the two formulas together. Votes
-/// computed here are advisory — the GEM recomputes them over the merged
-/// candidate set.
-pub fn report_scale_votes(candidates: &[ServerReport], upper: f64, lower: f64) -> (bool, bool) {
-    if candidates.is_empty() {
-        return (false, false);
-    }
-    let any_over = candidates.iter().any(|s| s.cpu() > upper);
-    let none_idle = candidates.iter().all(|s| s.cpu() >= lower);
-    let all_under = candidates.iter().all(|s| s.cpu() < lower);
-    (any_over && none_idle, all_under)
-}
-
 /// Answers a query from a held report set: the pure evaluation every
 /// carrier shares (the sim backend calls it inline; each `plasma-net`
 /// worker calls it against the reports its group holds).
@@ -179,17 +134,10 @@ pub fn answer_query(
     } else {
         Vec::new()
     };
-    let (vote_out, vote_in) = report_scale_votes(
-        &candidates,
-        f64::from_bits(query.upper_bits),
-        f64::from_bits(query.lower_bits),
-    );
     ControlReply {
         gem: query.gem,
         round: query.round,
         generation: query.generation,
-        vote_out,
-        vote_in,
         candidates,
     }
 }
@@ -213,21 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn votes_match_gem_formula() {
-        // Empty: neither direction.
-        assert_eq!(report_scale_votes(&[], 0.8, 0.2), (false, false));
-        // One over, none idle: out.
-        let c = [report(0, 0.9), report(1, 0.5)];
-        assert_eq!(report_scale_votes(&c, 0.8, 0.2), (true, false));
-        // One over but another idle: neither (rebalance first).
-        let c = [report(0, 0.9), report(1, 0.1)];
-        assert_eq!(report_scale_votes(&c, 0.8, 0.2), (false, false));
-        // All under lower: in.
-        let c = [report(0, 0.1), report(1, 0.15)];
-        assert_eq!(report_scale_votes(&c, 0.8, 0.2), (false, true));
-    }
-
-    #[test]
     fn answer_preserves_scope_order_and_generation() {
         let mut held = BTreeMap::new();
         held.insert(2, report(2, 0.5));
@@ -236,8 +169,6 @@ mod tests {
             gem: 1,
             round: 4,
             generation: 9,
-            upper_bits: 0.8_f64.to_bits(),
-            lower_bits: 0.2_f64.to_bits(),
             // Scope order is not id order; server 5 is not held.
             scope: vec![7, 5, 2],
         };
@@ -251,12 +182,10 @@ mod tests {
             vec![7, 2],
             "candidates follow scope order, holes skipped"
         );
-        assert!(reply.vote_out && !reply.vote_in);
         assert_eq!((reply.gem, reply.round, reply.generation), (1, 4, 9));
 
-        // A stale held generation yields no candidates and no votes.
+        // A stale held generation yields no candidates.
         let stale = answer_query(8, &held, &query);
         assert!(stale.candidates.is_empty());
-        assert_eq!((stale.vote_out, stale.vote_in), (false, false));
     }
 }

@@ -6,13 +6,11 @@
 //! policies, chaos — plans and decides on *logical* state: the deterministic
 //! event schedule, profiling snapshots, and the decision sequence they
 //! produce. What varies between a simulated run and a deployed one is the
-//! *carrier* underneath that logic: where the clock comes from, what a
-//! message delivery physically is, where a service executes, and what closes
-//! a profiling window. The [`ExecutionBackend`] trait abstracts exactly that
-//! carrier surface:
+//! *carrier* underneath that logic: what a message delivery physically is,
+//! where a service executes, what closes a profiling window, and what
+//! carries the GEM/LEM control traffic. The [`ExecutionBackend`] trait
+//! abstracts exactly that carrier surface:
 //!
-//! - **clock** — [`ExecutionBackend::monotonic_ns`]: virtual (identically
-//!   zero offsets) under sim, a real monotonic clock under live and net.
 //! - **transport** — [`ExecutionBackend::transmit`]: a counter under sim,
 //!   a wire frame to the server's worker under live and net.
 //! - **spawn surface** — [`ExecutionBackend::server_up`] /
@@ -21,6 +19,10 @@
 //! - **windows and rounds** — [`ExecutionBackend::window_close`] /
 //!   [`ExecutionBackend::round_barrier`]: no-ops under sim, real barriers
 //!   under live and net that verify exactly-once carriage of every event.
+//! - **control plane** — [`ExecutionBackend::publish_report`],
+//!   [`ExecutionBackend::query`] and [`ExecutionBackend::decision`]: the
+//!   REPORT, QUERY/QREPLY and DECISION steps, answered inline under sim
+//!   and by the server's worker under live and net.
 //!
 //! This crate holds the trait, [`SimBackend`] (an adapter over the
 //! `plasma-sim` event loop: the queue itself already *is* the carrier, so
@@ -38,8 +40,7 @@ pub mod sim;
 pub mod wire;
 
 pub use control::{
-    answer_query, report_scale_votes, ControlDecision, ControlMsg, ControlQuery, ControlReply,
-    MigrationOrder, ServerReport,
+    answer_query, ControlDecision, ControlQuery, ControlReply, MigrationOrder, ServerReport,
 };
 pub use sim::SimBackend;
 
@@ -207,21 +208,15 @@ impl BackendStats {
 /// - [`ExecutionBackend::window_close`] is called once per profiling
 ///   window, after the window's last delivery and before the next window's
 ///   first; `generation` strictly increases.
-/// - Nothing the backend returns may alter logical scheduling: clock reads
-///   and window reports feed measurements only, never decisions. This is
+/// - Nothing the backend returns may alter logical scheduling: window
+///   reports and stats feed measurements only, never decisions. This is
 ///   what makes sim/live decision sequences comparable at all.
 ///
 /// The backend promises in return: `window_close` confirms every event of
-/// the window reached its carrier exactly once (`matched`), and
-/// `monotonic_ns` never decreases.
+/// the window reached its carrier exactly once (`matched`).
 pub trait ExecutionBackend {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
-
-    /// Nanoseconds on the backend's monotonic clock. Sim returns 0 —
-    /// virtual time lives in the event queue, and nothing wall-clock
-    /// dependent may leak into simulated results.
-    fn monotonic_ns(&self) -> u64;
 
     /// Opens (or re-opens, after a crash/reboot) a server's carrier.
     fn server_up(&mut self, server: u32, vcpus: u32);
@@ -251,14 +246,10 @@ pub trait ExecutionBackend {
     /// data: carriers hold it verbatim and echo it back in query replies.
     fn publish_report(&mut self, generation: u64, report: &ServerReport);
 
-    /// Carries one control-plane message.
-    ///
-    /// For [`ControlMsg::Query`] the call is synchronous: the carrier
-    /// routes the query to every LEM holding in-scope reports and returns
-    /// their replies in a deterministic order (ascending group order under
-    /// live and net, one merged reply under sim). For
-    /// [`ControlMsg::Decision`] the message is broadcast and the return is
-    /// empty. [`ControlMsg::Reply`] never originates at the coordinator.
+    /// Carries one GEM query synchronously: the carrier routes it to every
+    /// LEM holding in-scope reports and returns their replies in a
+    /// deterministic order (ascending group order under live and net, one
+    /// merged reply under sim).
     ///
     /// This is the one deliberate relaxation of the "nothing the backend
     /// returns may alter logical scheduling" rule: replies *do* feed the
@@ -266,7 +257,11 @@ pub trait ExecutionBackend {
     /// snapshot state the coordinator itself published, so the decision
     /// sequence remains a pure function of logical state (the N-way parity
     /// gate holds the carriages to that).
-    fn control(&mut self, msg: &ControlMsg) -> Vec<ControlReply>;
+    fn query(&mut self, query: &ControlQuery) -> Vec<ControlReply>;
+
+    /// Broadcasts a round's published decision to every carrier. Audit
+    /// traffic: carriers count it, nothing comes back.
+    fn decision(&mut self, decision: &ControlDecision);
 
     /// Announces the currently injected cross-server transport delay in
     /// nanoseconds (`0` clears it). The chaos layer calls this when a

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::control::{answer_query, ControlMsg, ControlReply, ServerReport};
+use crate::control::{answer_query, ControlDecision, ControlQuery, ControlReply, ServerReport};
 use crate::{BackendKind, BackendStats, Delivery, Execution, ExecutionBackend, WindowReport};
 
 /// Adapter wrapping the discrete-event loop. See the [module docs](self).
@@ -19,7 +19,6 @@ pub struct SimBackend {
     stats: BackendStats,
     window_deliveries: u64,
     window_executions: u64,
-    live_servers: u64,
     /// Held LEM report rows, one per server, for `report_generation`.
     /// Under sim the coordinator *is* every LEM, so one map answers
     /// queries inline — the audit-only twin of the per-worker state the
@@ -40,19 +39,11 @@ impl ExecutionBackend for SimBackend {
         BackendKind::Sim
     }
 
-    fn monotonic_ns(&self) -> u64 {
-        // Virtual time lives in the event queue; the carrier clock is
-        // identically zero so nothing host-dependent can leak into results.
-        0
-    }
-
     fn server_up(&mut self, _server: u32, _vcpus: u32) {
-        self.live_servers += 1;
         self.stats.workers_spawned += 1;
     }
 
     fn server_down(&mut self, server: u32) {
-        self.live_servers = self.live_servers.saturating_sub(1);
         self.reports.remove(&server);
     }
 
@@ -96,19 +87,14 @@ impl ExecutionBackend for SimBackend {
         self.stats.control_reports += 1;
     }
 
-    fn control(&mut self, msg: &ControlMsg) -> Vec<ControlReply> {
-        match msg {
-            ControlMsg::Query(q) => {
-                self.stats.control_queries += 1;
-                self.stats.control_replies += 1;
-                vec![answer_query(self.report_generation, &self.reports, q)]
-            }
-            ControlMsg::Decision(_) => {
-                self.stats.control_decisions += 1;
-                Vec::new()
-            }
-            ControlMsg::Reply(_) => Vec::new(),
-        }
+    fn query(&mut self, query: &ControlQuery) -> Vec<ControlReply> {
+        self.stats.control_queries += 1;
+        self.stats.control_replies += 1;
+        vec![answer_query(self.report_generation, &self.reports, query)]
+    }
+
+    fn decision(&mut self, _decision: &ControlDecision) {
+        self.stats.control_decisions += 1;
     }
 
     fn stats(&self) -> BackendStats {
@@ -147,6 +133,5 @@ mod tests {
         assert_eq!(b.stats().deliveries, 3);
         assert_eq!(b.stats().worker_busy_ns, 500);
         assert_eq!(b.stats().windows_closed, 2);
-        assert_eq!(b.monotonic_ns(), 0);
     }
 }

@@ -6,7 +6,9 @@
 //! (the decision digest) regresses on any difference; informational
 //! metrics are reported but never gate. Scenarios missing from the current
 //! set fail the comparison (a silently dropped benchmark is itself a
-//! regression); scenarios new in the current set are reported as notes.
+//! regression), and so do gated metrics missing from a compared scenario;
+//! scenarios and metrics new in the current set, and informational
+//! metrics that disappeared, are reported as notes.
 
 use std::collections::BTreeMap;
 
@@ -35,7 +37,10 @@ pub enum DiffKind {
     Improved,
     /// Within the threshold band (or informational).
     Unchanged,
-    /// Present in the baseline only.
+    /// A gated (`lower`, `higher` or `exact`) baseline metric absent from
+    /// the current set — fails the gate.
+    Dropped,
+    /// An informational baseline metric absent from the current set.
     OnlyInBaseline,
     /// Present in the current set only.
     OnlyInCurrent,
@@ -76,16 +81,16 @@ pub struct CompareReport {
 }
 
 impl CompareReport {
-    /// Number of regressed metrics.
+    /// Number of regressed or dropped gated metrics.
     pub fn regressions(&self) -> usize {
         self.diffs
             .iter()
-            .filter(|d| d.kind == DiffKind::Regressed)
+            .filter(|d| matches!(d.kind, DiffKind::Regressed | DiffKind::Dropped))
             .count()
     }
 
-    /// Whether the gate passes: no regressions, no dropped scenarios, no
-    /// identity mismatches.
+    /// Whether the gate passes: no regressions, no dropped gated metrics,
+    /// no dropped scenarios, no identity mismatches.
     pub fn passed(&self) -> bool {
         self.regressions() == 0
             && self.missing_scenarios.is_empty()
@@ -117,6 +122,10 @@ impl CompareReport {
                     d.baseline.unwrap_or(0.0),
                     d.current.unwrap_or(0.0),
                     d.rel_change * 100.0
+                ),
+                DiffKind::Dropped => format!(
+                    "  DROPPED   {}/{}: gated metric absent from current results\n",
+                    d.scenario, d.metric
                 ),
                 DiffKind::OnlyInBaseline => format!(
                     "  note      {}/{}: present in baseline only\n",
@@ -224,7 +233,11 @@ pub fn compare(
                     baseline: Some(bm.value),
                     current: None,
                     rel_change: 0.0,
-                    kind: DiffKind::OnlyInBaseline,
+                    kind: if bm.direction == Direction::Info {
+                        DiffKind::OnlyInBaseline
+                    } else {
+                        DiffKind::Dropped
+                    },
                 }),
                 Some(cm) => {
                     // The baseline's recorded direction governs the gate, so
@@ -387,11 +400,11 @@ mod tests {
     }
 
     #[test]
-    fn new_and_missing_metrics_are_notes() {
-        let base = vec![result("estore", &[("old_metric", 1.0, Direction::Lower)])];
+    fn info_metric_drift_is_a_note() {
+        let base = vec![result("estore", &[("old_metric", 1.0, Direction::Info)])];
         let cur = vec![result("estore", &[("new_metric", 2.0, Direction::Lower)])];
         let report = compare(&base, &cur, CompareOptions::default());
-        assert!(report.passed(), "metric set drift is reported, not fatal");
+        assert!(report.passed(), "info metric drift is reported, not fatal");
         assert!(report
             .diffs
             .iter()
@@ -400,6 +413,24 @@ mod tests {
             .diffs
             .iter()
             .any(|d| d.kind == DiffKind::OnlyInCurrent));
+    }
+
+    #[test]
+    fn dropped_gated_metrics_fail() {
+        for direction in [Direction::Lower, Direction::Higher, Direction::Exact] {
+            let base = vec![result(
+                "estore",
+                &[
+                    ("tail_ms", 10.0, Direction::Lower),
+                    ("gated", 1.0, direction),
+                ],
+            )];
+            let cur = vec![result("estore", &[("tail_ms", 10.0, Direction::Lower)])];
+            let report = compare(&base, &cur, CompareOptions::default());
+            assert!(!report.passed(), "{direction:?} metric dropped silently");
+            assert_eq!(report.regressions(), 1);
+            assert!(report.render(0.10).contains("DROPPED   estore/gated"));
+        }
     }
 
     #[test]

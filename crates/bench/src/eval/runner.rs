@@ -150,11 +150,6 @@ fn push_common(result: &mut ScenarioResult, eval: &ElasticityEval, rebalance_dir
         eval.frame_patches as f64,
         Direction::Higher,
     );
-    result.push(
-        "frame_patch_ns",
-        eval.frame_patch_ns as f64,
-        Direction::Info,
-    );
     // Carrier transport counters: identically 0 under sim and zeroed by
     // the parity normalizer (the `backend_` prefix) under live/net, so
     // every backend still serializes to byte-identical normalized JSON.
@@ -519,18 +514,14 @@ pub fn run_scenario_on(
 }
 
 /// Zeroes carrier-dependent metrics so the byte comparison only sees
-/// deterministic values: `*_ns` backend-clock counters are identically 0
-/// under sim and host-dependent under live, `backend_*` transport
-/// counters describe the carrier itself (frames, wire bytes, injected
-/// delay), and `control_*` counters depend on how the carrier partitions
-/// the control plane (reply counts per query, wire footprint) — all of
-/// which legitimately differ per medium.
+/// deterministic values: `backend_*` transport counters describe the
+/// carrier itself (frames, wire bytes, injected delay), and `control_*`
+/// counters depend on how the carrier partitions the control plane (reply
+/// counts per query, wire footprint) — both legitimately differ per
+/// medium.
 pub fn normalize_for_parity(r: &mut ScenarioResult) {
     for (metric, v) in &mut r.metrics {
-        if metric.ends_with("_ns")
-            || metric.starts_with("backend_")
-            || metric.starts_with("control_")
-        {
+        if metric.starts_with("backend_") || metric.starts_with("control_") {
             v.value = 0.0;
         }
     }

@@ -75,11 +75,6 @@ impl NetFaults {
         healed
     }
 
-    /// Number of active partition groups.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Returns `true` when the link between `a` and `b` is severed by any
     /// active partition. A server always reaches itself.
     pub fn severed(&self, a: ServerId, b: ServerId) -> bool {

@@ -261,11 +261,6 @@ impl Cluster {
             .count()
     }
 
-    /// Returns every server ever created (including stopped ones).
-    pub fn all_servers(&self) -> &[Server] {
-        &self.servers
-    }
-
     /// Returns the accumulated cost of all servers up to `now`.
     pub fn total_cost(&self, now: SimTime) -> f64 {
         self.servers.iter().map(|s| s.cost(now)).sum()

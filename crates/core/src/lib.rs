@@ -112,11 +112,6 @@ impl Plasma {
     pub fn report(&self) -> &plasma_actor::RunReport {
         self.runtime.report()
     }
-
-    /// Consumes the system, returning the runtime.
-    pub fn into_runtime(self) -> Runtime {
-        self.runtime
-    }
 }
 
 /// Builder for [`Plasma`].

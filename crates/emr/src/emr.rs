@@ -140,12 +140,6 @@ pub struct EmrStats {
     pub decision_latency_ms_total: f64,
     /// Worst simulated plan→apply decision latency, in milliseconds.
     pub decision_latency_ms_max: f64,
-    /// Total nanoseconds on the execution backend's monotonic clock spent
-    /// building the evaluation frame and running GEM/LEM planning.
-    /// Identically 0 under the sim backend (its carrier clock never moves)
-    /// and host-dependent under live — so it is kept out of traces and
-    /// benchmark baselines, exported only as a report scalar.
-    pub eval_ns: u64,
     /// Rounds whose apply phase ran against a newer snapshot generation
     /// than the one it was planned from (a profiling window — or an
     /// injected snapshot-skew fault — closed mid-round).
@@ -159,10 +153,6 @@ pub struct EmrStats {
     /// Rounds whose retained evaluation frame was advanced in place by
     /// applying snapshot deltas instead of rebuilding.
     pub frame_patches: u64,
-    /// Total nanoseconds on the execution backend's monotonic clock spent
-    /// patching the retained frame (a subset of `eval_ns`, with the same
-    /// backend caveat: identically 0 under sim).
-    pub frame_patch_ns: u64,
     /// Interaction-rule pairs the LEM pass handed to its per-pair planner;
     /// pairs the retained LEM proved inert are not counted.
     pub lem_pairs_planned: u64,
@@ -378,8 +368,6 @@ impl PlasmaEmr {
         let assignment = self.gem_assignment(&scope);
         let gem_count = assignment.len();
         let round_no = self.stats.ticks;
-        let debug = std::env::var_os("PLASMA_EMR_DEBUG").is_some();
-        let eval_start = rt.monotonic_ns();
         // Advance the retained frame to this round's snapshot generation by
         // applying the runtime's deltas; fall back to a from-scratch build
         // on the first round, on scope changes, and on generation gaps
@@ -392,7 +380,6 @@ impl PlasmaEmr {
         let (frame, change) = match advanced {
             Some((f, delta)) => {
                 self.stats.frame_patches += 1;
-                self.stats.frame_patch_ns += rt.monotonic_ns().saturating_sub(eval_start);
                 (f, Some(delta))
             }
             None => {
@@ -422,8 +409,6 @@ impl PlasmaEmr {
                     gem: gem_idx as u32,
                     round: round_no,
                     generation: frame.generation(),
-                    upper_bits: bounds.upper.to_bits(),
-                    lower_bits: bounds.lower.to_bits(),
                     scope: servers.iter().map(|s| s.0).collect(),
                 };
                 let query_ev = tracer.emit(trace_now, Component::Gem, None, || {
@@ -467,20 +452,6 @@ impl PlasmaEmr {
                     }
                 });
                 consumers += 1;
-                if debug {
-                    for s in &ctx.servers {
-                        eprintln!(
-                            "[emr {}] {:?} cpu={:.2} actors={}",
-                            trace_now, s.id, s.cpu, s.actor_count
-                        );
-                    }
-                    for a in ctx.actors() {
-                        eprintln!(
-                            "[emr]   {:?} on {:?} share={:.3} sent={} pinned={}",
-                            a.actor, a.server, a.cpu_share, a.counters.bytes_sent, a.pinned
-                        );
-                    }
-                }
                 let mut plan = gem::plan(&bound, &ctx, &gem_cfg, &self.reserved_servers);
                 Self::trace_rule_events(
                     &tracer,
@@ -496,17 +467,6 @@ impl PlasmaEmr {
                         scale_in: plan.scale_in_vote,
                     }
                 });
-                if debug {
-                    eprintln!(
-                        "[emr] planned {} actions (out={} in={})",
-                        plan.actions.len(),
-                        plan.scale_out_vote,
-                        plan.scale_in_vote
-                    );
-                    for a in &plan.actions {
-                        eprintln!("[emr]   {a:?}");
-                    }
-                }
                 out_votes += plan.scale_out_vote as usize;
                 in_votes += plan.scale_in_vote as usize;
                 unplaced += plan.unplaced_reserves;
@@ -538,7 +498,6 @@ impl PlasmaEmr {
         self.frame = Some(frame);
         self.stats.lem_pairs_planned += lem_plan.pairs_planned;
         self.stats.lem_env_reuses += u64::from(lem_plan.reused_envs);
-        self.stats.eval_ns += rt.monotonic_ns().saturating_sub(eval_start);
         self.stats.snapshot_reuse += consumers.saturating_sub(1) as u64;
         Self::trace_rule_events(
             &tracer,
@@ -793,9 +752,6 @@ impl PlasmaEmr {
             let reply_id = reply(accept, reason);
             if !accept {
                 self.stats.rejected += 1;
-                if std::env::var_os("PLASMA_EMR_DEBUG").is_some() {
-                    eprintln!("[emr] reject(admission) {action:?} dst={projected_dst:.2}");
-                }
                 continue;
             }
             match rt.migrate_traced(action.actor, dst, reply_id) {
@@ -828,9 +784,6 @@ impl PlasmaEmr {
                             reason: format!("blocked-{e:?}"),
                         }
                     });
-                    if std::env::var_os("PLASMA_EMR_DEBUG").is_some() {
-                        eprintln!("[emr] reject({e:?}) {action:?}");
-                    }
                 }
             }
         }
@@ -873,7 +826,6 @@ impl PlasmaEmr {
         rt.record_scalar("emr.scale_outs", s.scale_outs as f64);
         rt.record_scalar("emr.scale_ins", s.scale_ins as f64);
         rt.record_scalar("emr.rounds_applied", s.rounds_applied as f64);
-        rt.record_scalar("emr.eval_ns", s.eval_ns as f64);
         rt.record_scalar("emr.snapshot_reuse", s.snapshot_reuse as f64);
         rt.record_scalar("emr.snapshot_skew_rounds", s.snapshot_skew_rounds as f64);
         rt.record_scalar("emr.decision_latency_ms_max", s.decision_latency_ms_max);
@@ -889,7 +841,6 @@ impl PlasmaEmr {
         // byte-comparable to older baselines apart from these lines.
         rt.record_scalar("emr.frame_rebuilds", s.frame_rebuilds as f64);
         rt.record_scalar("emr.frame_patches", s.frame_patches as f64);
-        rt.record_scalar("emr.frame_patch_ns", s.frame_patch_ns as f64);
         rt.record_scalar("emr.lem_pairs_planned", s.lem_pairs_planned as f64);
         rt.record_scalar("emr.lem_env_reuses", s.lem_env_reuses as f64);
     }

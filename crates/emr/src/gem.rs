@@ -235,12 +235,6 @@ fn plan_balance(
         let src_u = projected[&src.id][ridx];
         let dst_u = projected[&dst.id][ridx];
         let triggered = src_u > bounds.upper || dst_u < bounds.lower;
-        if std::env::var_os("PLASMA_EMR_DEBUG").is_some() {
-            eprintln!(
-                "[gem] balance res={res:?} src={:?}@{src_u:.2} dst={:?}@{dst_u:.2} trig={triggered}",
-                src.id, dst.id
-            );
-        }
         if !triggered || src_u - dst_u < cfg.min_gap {
             break;
         }
@@ -419,64 +413,5 @@ mod tests {
         let policy = parse_policy("server.net.perc > 90 => balance({W}, cpu);").unwrap();
         let b = extract_bounds(&policy.rules[0].cond, Res::Cpu, Bounds::DEFAULT);
         assert_eq!(b, Bounds::DEFAULT);
-    }
-
-    /// The worker-side vote formula (`report_scale_votes`, computed from
-    /// wire-carried report rows) and the GEM's own `scale_votes` are the
-    /// same function under two encodings; this cross-check keeps them from
-    /// drifting apart.
-    #[test]
-    fn wire_vote_formula_matches_scale_votes() {
-        use crate::view::{EvalCtx, EvalFrame, ServerMeta};
-        use plasma_actor::report_scale_votes;
-        use plasma_actor::stats::ProfileSnapshot;
-        use plasma_cluster::ServerId;
-        use std::collections::BTreeMap;
-        use std::sync::Arc;
-
-        let metas = |cpus: &[f64]| -> Vec<ServerMeta> {
-            cpus.iter()
-                .enumerate()
-                .map(|(i, &cpu)| ServerMeta {
-                    id: ServerId(i as u32),
-                    total_speed: 1.0,
-                    vcpus: 1,
-                    mem_bytes: 1,
-                    net_bps: 1.0,
-                    cpu,
-                    mem: 0.0,
-                    net: 0.0,
-                    actor_count: 0,
-                })
-                .collect()
-        };
-        let bounds = Bounds {
-            upper: 0.8,
-            lower: 0.3,
-        };
-        let cases: [&[f64]; 6] = [
-            &[],
-            &[0.9],
-            &[0.9, 0.5],
-            &[0.9, 0.1],
-            &[0.2, 0.1],
-            &[0.5, 0.6],
-        ];
-        for cpus in cases {
-            let servers = metas(cpus);
-            let reports: Vec<_> = servers.iter().map(|m| m.to_report()).collect();
-            let frame = EvalFrame::from_parts(
-                Arc::new(ProfileSnapshot::default()),
-                servers,
-                BTreeMap::new(),
-                BTreeMap::new(),
-            );
-            let ctx = EvalCtx::for_reports(&frame, &reports);
-            assert_eq!(
-                scale_votes(&ctx, bounds),
-                report_scale_votes(&reports, bounds.upper, bounds.lower),
-                "formulas must agree for cpus {cpus:?}"
-            );
-        }
     }
 }

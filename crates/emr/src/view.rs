@@ -84,10 +84,10 @@ impl ServerMeta {
         }
     }
 
-    /// Decodes a wire-carried LEM report row. The report carries every
-    /// f64 as raw bits, so this conversion is exact: a row published from
-    /// the coordinator's snapshot comes back as the identical `ServerMeta`
-    /// the shared-snapshot path computes.
+    /// Decodes a LEM report row ([`Runtime::server_report`], or its
+    /// wire-carried copy). The report carries every f64 as raw bits, so
+    /// this conversion is exact: the frame and a query reply decode the
+    /// same row to the identical `ServerMeta`.
     pub fn from_report(r: &ServerReport) -> ServerMeta {
         ServerMeta {
             id: ServerId(r.server),
@@ -99,22 +99,6 @@ impl ServerMeta {
             mem: f64::from_bits(r.mem_bits),
             net: f64::from_bits(r.net_bits),
             actor_count: r.actor_count as usize,
-        }
-    }
-
-    /// Encodes this row for the control carriage (the inverse of
-    /// [`ServerMeta::from_report`]; the round trip is bit-identity).
-    pub fn to_report(&self) -> ServerReport {
-        ServerReport {
-            server: self.id.0,
-            vcpus: self.vcpus,
-            actor_count: self.actor_count as u64,
-            mem_bytes: self.mem_bytes,
-            total_speed_bits: self.total_speed.to_bits(),
-            net_bps_bits: self.net_bps.to_bits(),
-            cpu_bits: self.cpu.to_bits(),
-            mem_bits: self.mem.to_bits(),
-            net_bits: self.net.to_bits(),
         }
     }
 }
@@ -235,48 +219,14 @@ impl EvalFrame {
         Self::build(rt.snapshot_shared(), servers, type_names, fn_names)
     }
 
-    /// Captures [`ServerMeta`] rows for the running servers of `scope`,
-    /// reading utilization strictly from the runtime's current snapshot.
-    ///
-    /// A running server absent from the snapshot became ready after the
-    /// window closed; it reports zero utilization *and* zero actors so the
-    /// frame stays a pure function of one snapshot generation (mixing in
-    /// live residency counts would make same-generation frames disagree
-    /// across backends and invalidate delta patching).
+    /// The [`ServerMeta`] rows of the running servers of `scope`, decoded
+    /// from the runtime's report rows for its current snapshot.
     fn server_metas(rt: &Runtime, scope: &[ServerId]) -> Vec<ServerMeta> {
-        let snap = rt.snapshot();
-        let mut servers = Vec::with_capacity(scope.len());
-        for &sid in scope {
-            let server = rt.cluster().server(sid);
-            if !server.is_running() {
-                continue;
-            }
-            let inst = server.instance();
-            let (cpu, mem, net, actor_count) = match snap.server(sid) {
-                Some(s) => (s.usage.cpu(), s.usage.mem(), s.usage.net(), s.actor_count),
-                None => {
-                    debug_assert!(
-                        snap.generation == 0 || server.started_at() + inst.boot_delay >= snap.at,
-                        "running {sid:?} missing from generation {} although it \
-                         was ready before the window closed",
-                        snap.generation,
-                    );
-                    (0.0, 0.0, 0.0, 0)
-                }
-            };
-            servers.push(ServerMeta {
-                id: sid,
-                total_speed: inst.total_speed(),
-                vcpus: inst.vcpus,
-                mem_bytes: inst.mem_bytes,
-                net_bps: inst.net_bps,
-                cpu,
-                mem,
-                net,
-                actor_count,
-            });
-        }
-        servers
+        scope
+            .iter()
+            .filter(|&&sid| rt.cluster().server(sid).is_running())
+            .map(|&sid| ServerMeta::from_report(&rt.server_report(sid)))
+            .collect()
     }
 
     /// Builds a frame from pre-assembled parts (synthetic snapshots in

@@ -35,8 +35,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use plasma_backend::{
-    BackendKind, BackendStats, ControlMsg, ControlReply, Delivery, Execution, ExecutionBackend,
-    ServerReport, WindowReport,
+    BackendKind, BackendStats, ControlDecision, ControlQuery, ControlReply, Delivery, Execution,
+    ExecutionBackend, ServerReport, WindowReport,
 };
 
 use crate::frame::{Frame, FrameBuffer, WindowCounters, WIRE_VERSION};
@@ -506,11 +506,6 @@ impl NetBackend {
         self.conns.iter().map(|c| c.host.pid()).collect()
     }
 
-    /// Worker groups started.
-    pub fn worker_count(&self) -> usize {
-        self.conns.len()
-    }
-
     fn group_of(&self, server: u32) -> usize {
         (server as usize) % self.conns.len()
     }
@@ -603,10 +598,6 @@ impl NetBackend {
 impl ExecutionBackend for NetBackend {
     fn kind(&self) -> BackendKind {
         self.kind
-    }
-
-    fn monotonic_ns(&self) -> u64 {
-        self.now_ns()
     }
 
     fn server_up(&mut self, server: u32, vcpus: u32) {
@@ -756,64 +747,64 @@ impl ExecutionBackend for NetBackend {
         self.stats.control_reports += 1;
     }
 
-    fn control(&mut self, msg: &ControlMsg) -> Vec<ControlReply> {
-        match msg {
-            ControlMsg::Query(q) => {
-                self.stats.control_queries += 1;
-                // One copy of the query per group owning an in-scope live
-                // server, in ascending group order; QReplies are read back
-                // synchronously in the same order. TCP FIFO plus
-                // one-reply-per-query makes the pairing deterministic, so
-                // reply order never depends on worker scheduling.
-                let mut groups: BTreeSet<usize> = BTreeSet::new();
-                for s in &q.scope {
-                    if self.up.contains(s) {
-                        groups.insert(self.group_of(*s));
-                    }
-                }
-                let mut sent: Vec<usize> = Vec::with_capacity(groups.len());
-                for &g in &groups {
-                    if self.send(g, &Frame::Query { query: q.clone() }) {
-                        self.sent_queries += 1;
-                        sent.push(g);
-                    }
-                }
-                self.flush_all();
-                let mut replies = Vec::with_capacity(sent.len());
-                for g in sent {
-                    if let Some(Frame::QReply { reply }) = self.recv(g) {
-                        // Count the reply's exact wire footprint (recv's
-                        // byte tally is per-read, not per-frame).
-                        self.scratch.clear();
-                        Frame::QReply {
-                            reply: reply.clone(),
-                        }
-                        .encode(&mut self.scratch);
-                        self.stats.control_wire_bytes += self.scratch.len() as u64;
-                        self.recv_qreplies += 1;
-                        self.stats.control_replies += 1;
-                        replies.push(reply);
-                    }
-                }
-                replies
+    fn query(&mut self, query: &ControlQuery) -> Vec<ControlReply> {
+        self.stats.control_queries += 1;
+        // One copy of the query per group owning an in-scope live server,
+        // in ascending group order; QReplies are read back synchronously in
+        // the same order. TCP FIFO plus one-reply-per-query makes the
+        // pairing deterministic, so reply order never depends on worker
+        // scheduling.
+        let mut groups: BTreeSet<usize> = BTreeSet::new();
+        for s in &query.scope {
+            if self.up.contains(s) {
+                groups.insert(self.group_of(*s));
             }
-            ControlMsg::Decision(d) => {
-                self.stats.control_decisions += 1;
-                // Decisions are broadcast: every group learns the round's
-                // outcome even if none of its servers moved.
-                for g in 0..self.conns.len() {
-                    if self.send(
-                        g,
-                        &Frame::Decision {
-                            decision: d.clone(),
-                        },
-                    ) {
-                        self.sent_decisions += 1;
-                    }
-                }
-                Vec::new()
+        }
+        let mut sent: Vec<usize> = Vec::with_capacity(groups.len());
+        for &g in &groups {
+            if self.send(
+                g,
+                &Frame::Query {
+                    query: query.clone(),
+                },
+            ) {
+                self.sent_queries += 1;
+                sent.push(g);
             }
-            ControlMsg::Reply(_) => Vec::new(),
+        }
+        self.flush_all();
+        let mut replies = Vec::with_capacity(sent.len());
+        for g in sent {
+            if let Some(Frame::QReply { reply }) = self.recv(g) {
+                // Count the reply's exact wire footprint (recv's byte tally
+                // is per-read, not per-frame).
+                self.scratch.clear();
+                Frame::QReply {
+                    reply: reply.clone(),
+                }
+                .encode(&mut self.scratch);
+                self.stats.control_wire_bytes += self.scratch.len() as u64;
+                self.recv_qreplies += 1;
+                self.stats.control_replies += 1;
+                replies.push(reply);
+            }
+        }
+        replies
+    }
+
+    fn decision(&mut self, decision: &ControlDecision) {
+        self.stats.control_decisions += 1;
+        // Decisions are broadcast: every group learns the round's outcome
+        // even if none of its servers moved.
+        for g in 0..self.conns.len() {
+            if self.send(
+                g,
+                &Frame::Decision {
+                    decision: decision.clone(),
+                },
+            ) {
+                self.sent_decisions += 1;
+            }
         }
     }
 
@@ -867,19 +858,26 @@ mod tests {
     #[test]
     fn read_hello_rejects_old_header_version() {
         // A v1 worker's Hello: header version 1, payload just the group
-        // (v1 had no version field). Must fail as a named version
+        // (v1 had no version field). A v2 worker's Hello, byte for byte
+        // what a v2 `plasma-server` sends: header version 2, group 9, and
+        // its own version field. Both must fail as a named version
         // mismatch before any payload parsing.
-        let mut bytes = vec![0, 0, 0, 6, 1, 0x01];
-        bytes.extend(9u32.to_be_bytes());
-        let mut r = Cursor::new(bytes);
-        let mut fb = FrameBuffer::new();
-        let err = read_hello(&mut r, &mut fb).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let msg = err.to_string();
-        assert!(
-            msg.contains("wire version mismatch") && msg.contains("v1"),
-            "got: {msg}"
-        );
+        let mut v1 = vec![0, 0, 0, 6, 1, 0x01];
+        v1.extend(9u32.to_be_bytes());
+        let v2 = vec![0, 0, 0, 7, 2, 0x01, 0, 0, 0, 9, 2];
+        for (bytes, old) in [(v1, "v1"), (v2, "v2")] {
+            let mut r = Cursor::new(bytes);
+            let mut fb = FrameBuffer::new();
+            let err = read_hello(&mut r, &mut fb).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("wire version mismatch")
+                    && msg.contains(&format!("peer speaks {old},"))
+                    && msg.contains(&format!("v{WIRE_VERSION}")),
+                "got: {msg}"
+            );
+        }
     }
 
     #[test]

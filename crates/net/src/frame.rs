@@ -30,8 +30,10 @@ use plasma_backend::{ControlDecision, ControlQuery, ControlReply, Delivery, Exec
 /// mismatch fails the handshake cleanly instead of surfacing as a
 /// mid-stream decode error. Version 2 added the control-plane frames
 /// (REPORT/QUERY/QREPLY/DECISION), the control counters in
-/// [`WindowCounters`], and the Hello version field itself.
-pub const WIRE_VERSION: u8 = 2;
+/// [`WindowCounters`], and the Hello version field itself. Version 3
+/// dropped the scale thresholds from QUERY and the scale votes from
+/// QREPLY: the GEM computes its vote from the merged candidate rows.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Upper bound on a frame body. Control-plane frames scale with cluster
 /// size (a query reply carries one 64-byte candidate row per in-scope
@@ -505,8 +507,6 @@ mod tests {
                     gem: 0,
                     round: 3,
                     generation: 7,
-                    upper_bits: 0.8_f64.to_bits(),
-                    lower_bits: 0.2_f64.to_bits(),
                     scope: vec![4, 6],
                 },
             },
@@ -515,8 +515,6 @@ mod tests {
                     gem: 0,
                     round: 3,
                     generation: 7,
-                    vote_out: false,
-                    vote_in: true,
                     candidates: vec![ServerReport {
                         server: 4,
                         vcpus: 2,

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use common::{running, sigkill};
 use plasma_backend::{
-    BackendKind, ControlDecision, ControlMsg, ControlQuery, Delivery, Execution, ExecutionBackend,
+    BackendKind, ControlDecision, ControlQuery, Delivery, Execution, ExecutionBackend,
     MigrationOrder, ServerReport, SimBackend,
 };
 use plasma_net::{NetBackend, NetConfig};
@@ -165,8 +165,6 @@ fn control_queries_return_published_rows_and_balance_windows() {
         gem: 0,
         round: 1,
         generation: 7,
-        upper_bits: 0.8f64.to_bits(),
-        lower_bits: 0.3f64.to_bits(),
         scope: vec![1, 0],
     };
     for mut b in every_carrier() {
@@ -175,15 +173,15 @@ fn control_queries_return_published_rows_and_balance_windows() {
         b.server_up(1, 2);
         b.publish_report(7, &r0);
         b.publish_report(7, &r1);
-        let replies = b.control(&ControlMsg::Query(q.clone()));
+        let replies = b.query(&q);
         if kind == BackendKind::Sim {
             assert_eq!(replies.len(), 1, "sim answers with one merged reply");
         } else {
             assert_eq!(replies.len(), 2, "{kind:?}: one reply per group");
-            // Group 0 holds the hot server, group 1 the idle one; each
-            // votes from its own holdings.
-            assert!(replies[0].vote_out && !replies[0].vote_in);
-            assert!(!replies[1].vote_out && replies[1].vote_in);
+            // Group 0 holds server 0, group 1 server 1; each answers from
+            // its own holdings.
+            assert_eq!(replies[0].candidates, vec![r0], "{kind:?}");
+            assert_eq!(replies[1].candidates, vec![r1], "{kind:?}");
         }
         // Reassembling candidates in scope order across the replies
         // recovers exactly what was published — the bit-parity property
@@ -197,7 +195,7 @@ fn control_queries_return_published_rows_and_balance_windows() {
             }
         }
         assert_eq!(merged, vec![r1, r0], "{kind:?}");
-        let out = b.control(&ControlMsg::Decision(ControlDecision {
+        b.decision(&ControlDecision {
             round: 1,
             grow: 1,
             shrink: 0,
@@ -206,8 +204,7 @@ fn control_queries_return_published_rows_and_balance_windows() {
                 src: 0,
                 dst: 1,
             }],
-        }));
-        assert!(out.is_empty(), "decisions return no replies");
+        });
         let w = b.window_close(1);
         assert!(w.matched, "{kind:?}: control carriage must balance");
         let s = b.stats();

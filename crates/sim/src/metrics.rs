@@ -11,32 +11,6 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// A monotonically increasing event counter.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Returns the current count.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
 /// An exact-quantile histogram that retains every sample.
 ///
 /// Simulation runs produce at most a few million samples per instrument, so
@@ -418,24 +392,11 @@ impl BusyMeter {
         self.window_start = now;
         util
     }
-
-    /// Returns the busy time accumulated so far in this window.
-    pub fn pending_busy(&self) -> SimDuration {
-        SimDuration::from_micros(self.busy_us)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn histogram_stats() {

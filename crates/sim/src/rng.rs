@@ -101,16 +101,6 @@ impl DetRng {
         (m >> 64) as u64
     }
 
-    /// Returns a uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.below(hi - lo)
-    }
-
     /// Returns a uniform index in `[0, len)` as `usize`.
     pub fn index(&mut self, len: usize) -> usize {
         self.below(len as u64) as usize

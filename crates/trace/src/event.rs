@@ -292,8 +292,10 @@ pub enum TraceEventKind {
         servers: u32,
     },
     /// The carrier's aggregated QREPLY for one GEM query: how many
-    /// candidate report rows came back and the advisory scale votes
-    /// computed from them.
+    /// candidate report rows came back and the GEM's scale votes over them
+    /// at the policy's tightest balance bounds (the vote the round counts,
+    /// folded over each balance rule's own bounds, is
+    /// [`TraceEventKind::ScaleVote`]).
     ControlQueryReply {
         /// Elasticity round (tick count).
         round: u64,
@@ -301,9 +303,9 @@ pub enum TraceEventKind {
         gem: u32,
         /// Candidate report rows carried back.
         candidates: u32,
-        /// Advisory scale-out vote over the carried candidates.
+        /// Scale-out vote over the carried candidates.
         scale_out: bool,
-        /// Advisory scale-in vote over the carried candidates.
+        /// Scale-in vote over the carried candidates.
         scale_in: bool,
     },
     /// The round's decision was broadcast over the control carriage.

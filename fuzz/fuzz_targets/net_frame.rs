@@ -163,8 +163,6 @@ fn gen_corpus(dir: &PathBuf) {
                 gem: 0,
                 round: 2,
                 generation: 3,
-                upper_bits: 0.8f64.to_bits(),
-                lower_bits: 0.3f64.to_bits(),
                 scope: vec![0, 1],
             },
         },
@@ -173,8 +171,6 @@ fn gen_corpus(dir: &PathBuf) {
                 gem: 0,
                 round: 2,
                 generation: 3,
-                vote_out: true,
-                vote_in: false,
                 candidates: vec![report],
             },
         },
