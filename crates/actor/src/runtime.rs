@@ -41,6 +41,15 @@ use crate::message::{CallerKind, Correlation, Message, Payload};
 use crate::report::{DecisionKind, DecisionRecord, MigrationRecord, RunReport};
 use crate::stats::{ActorWindowStats, ProfileSnapshot, ServerWindowStats, SnapshotDelta};
 
+/// Fixed CPU work added to every message service by profiling.
+///
+/// With [`EPR_TAX_FRAC`], calibrated so a saturated chat-room server loses
+/// ~0.5-2% of throughput to profiling, matching Table 3's 0.1-2.3% band:
+/// ~2us of bookkeeping per message plus 0.4% of handler work.
+const EPR_TAX_FIXED: f64 = 2e-6;
+/// Fractional CPU work added per unit of application work by profiling.
+const EPR_TAX_FRAC: f64 = 0.004;
+
 /// Tunable parameters of a simulation run.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
@@ -59,10 +68,6 @@ pub struct RuntimeConfig {
     pub min_residency: SimDuration,
     /// Whether the profiling runtime is enabled (Table 3 compares on/off).
     pub epr_enabled: bool,
-    /// Fixed CPU work added to every message service by profiling.
-    pub epr_tax_fixed: f64,
-    /// Fractional CPU work added per unit of application work by profiling.
-    pub epr_tax_frac: f64,
     /// Bucket width for latency series in the report.
     pub latency_bucket: SimDuration,
     /// Which execution backend carries the run (sim by default). The
@@ -81,11 +86,6 @@ impl Default for RuntimeConfig {
             elasticity_period,
             min_residency: elasticity_period,
             epr_enabled: true,
-            // Calibrated so a saturated chat-room server loses ~0.5-2% of
-            // throughput to profiling, matching Table 3's 0.1-2.3% band:
-            // ~2us of bookkeeping per message plus 0.4% of handler work.
-            epr_tax_fixed: 2e-6,
-            epr_tax_frac: 0.004,
             latency_bucket: SimDuration::from_secs(1),
             backend: BackendKind::Sim,
         }
@@ -1128,7 +1128,7 @@ impl Runtime {
                 ..
             } = ctx;
             let tax = if self.cfg.epr_enabled {
-                self.cfg.epr_tax_fixed + work * self.cfg.epr_tax_frac
+                EPR_TAX_FIXED + work * EPR_TAX_FRAC
             } else {
                 0.0
             };

@@ -535,14 +535,8 @@ pub fn run(cfg: &MediaConfig) -> MediaReport {
         })
         .collect();
     let emr_actions = (
-        report
-            .series("emr.admitted")
-            .and_then(|s| s.last())
-            .unwrap_or(0.0) as u64,
-        report
-            .series("emr.rejected")
-            .and_then(|s| s.last())
-            .unwrap_or(0.0) as u64,
+        report.scalar("emr.admitted").unwrap_or(0.0) as u64,
+        report.scalar("emr.rejected").unwrap_or(0.0) as u64,
     );
     MediaReport {
         type_spread,

@@ -539,14 +539,8 @@ pub fn run_on(
             .map(|&(t, v)| (t.as_secs_f64(), v))
             .collect(),
         final_servers: app.runtime().cluster().running_count(),
-        emr_admitted: report
-            .series("emr.admitted")
-            .and_then(|s| s.last())
-            .unwrap_or(0.0) as u64,
-        emr_rejected: report
-            .series("emr.rejected")
-            .and_then(|s| s.last())
-            .unwrap_or(0.0) as u64,
+        emr_admitted: report.scalar("emr.admitted").unwrap_or(0.0) as u64,
+        emr_rejected: report.scalar("emr.rejected").unwrap_or(0.0) as u64,
         migration_events: report
             .migrations
             .iter()

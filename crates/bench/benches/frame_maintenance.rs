@@ -18,33 +18,36 @@
 //! Before timing anything, the patched frame is checked index-for-index
 //! identical to the rebuilt one (the from-scratch builder is the
 //! correctness oracle).
+//!
+//! This stays a wall-clock gate: the patch's work is block memmoves while
+//! a rebuild re-keys and sorts, so neither an entry count nor a
+//! comparison count tracks the time the two paths take.
 
-use std::cell::Cell;
-use std::rc::Rc;
+use std::hint::black_box;
 use std::sync::Arc;
-
-use criterion::{black_box, Criterion};
+use std::time::{Duration, Instant};
 
 use plasma_actor::stats::SnapshotDelta;
 use plasma_bench::eval::synth;
 use plasma_emr::view::EvalFrame;
 
-/// Runs one benchmark and returns its measured mean ns/iter.
-fn timed<F>(c: &mut Criterion, name: &str, mut f: F) -> f64
-where
-    F: FnMut() -> usize,
-{
-    let mean = Rc::new(Cell::new(0.0));
-    let sink = Rc::clone(&mean);
-    c.bench_function(name, move |b| {
-        b.iter(|| black_box(f()));
-        sink.set(b.mean_ns);
-    });
-    mean.get()
+/// Mean ns per call of `f`, over enough calls to fill ~100 ms after one
+/// calibrating call.
+fn timed(name: &str, mut f: impl FnMut() -> usize) -> f64 {
+    let start = Instant::now();
+    black_box(f());
+    let once = start.elapsed().max(Duration::from_nanos(1));
+    let iters = (Duration::from_millis(100).as_nanos() / once.as_nanos()).clamp(1, 10_000_000);
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    let mean = start.elapsed().as_nanos() as f64 / iters as f64;
+    println!("bench {name:<20} {mean:>14.1} ns/iter ({iters} iters)");
+    mean
 }
 
 fn main() {
-    let mut c = Criterion::default();
     let mut ratios = Vec::new();
     for (label, n_servers, n_actors) in [("full", 32u32, 3000u64), ("xl", 128, 50_000)] {
         let (snap0, servers) = synth::synth_world(n_servers, n_actors, 0x504C_4153);
@@ -81,7 +84,7 @@ fn main() {
         // two steady-state deltas against a warm retained frame.
         let mut frame = patched;
         let (s0, s1, sv) = (Arc::clone(&snap0), Arc::clone(&snap1), servers.clone());
-        let patch_ns = timed(&mut c, &format!("frame_patch/{label}"), move || {
+        let patch_ns = timed(&format!("frame_patch/{label}"), move || {
             assert!(frame.apply(Arc::clone(&s1), sv.clone(), &forward));
             assert!(frame.apply(Arc::clone(&s0), sv.clone(), &backward));
             2
@@ -90,7 +93,7 @@ fn main() {
         // Rebuild: the pre-incremental per-round cost, same two generations.
         let (s0, s1, sv) = (Arc::clone(&snap0), Arc::clone(&snap1), servers.clone());
         let (ty, fu) = (types.clone(), fns.clone());
-        let rebuild_ns = timed(&mut c, &format!("frame_rebuild/{label}"), move || {
+        let rebuild_ns = timed(&format!("frame_rebuild/{label}"), move || {
             let a = EvalFrame::from_parts(Arc::clone(&s1), sv.clone(), ty.clone(), fu.clone());
             let b = EvalFrame::from_parts(Arc::clone(&s0), sv.clone(), ty.clone(), fu.clone());
             black_box(a.generation() as usize + b.generation() as usize)

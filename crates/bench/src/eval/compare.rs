@@ -6,9 +6,11 @@
 //! (the decision digest) regresses on any difference; informational
 //! metrics are reported but never gate. Scenarios missing from the current
 //! set fail the comparison (a silently dropped benchmark is itself a
-//! regression), and so do gated metrics missing from a compared scenario;
-//! scenarios and metrics new in the current set, and informational
-//! metrics that disappeared, are reported as notes.
+//! regression), and so do gated metrics missing from a compared scenario
+//! and `higher` gates whose baseline is 0.0 (no value can fall below it,
+//! so the gate could never fire); scenarios and metrics new in the current
+//! set, and informational metrics that disappeared, are reported as
+//! notes.
 
 use std::collections::BTreeMap;
 
@@ -40,6 +42,9 @@ pub enum DiffKind {
     /// A gated (`lower`, `higher` or `exact`) baseline metric absent from
     /// the current set — fails the gate.
     Dropped,
+    /// A `higher` gate whose baseline is 0.0, which no value can fall
+    /// below — fails the gate until the baseline is made `info` or fixed.
+    Dead,
     /// An informational baseline metric absent from the current set.
     OnlyInBaseline,
     /// Present in the current set only.
@@ -81,16 +86,21 @@ pub struct CompareReport {
 }
 
 impl CompareReport {
-    /// Number of regressed or dropped gated metrics.
+    /// Number of regressed, dropped or dead gated metrics.
     pub fn regressions(&self) -> usize {
         self.diffs
             .iter()
-            .filter(|d| matches!(d.kind, DiffKind::Regressed | DiffKind::Dropped))
+            .filter(|d| {
+                matches!(
+                    d.kind,
+                    DiffKind::Regressed | DiffKind::Dropped | DiffKind::Dead
+                )
+            })
             .count()
     }
 
-    /// Whether the gate passes: no regressions, no dropped gated metrics,
-    /// no dropped scenarios, no identity mismatches.
+    /// Whether the gate passes: no regressions, no dropped or dead gated
+    /// metrics, no dropped scenarios, no identity mismatches.
     pub fn passed(&self) -> bool {
         self.regressions() == 0
             && self.missing_scenarios.is_empty()
@@ -125,6 +135,10 @@ impl CompareReport {
                 ),
                 DiffKind::Dropped => format!(
                     "  DROPPED   {}/{}: gated metric absent from current results\n",
+                    d.scenario, d.metric
+                ),
+                DiffKind::Dead => format!(
+                    "  DEAD      {}/{}: higher gate on a 0.0 baseline can never fire\n",
                     d.scenario, d.metric
                 ),
                 DiffKind::OnlyInBaseline => format!(
@@ -165,6 +179,9 @@ impl CompareReport {
 /// Classifies one metric pair under `threshold`.
 fn classify(direction: Direction, baseline: f64, current: f64, threshold: f64) -> (f64, DiffKind) {
     let rel = (current - baseline) / baseline.abs().max(1e-9);
+    if direction == Direction::Higher && baseline == 0.0 {
+        return (rel, DiffKind::Dead);
+    }
     if direction == Direction::Exact {
         let kind = if current == baseline {
             DiffKind::Unchanged
@@ -451,6 +468,23 @@ mod tests {
         // 0 -> large is still caught.
         let bad = vec![result("x", &[("m", 5.0, Direction::Lower)])];
         assert!(!compare(&base, &bad, CompareOptions::default()).passed());
+    }
+
+    #[test]
+    fn higher_gates_at_zero_are_dead() {
+        let base = vec![result("x", &[("m", 0.0, Direction::Higher)])];
+        for current in [0.0, 5.0] {
+            let cur = vec![result("x", &[("m", current, Direction::Higher)])];
+            let report = compare(&base, &cur, CompareOptions::default());
+            assert!(!report.passed(), "current {current}");
+            assert_eq!(report.regressions(), 1);
+            assert!(report
+                .render(0.10)
+                .contains("DEAD      x/m: higher gate on a 0.0 baseline can never fire"));
+        }
+        // The same metric as `info` passes.
+        let info = vec![result("x", &[("m", 0.0, Direction::Info)])];
+        assert!(compare(&info, &info.clone(), CompareOptions::default()).passed());
     }
 
     #[test]

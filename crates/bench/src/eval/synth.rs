@@ -1,11 +1,12 @@
-//! Synthetic evaluation worlds for the indexed-evaluator benchmarks.
+//! Synthetic evaluation worlds for the `eval-engine` scenario and the
+//! `frame_maintenance` bench.
 //!
 //! Builds a large profiling snapshot directly through
-//! `EvalFrame::from_parts` — no simulation — so the `eval_hotpath`
-//! Criterion bench and the `eval-engine` scenario measure *only* the rule
-//! evaluator. Everything derives from a fixed seed via splitmix64, so the
-//! world (and therefore every env count) is identical across runs and
-//! machines.
+//! `EvalFrame::from_parts` — no simulation — so the scenario's env and row
+//! counts measure *only* the rule evaluator, and the bench only frame
+//! maintenance. Everything derives from a fixed seed via splitmix64, so the
+//! world (and therefore every env and row count) is identical across runs
+//! and machines.
 
 use std::collections::BTreeMap;
 

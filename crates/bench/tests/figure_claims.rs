@@ -1,43 +1,57 @@
-//! Guards the checked-in paper-figure baselines (`baselines/figures/`).
+//! Guards the checked-in baselines (`baselines/*/`).
 //!
-//! Every `claim_*` scalar must be 1, so a verdict that flips cannot be
-//! blessed by regenerating its baseline: EXPERIMENTS.md rewords a verdict
-//! that no longer holds instead. No `higher` gate may sit at 0.0, where
-//! `compare` can never see it regress (these metrics never go below 0).
+//! Every `claim_*` scalar must be 1, and every paper figure records at
+//! least one, so a verdict that flips cannot be blessed by regenerating its
+//! baseline: EXPERIMENTS.md rewords a verdict that no longer holds instead.
+//! No `higher` gate may sit at 0.0, where `compare` can never see it
+//! regress (these metrics never go below 0).
 
+use std::path::Path;
 use std::str::FromStr;
 
 use plasma_bench::eval::{run_figure, Direction, ScenarioResult, FIGURES};
 
-const FIGURES_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines/figures");
+const BASELINES_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines");
 
-fn baseline(name: &str) -> (String, ScenarioResult) {
-    let path = format!("{FIGURES_DIR}/BENCH_{name}.json");
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+fn read(path: &Path) -> (String, ScenarioResult) {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
     let result = ScenarioResult::from_str(&text).expect("baseline parses");
     (text, result)
 }
 
+fn baseline(name: &str) -> (String, ScenarioResult) {
+    read(&Path::new(BASELINES_DIR).join(format!("figures/BENCH_{name}.json")))
+}
+
 #[test]
 fn every_claim_holds_and_every_higher_gate_can_fire() {
-    let files = std::fs::read_dir(FIGURES_DIR).unwrap().count();
+    let figures = Path::new(BASELINES_DIR).join("figures");
+    let files = std::fs::read_dir(figures).unwrap().count();
     assert_eq!(files, FIGURES.len(), "one baseline per figure scenario");
     for spec in FIGURES {
         let (_, result) = baseline(spec.name);
         assert_eq!(result.scenario, spec.name);
-        let mut claims = 0;
-        for (name, m) in &result.metrics {
-            if name.starts_with("claim_") {
-                claims += 1;
-                assert_eq!(m.direction, Direction::Exact, "{}/{name}", spec.name);
-                assert_eq!(m.value, 1.0, "{}/{name}: verdict does not hold", spec.name);
-            }
-            if m.direction == Direction::Higher {
-                assert!(m.value > 0.0, "{}/{name}: higher gate at 0.0", spec.name);
-            }
-        }
-        assert!(claims > 0, "{} records no verdict", spec.name);
+        let has_claim = result.metrics.iter().any(|(n, _)| n.starts_with("claim_"));
+        assert!(has_claim, "{} records no verdict", spec.name);
     }
+    let mut checked = 0;
+    for dir in std::fs::read_dir(BASELINES_DIR).unwrap() {
+        for file in std::fs::read_dir(dir.unwrap().path()).unwrap() {
+            let path = file.unwrap().path();
+            let (_, result) = read(&path);
+            for (name, m) in &result.metrics {
+                if name.starts_with("claim_") {
+                    assert_eq!(m.direction, Direction::Exact, "{path:?} {name}");
+                    assert_eq!(m.value, 1.0, "{path:?} {name}: verdict does not hold");
+                }
+                if m.direction == Direction::Higher {
+                    assert!(m.value > 0.0, "{path:?} {name}: higher gate at 0.0");
+                }
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > FIGURES.len(), "only {checked} baselines read");
 }
 
 #[test]

@@ -31,7 +31,7 @@ use plasma_trace::{Component, EventId, TraceEventKind, Tracer};
 
 use crate::action::{resolve_conflicts, Action, ActionKind, RuleStat};
 use crate::eval::BoundPolicy;
-use crate::gem::{Bounds, GemConfig};
+use crate::gem::Bounds;
 use crate::view::{EvalCtx, EvalFrame};
 use crate::{gem, lem};
 
@@ -65,12 +65,8 @@ pub struct EmrConfig {
     /// Number of GEMs (the paper runs several for scalability and fault
     /// tolerance, §5.7).
     pub num_gems: usize,
-    /// Fallback watermarks for rules that state none.
-    pub default_bounds: Bounds,
     /// Maximum migrations one `balance` invocation may plan per round.
     pub max_balance_moves: usize,
-    /// Minimum utilization gap for a balance move.
-    pub min_gap: f64,
     /// Whether the EMR may grow/shrink the cluster.
     pub auto_scale: bool,
     /// Flavor provisioned on scale-out.
@@ -88,9 +84,7 @@ impl Default for EmrConfig {
     fn default() -> Self {
         EmrConfig {
             num_gems: 1,
-            default_bounds: Bounds::DEFAULT,
             max_balance_moves: 8,
-            min_gap: 0.10,
             auto_scale: false,
             scale_instance: InstanceType::m1_small(),
             scale_in_step: 2,
@@ -123,8 +117,6 @@ struct Round {
 pub struct EmrStats {
     /// Elasticity rounds executed.
     pub ticks: u64,
-    /// Actions planned (pre conflict resolution).
-    pub planned: u64,
     /// Migrations admitted and issued.
     pub admitted: u64,
     /// Actions dropped by admission control or migration guards.
@@ -133,13 +125,9 @@ pub struct EmrStats {
     pub scale_outs: u64,
     /// Scale-in (decommission) events.
     pub scale_ins: u64,
-    /// Plan→apply round-trips completed.
+    /// Plan→apply round-trips completed. Each one's decision latency is a
+    /// point of the `emr.decision_latency_ms` series.
     pub rounds_applied: u64,
-    /// Total simulated plan→apply decision latency over applied rounds, in
-    /// milliseconds (the LEM→GEM→LEM control loop of Alg. 1).
-    pub decision_latency_ms_total: f64,
-    /// Worst simulated plan→apply decision latency, in milliseconds.
-    pub decision_latency_ms_max: f64,
     /// Rounds whose apply phase ran against a newer snapshot generation
     /// than the one it was planned from (a profiling window — or an
     /// injected snapshot-skew fault — closed mid-round).
@@ -267,11 +255,11 @@ impl PlasmaEmr {
     /// The tightest balance-rule bounds in the policy (used for admission
     /// and scaling decisions).
     fn policy_bounds(&self) -> Bounds {
-        let mut bounds = self.cfg.default_bounds;
+        let mut bounds = Bounds::DEFAULT;
         for rule in &self.policy.rules {
             for cb in &rule.behaviors {
                 if let Behavior::Balance { res, .. } = &cb.behavior {
-                    let b = gem::extract_bounds(&rule.cond, *res, self.cfg.default_bounds);
+                    let b = gem::extract_bounds(&rule.cond, *res);
                     bounds = Bounds {
                         upper: bounds.upper.min(b.upper),
                         lower: bounds.lower.max(b.lower),
@@ -347,11 +335,6 @@ impl PlasmaEmr {
         }
         let tracer = rt.tracer().clone();
         let trace_now = rt.now();
-        let gem_cfg = GemConfig {
-            default_bounds: self.cfg.default_bounds,
-            max_balance_moves: self.cfg.max_balance_moves,
-            min_gap: self.cfg.min_gap,
-        };
         // Standing reservations persist while their actor lives on its
         // dedicated home; entries for dead or drifted actors are pruned, so
         // idle dedicated servers become reclaimable on scale-in.
@@ -441,18 +424,20 @@ impl PlasmaEmr {
                     "wire-carried candidates must reproduce the shared-snapshot \
                      rows (round {round_no}, gem {gem_idx})"
                 );
-                let (adv_out, adv_in) = gem::scale_votes(&ctx, bounds);
                 tracer.emit(trace_now, Component::Gem, query_ev, || {
                     TraceEventKind::ControlQueryReply {
                         round: round_no,
                         gem: gem_idx as u32,
                         candidates: merged.len() as u32,
-                        scale_out: adv_out,
-                        scale_in: adv_in,
                     }
                 });
                 consumers += 1;
-                let mut plan = gem::plan(&bound, &ctx, &gem_cfg, &self.reserved_servers);
+                let mut plan = gem::plan(
+                    &bound,
+                    &ctx,
+                    self.cfg.max_balance_moves,
+                    &self.reserved_servers,
+                );
                 Self::trace_rule_events(
                     &tracer,
                     trace_now,
@@ -517,7 +502,6 @@ impl PlasmaEmr {
         }
         self.pinned = new_pins;
         all_actions.extend(lem_plan.actions);
-        self.stats.planned += all_actions.len() as u64;
 
         // Scaling by GEM majority vote (§4.2). Unplaced reserves justify
         // provisioning several servers in one round; the all-overloaded
@@ -807,11 +791,7 @@ impl PlasmaEmr {
         });
         let decision_ms = trace_now.saturating_since(round.planned_at).as_secs_f64() * 1e3;
         self.stats.rounds_applied += 1;
-        self.stats.decision_latency_ms_total += decision_ms;
-        self.stats.decision_latency_ms_max = self.stats.decision_latency_ms_max.max(decision_ms);
         rt.record_custom("emr.decision_latency_ms", decision_ms);
-        rt.record_custom("emr.admitted", self.stats.admitted as f64);
-        rt.record_custom("emr.rejected", self.stats.rejected as f64);
         self.export_stats(rt);
     }
 
@@ -820,7 +800,6 @@ impl PlasmaEmr {
     fn export_stats(&self, rt: &mut Runtime) {
         let s = &self.stats;
         rt.record_scalar("emr.ticks", s.ticks as f64);
-        rt.record_scalar("emr.planned", s.planned as f64);
         rt.record_scalar("emr.admitted", s.admitted as f64);
         rt.record_scalar("emr.rejected", s.rejected as f64);
         rt.record_scalar("emr.scale_outs", s.scale_outs as f64);
@@ -828,15 +807,6 @@ impl PlasmaEmr {
         rt.record_scalar("emr.rounds_applied", s.rounds_applied as f64);
         rt.record_scalar("emr.snapshot_reuse", s.snapshot_reuse as f64);
         rt.record_scalar("emr.snapshot_skew_rounds", s.snapshot_skew_rounds as f64);
-        rt.record_scalar("emr.decision_latency_ms_max", s.decision_latency_ms_max);
-        rt.record_scalar(
-            "emr.decision_latency_ms_mean",
-            if s.rounds_applied == 0 {
-                0.0
-            } else {
-                s.decision_latency_ms_total / s.rounds_applied as f64
-            },
-        );
         // Appended after every pre-existing scalar so reports stay
         // byte-comparable to older baselines apart from these lines.
         rt.record_scalar("emr.frame_rebuilds", s.frame_rebuilds as f64);

@@ -26,7 +26,8 @@
 //! [`EvalCtx`] indexes — including `partition_point` pruning for CPU
 //! threshold predicates. The pre-plan evaluator survives in [`naive`] as
 //! the test oracle; both produce identical environment sets, which the
-//! oracle's property tests pin.
+//! oracle's property tests pin, and the `eval-engine` scenario compares the
+//! actor rows each one reads.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -636,14 +637,15 @@ pub fn expand_behavior_ref(aref: BehaviorRef, env: &Env, ctx: &EvalCtx<'_>) -> V
         .collect()
 }
 
-/// The pre-plan evaluator, retained as the test oracle.
+/// The pre-plan evaluator, retained as the semantic oracle.
 ///
 /// This walks the rule's raw AST condition left to right, resolves names
 /// through string lookups per predicate, and enumerates candidates by
 /// scanning the full in-scope actor list — no plans, no symbol binding, no
 /// indexes. Property tests assert its environment sets match
-/// [`solve`] exactly.
-#[cfg(any(test, feature = "naive-oracle"))]
+/// [`solve`] exactly, and the `eval-engine` scenario gates the indexed
+/// solver's [`EvalCtx::rows_examined`](crate::view::EvalCtx::rows_examined)
+/// against this walker's.
 pub mod naive {
     use super::{dedupe, Env};
     use plasma_actor::ids::ActorId;
@@ -915,6 +917,80 @@ pub mod naive {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `actor.cpu.perc > X` is answered from the cpu-sorted index: the
+    /// context hands the solver exactly the actors past the threshold,
+    /// while the naive walker reads every in-scope row.
+    #[test]
+    fn cpu_threshold_reads_only_its_slice() {
+        use std::collections::BTreeMap;
+        use std::sync::Arc;
+
+        use plasma_actor::ids::ActorTypeId;
+        use plasma_actor::stats::{ActorCounters, ProfileSnapshot};
+        use plasma_sim::{SimDuration, SimTime};
+
+        use crate::view::ServerMeta;
+
+        let servers: Vec<ServerMeta> = (0..2)
+            .map(|i| ServerMeta {
+                id: ServerId(i),
+                total_speed: 1.0,
+                vcpus: 1,
+                mem_bytes: 1 << 30,
+                net_bps: 1e9,
+                cpu: 0.5,
+                mem: 0.0,
+                net: 0.0,
+                actor_count: 10,
+            })
+            .collect();
+        // Twenty actors alternating T0/T1 over two servers; actor `i` reads
+        // `cpu.perc` = 5 * i, so three T0 actors (14, 16, 18) pass `> 65`.
+        let actors = (0..20u64)
+            .map(|i| ActorWindowStats {
+                actor: ActorId(i),
+                type_id: ActorTypeId((i % 2) as u32),
+                server: ServerId((i / 2 % 2) as u32),
+                state_size: 0,
+                pinned: false,
+                cpu_share: i as f64 * 0.05,
+                counters: ActorCounters::default(),
+                refs: Default::default(),
+            })
+            .collect();
+        let snap = ProfileSnapshot {
+            generation: 1,
+            at: SimTime::from_secs(1),
+            window: SimDuration::from_secs(1),
+            actors,
+            servers: Vec::new(),
+        };
+        let types = [("T0", 0), ("T1", 1)]
+            .into_iter()
+            .map(|(t, i)| (t.to_string(), ActorTypeId(i)))
+            .collect();
+        let frame = EvalFrame::from_parts(Arc::new(snap), servers, types, BTreeMap::new());
+        let mut schema = plasma_epl::ActorSchema::new();
+        schema.actor_type("T0");
+        schema.actor_type("T1");
+        let policy = plasma_epl::compile("T0(a).cpu.perc > 65 => reserve(a, cpu);", &schema)
+            .expect("rule compiles");
+        let rule = &policy.rules[0];
+        let scope = [ServerId(0), ServerId(1)];
+
+        let ctx = EvalCtx::scoped(&frame, &scope);
+        let envs = solve_bound(&BoundRule::bind(rule, &frame), &ctx);
+        let passing: Vec<Option<ActorId>> =
+            [14, 16, 18].iter().map(|&i| Some(ActorId(i))).collect();
+        let bound: Vec<Option<ActorId>> = envs.iter().map(|e| e.var(0)).collect();
+        assert_eq!(bound, passing);
+        assert_eq!(ctx.rows_examined(), 3, "only the threshold slice is read");
+
+        let naive_ctx = EvalCtx::scoped(&frame, &scope);
+        assert_eq!(naive::solve(rule, &naive_ctx), envs);
+        assert_eq!(naive_ctx.rows_examined(), 20, "the walker scans every row");
+    }
 
     /// Inline and spilled environments order exactly like
     /// `(server, Vec<Option<ActorId>>)` pairs, the order action planning

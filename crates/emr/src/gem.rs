@@ -35,18 +35,22 @@ impl Bounds {
     };
 }
 
+/// Minimum utilization gap between source and destination for a balance
+/// move to be worthwhile.
+const MIN_GAP: f64 = 0.10;
+
 /// Extracts the `server.res` watermarks mentioned in a condition.
 ///
 /// `server.cpu.perc > 80 or server.cpu.perc < 60` yields
-/// `upper = 0.8, lower = 0.6`. Missing sides fall back to `defaults`.
-/// The extraction itself (last mention wins) lives in the EPL crate's
-/// verifier metadata so the GEM and the policy verifier read the same
-/// watermarks from the same condition.
-pub fn extract_bounds(cond: &Cond, res: Res, defaults: Bounds) -> Bounds {
+/// `upper = 0.8, lower = 0.6`. Missing sides fall back to
+/// [`Bounds::DEFAULT`]. The extraction itself (last mention wins) lives in
+/// the EPL crate's verifier metadata so the GEM and the policy verifier
+/// read the same watermarks from the same condition.
+pub fn extract_bounds(cond: &Cond, res: Res) -> Bounds {
     let band = plasma_epl::verify::meta::server_band(cond, res);
     Bounds {
-        upper: band.upper.map_or(defaults.upper, |p| p / 100.0),
-        lower: band.lower.map_or(defaults.lower, |p| p / 100.0),
+        upper: band.upper.map_or(Bounds::DEFAULT.upper, |p| p / 100.0),
+        lower: band.lower.map_or(Bounds::DEFAULT.lower, |p| p / 100.0),
     }
 }
 
@@ -69,34 +73,13 @@ pub struct GemPlan {
     pub rule_stats: Vec<RuleStat>,
 }
 
-/// Configuration for GEM planning.
-#[derive(Clone, Copy, Debug)]
-pub struct GemConfig {
-    /// Fallback watermarks for rules that state none.
-    pub default_bounds: Bounds,
-    /// Maximum migrations one `balance` invocation may plan (the paper
-    /// migrates gradually, §4.3).
-    pub max_balance_moves: usize,
-    /// Minimum utilization gap between source and destination for a
-    /// balance move to be worthwhile.
-    pub min_gap: f64,
-}
-
-impl Default for GemConfig {
-    fn default() -> Self {
-        GemConfig {
-            default_bounds: Bounds::DEFAULT,
-            max_balance_moves: 8,
-            min_gap: 0.10,
-        }
-    }
-}
-
 /// Plans resource-rule actions over the GEM's managed scope.
+/// `max_balance_moves` caps the migrations one `balance` invocation may
+/// plan (the paper migrates gradually, §4.3).
 pub fn plan(
     policy: &BoundPolicy<'_>,
     ctx: &EvalCtx<'_>,
-    cfg: &GemConfig,
+    max_balance_moves: usize,
     reserved_servers: &BTreeSet<ServerId>,
 ) -> GemPlan {
     let mut plan = GemPlan::default();
@@ -126,11 +109,11 @@ pub fn plan(
         for (cb, refs) in bound.behaviors() {
             match &cb.behavior {
                 Behavior::Balance { types, res } => {
-                    let bounds = extract_bounds(&rule.cond, *res, cfg.default_bounds);
+                    let bounds = extract_bounds(&rule.cond, *res);
                     plan_balance(
                         &mut plan,
                         ctx,
-                        cfg,
+                        max_balance_moves,
                         rule,
                         types,
                         *res,
@@ -142,7 +125,7 @@ pub fn plan(
                     );
                 }
                 Behavior::Reserve { res, .. } => {
-                    let bounds = extract_bounds(&rule.cond, *res, cfg.default_bounds);
+                    let bounds = extract_bounds(&rule.cond, *res);
                     let mut targets: BTreeSet<ActorId> = BTreeSet::new();
                     for env in &envs {
                         targets.extend(expand_behavior_ref(refs[0], env, ctx));
@@ -179,7 +162,7 @@ pub fn plan(
 /// available server to host additional workload, PLASMA has no choice but
 /// to spawn a new server"). Scale-in fires when every server is under the
 /// lower watermark.
-pub fn scale_votes(ctx: &EvalCtx<'_>, bounds: Bounds) -> (bool, bool) {
+fn scale_votes(ctx: &EvalCtx<'_>, bounds: Bounds) -> (bool, bool) {
     if ctx.servers.is_empty() {
         return (false, false);
     }
@@ -193,7 +176,7 @@ pub fn scale_votes(ctx: &EvalCtx<'_>, bounds: Bounds) -> (bool, bool) {
 fn plan_balance(
     plan: &mut GemPlan,
     ctx: &EvalCtx<'_>,
-    cfg: &GemConfig,
+    max_moves: usize,
     rule: &CompiledRule,
     types: &[AType],
     res: Res,
@@ -205,7 +188,7 @@ fn plan_balance(
 ) {
     let ridx = res_index(res);
     let sels: Vec<TypeSel> = types.iter().map(|t| ctx.type_sel(t)).collect();
-    for _ in 0..cfg.max_balance_moves {
+    for _ in 0..max_moves {
         // Source: the most loaded server; prefer ones above the upper bound.
         let Some(src) = ctx
             .servers
@@ -235,7 +218,7 @@ fn plan_balance(
         let src_u = projected[&src.id][ridx];
         let dst_u = projected[&dst.id][ridx];
         let triggered = src_u > bounds.upper || dst_u < bounds.lower;
-        if !triggered || src_u - dst_u < cfg.min_gap {
+        if !triggered || src_u - dst_u < MIN_GAP {
             break;
         }
         // Actor demand transfers scaled by relative server speed.
@@ -390,7 +373,7 @@ mod tests {
         let policy =
             parse_policy("server.cpu.perc > 80 or server.cpu.perc < 60 => balance({W}, cpu);")
                 .unwrap();
-        let b = extract_bounds(&policy.rules[0].cond, Res::Cpu, Bounds::DEFAULT);
+        let b = extract_bounds(&policy.rules[0].cond, Res::Cpu);
         assert_eq!(
             b,
             Bounds {
@@ -403,7 +386,7 @@ mod tests {
     #[test]
     fn bounds_extraction_one_side_uses_default() {
         let policy = parse_policy("server.cpu.perc < 50 => balance({W}, cpu);").unwrap();
-        let b = extract_bounds(&policy.rules[0].cond, Res::Cpu, Bounds::DEFAULT);
+        let b = extract_bounds(&policy.rules[0].cond, Res::Cpu);
         assert_eq!(b.lower, 0.5);
         assert_eq!(b.upper, Bounds::DEFAULT.upper);
     }
@@ -411,7 +394,7 @@ mod tests {
     #[test]
     fn bounds_ignore_other_resources() {
         let policy = parse_policy("server.net.perc > 90 => balance({W}, cpu);").unwrap();
-        let b = extract_bounds(&policy.rules[0].cond, Res::Cpu, Bounds::DEFAULT);
+        let b = extract_bounds(&policy.rules[0].cond, Res::Cpu);
         assert_eq!(b, Bounds::DEFAULT);
     }
 }

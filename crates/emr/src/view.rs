@@ -33,7 +33,7 @@
 //! a patched frame is index-for-index identical to a rebuilt one, which
 //! the churn property tests assert.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -926,7 +926,6 @@ impl EvalFrame {
     /// Asserts this frame's indexes are identical — contents *and* order —
     /// to `oracle`'s (a frame freshly rebuilt from the same snapshot and
     /// scope). Used by the churn property tests and the maintenance bench.
-    #[cfg(any(test, feature = "naive-oracle"))]
     pub fn assert_same_indexes(&self, oracle: &EvalFrame) {
         assert_eq!(self.snap.generation, oracle.snap.generation, "generation");
         assert_eq!(self.servers, oracle.servers, "server metadata");
@@ -968,6 +967,8 @@ pub struct EvalCtx<'a> {
     /// In-scope actor rows, in id order; built on the first
     /// [`EvalCtx::actors`] call, since most rounds never need the list.
     actors: OnceCell<Vec<&'a ActorWindowStats>>,
+    /// Actor rows handed out so far; see [`EvalCtx::rows_examined`].
+    rows: Cell<u64>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -1005,7 +1006,21 @@ impl<'a> EvalCtx<'a> {
             servers,
             scope,
             actors: OnceCell::new(),
+            rows: Cell::new(0),
         }
+    }
+
+    /// How many actor rows this context has handed its callers: every row
+    /// returned by [`EvalCtx::actors`], [`EvalCtx::actors_matching`] and
+    /// the index selections, plus every [`EvalCtx::actor`] hit. A
+    /// deterministic measure of evaluator work: the indexed solver and the
+    /// naive walker read the same rows through the same accessors.
+    pub fn rows_examined(&self) -> u64 {
+        self.rows.get()
+    }
+
+    fn hand_out(&self, rows: usize) {
+        self.rows.set(self.rows.get() + rows as u64);
     }
 
     pub(crate) fn frame(&self) -> &'a EvalFrame {
@@ -1026,6 +1041,12 @@ impl<'a> EvalCtx<'a> {
 
     /// Returns every in-scope actor, in id order.
     pub fn actors(&self) -> &[&'a ActorWindowStats] {
+        let rows = self.in_scope_rows();
+        self.hand_out(rows.len());
+        rows
+    }
+
+    fn in_scope_rows(&self) -> &[&'a ActorWindowStats] {
         self.actors.get_or_init(|| {
             self.frame
                 .snap
@@ -1040,6 +1061,7 @@ impl<'a> EvalCtx<'a> {
     pub fn actor(&self, id: ActorId) -> Option<&'a ActorWindowStats> {
         let a = self.frame.lookup(id)?;
         if self.in_scope(a.server) {
+            self.hand_out(1);
             Some(a)
         } else {
             None
@@ -1089,10 +1111,10 @@ impl<'a> EvalCtx<'a> {
         on_server: Option<ServerId>,
     ) -> Vec<&'a ActorWindowStats> {
         let frame = self.frame;
-        match (sel, on_server) {
+        let rows: Vec<_> = match (sel, on_server) {
             (TypeSel::Unknown, _) => Vec::new(),
             (_, Some(s)) if !self.in_scope(s) => Vec::new(),
-            (TypeSel::Any, None) => self.actors().to_vec(),
+            (TypeSel::Any, None) => self.in_scope_rows().to_vec(),
             (sel, on_server @ Some(_)) => frame
                 .group(sel, on_server, false)
                 .iter()
@@ -1109,7 +1131,9 @@ impl<'a> EvalCtx<'a> {
                         .collect(),
                 }
             }
-        }
+        };
+        self.hand_out(rows.len());
+        rows
     }
 
     /// Threshold-pruned enumeration for `actor.cpu.perc comp val`
@@ -1146,10 +1170,13 @@ impl<'a> EvalCtx<'a> {
             Comp::Lt | Comp::Le => &group.ids[..group.keys.partition_point(pass)],
         };
         let needs_scope_filter = on_server.is_none() && self.scope.is_some();
-        hits.iter()
+        let rows: Vec<_> = hits
+            .iter()
             .filter_map(|&id| frame.lookup(id))
             .filter(|a| !needs_scope_filter || self.in_scope(a.server))
-            .collect()
+            .collect();
+        self.hand_out(rows.len());
+        rows
     }
 
     /// Returns an actor's utilization fraction of its server for `res`.

@@ -292,10 +292,8 @@ pub enum TraceEventKind {
         servers: u32,
     },
     /// The carrier's aggregated QREPLY for one GEM query: how many
-    /// candidate report rows came back and the GEM's scale votes over them
-    /// at the policy's tightest balance bounds (the vote the round counts,
-    /// folded over each balance rule's own bounds, is
-    /// [`TraceEventKind::ScaleVote`]).
+    /// candidate report rows came back. The GEM's vote over them is
+    /// [`TraceEventKind::ScaleVote`].
     ControlQueryReply {
         /// Elasticity round (tick count).
         round: u64,
@@ -303,10 +301,6 @@ pub enum TraceEventKind {
         gem: u32,
         /// Candidate report rows carried back.
         candidates: u32,
-        /// Scale-out vote over the carried candidates.
-        scale_out: bool,
-        /// Scale-in vote over the carried candidates.
-        scale_in: bool,
     },
     /// The round's decision was broadcast over the control carriage.
     ControlDecisionIssued {

@@ -173,13 +173,10 @@ fn push_kind_fields(out: &mut String, kind: &TraceEventKind) {
             round,
             gem,
             candidates,
-            scale_out,
-            scale_in,
         } => {
             let _ = write!(
                 out,
-                "\"round\":{round},\"gem\":{gem},\"candidates\":{candidates},\
-                 \"scale_out\":{scale_out},\"scale_in\":{scale_in}"
+                "\"round\":{round},\"gem\":{gem},\"candidates\":{candidates}"
             );
         }
         TraceEventKind::ControlDecisionIssued {

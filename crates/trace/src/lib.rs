@@ -38,7 +38,7 @@ pub mod record;
 pub use audit::{explain, render_explanation};
 pub use event::{Category, CategorySet, Component, EventId, TraceEvent, TraceEventKind};
 pub use export::{results_dir, to_chrome_trace, to_jsonl, write_under};
-pub use record::{Recorder, Subscriber, TraceConfig, Tracer};
+pub use record::{Recorder, TraceConfig, Tracer};
 
 impl Tracer {
     /// Renders the retained events as JSON Lines (see [`export::to_jsonl`]).

@@ -4,8 +4,8 @@
 //! The design goal is *zero cost when disabled*: a disabled [`Tracer`] is a
 //! `None`, so `emit` is a single branch and the event-construction closure
 //! is never evaluated. When enabled, events pass a per-category filter, get
-//! a sequential id, notify subscribers, and land in a fixed-capacity ring
-//! buffer (oldest events are evicted first and counted).
+//! a sequential id, and land in a fixed-capacity ring buffer (oldest events
+//! are evicted first and counted).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -57,12 +57,6 @@ impl TraceConfig {
     }
 }
 
-/// A sink notified of every recorded event, in emission order.
-pub trait Subscriber: Send {
-    /// Called for each event that passes the category filter.
-    fn on_event(&mut self, event: &TraceEvent);
-}
-
 /// The bounded event store behind an enabled [`Tracer`].
 pub struct Recorder {
     filter: CategorySet,
@@ -70,7 +64,6 @@ pub struct Recorder {
     next_id: u64,
     dropped: u64,
     buf: VecDeque<TraceEvent>,
-    subscribers: Vec<Box<dyn Subscriber>>,
 }
 
 impl Recorder {
@@ -81,7 +74,6 @@ impl Recorder {
             next_id: 1,
             dropped: 0,
             buf: VecDeque::new(),
-            subscribers: Vec::new(),
         }
     }
 
@@ -104,9 +96,6 @@ impl Recorder {
             parent,
             kind,
         };
-        for sub in &mut self.subscribers {
-            sub.on_event(&event);
-        }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -169,18 +158,6 @@ impl Tracer {
         let inner = self.inner.as_ref()?;
         let mut rec = inner.lock().unwrap_or_else(|e| e.into_inner());
         rec.record(at, component, parent, kind())
-    }
-
-    /// Registers a subscriber notified of every recorded event.
-    /// No-op when disabled.
-    pub fn subscribe(&self, sub: Box<dyn Subscriber>) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .subscribers
-                .push(sub);
-        }
     }
 
     /// Returns a snapshot of the retained events, in emission order.
@@ -285,23 +262,5 @@ mod tests {
             TraceEventKind::ServerDrain { server: 0 }
         });
         assert_eq!(b, Some(EventId(1)), "filtered events consume no ids");
-    }
-
-    #[test]
-    fn subscribers_see_recorded_events() {
-        struct Count(std::sync::Arc<std::sync::atomic::AtomicUsize>);
-        impl Subscriber for Count {
-            fn on_event(&mut self, _event: &TraceEvent) {
-                self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            }
-        }
-        let seen = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let t = Tracer::new(TraceConfig::default().without(Category::Actor));
-        t.subscribe(Box::new(Count(seen.clone())));
-        t.emit(SimTime::ZERO, Component::Runtime, None, || ev(0)); // Filtered.
-        t.emit(SimTime::ZERO, Component::Runtime, None, || {
-            TraceEventKind::ServerDrain { server: 0 }
-        });
-        assert_eq!(seen.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 }
