@@ -255,16 +255,6 @@ impl ProfileSnapshot {
     }
 }
 
-/// Churn threshold for reporting an actor's `cpu_share` as changed between
-/// two generations.
-///
-/// This must stay `0.0` as long as consumers patch cpu-sorted indexes from
-/// deltas: the EMR's `partition_point` threshold pruning relies on the
-/// retained order being *exactly* the order a full re-sort of the current
-/// generation would produce, so every bitwise change has to be reported. A
-/// nonzero epsilon would trade that exactness for smaller deltas.
-pub const CPU_DELTA_EPSILON: f64 = 0.0;
-
 /// What changed between two consecutive profiling snapshots.
 ///
 /// Emitted by the runtime alongside every generation bump, derived from the
@@ -272,9 +262,10 @@ pub const CPU_DELTA_EPSILON: f64 = 0.0;
 /// cluster lifecycle journal: a server enters when it starts running and
 /// leaves when it stops, crashes, or is decommissioned). Consumers use
 /// deltas to patch retained indexes in place instead of rebuilding them —
-/// only `server`, `type_id`, and `cpu_share` feed indexes, so those are the
-/// only per-actor stats diffed; everything else is read straight from the
-/// current snapshot. Reference maps are not diffed by content: a row whose
+/// only `server` and `type_id` feed retained indexes, and an actor's type
+/// never changes, so `server` is the only per-actor stat diffed; everything
+/// else, `cpu_share` included, is read straight from the current snapshot.
+/// Reference maps are not diffed by content: a row whose
 /// [`RefMap`] no longer shares the previous row's map is listed in
 /// `refs_changed`, which is what lets the EMR keep the pairs of `in ref`
 /// rules across rounds.
@@ -297,9 +288,6 @@ pub struct SnapshotDelta {
     pub removed: Vec<ActorId>,
     /// Actors present in both whose hosting server changed.
     pub moved: Vec<ActorId>,
-    /// Actors present in both whose `cpu_share` changed beyond
-    /// [`CPU_DELTA_EPSILON`].
-    pub stat_changed: Vec<ActorId>,
     /// Actors present in both whose reference map is no longer the map the
     /// earlier row shared (see [`RefMap`]); a superset of the actors whose
     /// references changed.
@@ -328,9 +316,6 @@ impl SnapshotDelta {
                 (Some(o), Some(n)) if o.actor == n.actor => {
                     if o.server != n.server {
                         delta.moved.push(o.actor);
-                    }
-                    if (o.cpu_share - n.cpu_share).abs() > CPU_DELTA_EPSILON {
-                        delta.stat_changed.push(o.actor);
                     }
                     if !o.refs.shares(&n.refs) {
                         delta.refs_changed.push(o.actor);
@@ -377,7 +362,6 @@ impl SnapshotDelta {
         self.added.is_empty()
             && self.removed.is_empty()
             && self.moved.is_empty()
-            && self.stat_changed.is_empty()
             && self.refs_changed.is_empty()
             && self.servers_added.is_empty()
             && self.servers_removed.is_empty()
@@ -407,22 +391,19 @@ impl SnapshotDelta {
         union(&mut self.added, &later.added);
         union(&mut self.removed, &later.removed);
         union(&mut self.moved, &later.moved);
-        union(&mut self.stat_changed, &later.stat_changed);
         union(&mut self.refs_changed, &later.refs_changed);
         union(&mut self.servers_added, &later.servers_added);
         union(&mut self.servers_removed, &later.servers_removed);
     }
 
-    /// Every actor id whose indexed stats this delta may touch, sorted and
-    /// deduplicated (`refs_changed` feeds no index, so it is left out).
+    /// Every actor id whose indexed stats this delta may touch — `added`,
+    /// `removed` and `moved` — sorted and deduplicated (`refs_changed`
+    /// feeds no index, so it is left out).
     pub fn touched_actors(&self) -> Vec<ActorId> {
-        let mut all = Vec::with_capacity(
-            self.added.len() + self.removed.len() + self.moved.len() + self.stat_changed.len(),
-        );
+        let mut all = Vec::with_capacity(self.added.len() + self.removed.len() + self.moved.len());
         all.extend_from_slice(&self.added);
         all.extend_from_slice(&self.removed);
         all.extend_from_slice(&self.moved);
-        all.extend_from_slice(&self.stat_changed);
         all.sort_unstable();
         all.dedup();
         all
@@ -611,17 +592,14 @@ mod tests {
         assert_eq!(d.added, vec![ActorId(5)]);
         assert_eq!(d.removed, vec![ActorId(1)]);
         assert_eq!(d.moved, vec![ActorId(2)]);
-        assert_eq!(d.stat_changed, vec![ActorId(3)]);
         assert_eq!(d.refs_changed, vec![ActorId(4)]);
         assert_eq!(d.servers_added, vec![ServerId(2)]);
         assert_eq!(d.servers_removed, vec![ServerId(1)]);
         assert!(d.scope_changed());
         assert!(!d.is_empty());
-        // A changed map feeds no index, so actor 4 is not touched.
-        assert_eq!(
-            d.touched_actors(),
-            vec![ActorId(1), ActorId(2), ActorId(3), ActorId(5)]
-        );
+        // Neither a changed share (actor 3) nor a changed map (actor 4)
+        // feeds an index, so neither actor is touched.
+        assert_eq!(d.touched_actors(), vec![ActorId(1), ActorId(2), ActorId(5)]);
         // Equal contents built separately do not share: the delta lists
         // them (a superset of the real changes is what it promises).
         let mut c = b.clone();
@@ -642,18 +620,6 @@ mod tests {
         assert!(d.is_empty());
         assert!(!d.scope_changed());
         assert!(d.touched_actors().is_empty());
-    }
-
-    #[test]
-    fn delta_reports_every_bitwise_cpu_change() {
-        // CPU_DELTA_EPSILON must stay 0.0: retained cpu-sorted indexes are
-        // patched from deltas, so even the smallest drift must be listed.
-        let a = snap_of(1, &[(1, 0, 0.2)], &[0]);
-        let b = snap_of(2, &[(1, 0, 0.2 + f64::EPSILON)], &[0]);
-        assert_eq!(
-            SnapshotDelta::between(&a, &b).stat_changed,
-            vec![ActorId(1)]
-        );
     }
 
     #[test]
@@ -688,17 +654,16 @@ mod tests {
         assert_eq!(d.added, vec![ActorId(3)]);
         assert_eq!(d.removed, vec![ActorId(3)]);
         assert_eq!(d.moved, vec![ActorId(2)]);
-        assert_eq!(d.stat_changed, vec![ActorId(1)]);
         assert_eq!(d.refs_changed, vec![ActorId(1), ActorId(2)]);
         assert_eq!(d.servers_added, vec![ServerId(1)]);
-        // touched_actors dedups across categories.
-        assert_eq!(d.touched_actors(), vec![ActorId(1), ActorId(2), ActorId(3)]);
+        // touched_actors dedups across categories; actor 1's share and map
+        // changes touch no index.
+        assert_eq!(d.touched_actors(), vec![ActorId(2), ActorId(3)]);
         // The merged span must classify like a direct endpoint diff for
         // actors present in exactly one endpoint.
         let direct = SnapshotDelta::between(&a, &c);
         assert_eq!(direct.added, Vec::<ActorId>::new());
         assert_eq!(direct.moved, d.moved);
-        assert_eq!(direct.stat_changed, d.stat_changed);
         assert_eq!(direct.refs_changed, d.refs_changed);
     }
 }

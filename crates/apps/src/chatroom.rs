@@ -180,8 +180,10 @@ impl ClientLogic for ChatClient {
     }
 }
 
-/// Runs the chat room and returns its makespan and mean latency.
-pub fn run(cfg: &ChatConfig) -> ChatReport {
+/// Builds the room: the runtime with `cfg`'s fault plan, its servers, and
+/// every user actor with its peers and `room` refs, spread round-robin.
+/// Returns the runtime and the users' ids.
+fn room(cfg: &ChatConfig) -> (Runtime, Vec<ActorId>) {
     let mut rt = Runtime::new(RuntimeConfig {
         seed: cfg.seed,
         epr_enabled: cfg.epr_enabled,
@@ -217,6 +219,12 @@ pub fn run(cfg: &ChatConfig) -> ChatReport {
             rt.actor_add_ref(id, "room", p);
         }
     }
+    (rt, ids)
+}
+
+/// Runs the chat room and returns its makespan and mean latency.
+pub fn run(cfg: &ChatConfig) -> ChatReport {
+    let (mut rt, ids) = room(cfg);
     for &u in &ids {
         rt.add_client(Box::new(ChatClient {
             inner: ClosedLoop {
@@ -267,39 +275,7 @@ pub struct ChatChaosReport {
 /// `cfg.servers`, so crashing one server orphans only its share of users;
 /// the heartbeat sweep (or an early reboot) brings them back.
 pub fn run_chaos(cfg: &ChatConfig, run_for: SimDuration) -> ChatChaosReport {
-    let mut rt = Runtime::new(RuntimeConfig {
-        seed: cfg.seed,
-        epr_enabled: cfg.epr_enabled,
-        backend: cfg.backend,
-        ..RuntimeConfig::default()
-    });
-    rt.install_fault_plan(&cfg.faults, cfg.recovery);
-    let servers: Vec<ServerId> = (0..cfg.servers.max(1))
-        .map(|_| rt.add_server(cfg.instance.clone()))
-        .collect();
-    let ids: Vec<ActorId> = (0..cfg.users as u64).map(ActorId).collect();
-    for i in 0..cfg.users {
-        let peers: Vec<ActorId> = ids
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, &p)| p)
-            .collect();
-        let id = rt.spawn_actor(
-            "ChatUser",
-            Box::new(ChatUser {
-                peers: peers.clone(),
-                say_work: 0.0015,
-                recv_work: 0.0002,
-            }),
-            16 << 10,
-            servers[i % servers.len()],
-        );
-        assert_eq!(id, ids[i], "deterministic id assignment");
-        for p in peers {
-            rt.actor_add_ref(id, "room", p);
-        }
-    }
+    let (mut rt, ids) = room(cfg);
     for &u in &ids {
         rt.add_client(Box::new(Pulse {
             target: u,

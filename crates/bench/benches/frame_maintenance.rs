@@ -3,25 +3,26 @@
 //!
 //! Models the EMR's per-round work on a large world where one profiling
 //! window touched ~1% of actors: the patched path applies the window's
-//! [`SnapshotDelta`] to the retained frame, the rebuild path re-collects,
-//! re-keys, and re-sorts the whole world. The run *asserts* three
-//! properties, so a regression in the splice/insert machinery fails
-//! `cargo bench --bench frame_maintenance` outright: the patched path is
-//! at least 5x faster at full scale (32 servers / 3000 actors), still at
-//! least 5x faster at `xl` (128 servers / 50k actors), and the absolute
-//! per-round saving (rebuild − patched) grows with world size. The saving
-//! is the property that scales: at `xl` both paths stream far more group
-//! data than fits in cache, so the *ratio* compresses toward the memory
-//! bandwidth floor, but each round banks an order of magnitude more time
-//! than at full scale.
+//! [`SnapshotDelta`] to the retained frame, the rebuild path walks every
+//! row of the world and regroups it. Neither path sorts anything by cpu
+//! share: a frame sorts those copies only when a threshold query asks.
+//! The run *asserts* three properties, so a regression in the
+//! splice/insert machinery fails `cargo bench --bench frame_maintenance`
+//! outright: the patched path is at least 5x faster at full scale (32
+//! servers / 3000 actors), still at least 5x faster at `xl` (128 servers /
+//! 50k actors), and the absolute per-round saving (rebuild − patched)
+//! grows with world size. The saving is the property that scales: at `xl`
+//! both paths stream far more group data than fits in cache, so the
+//! *ratio* compresses toward the memory bandwidth floor, but each round
+//! banks an order of magnitude more time than at full scale.
 //!
 //! Before timing anything, the patched frame is checked index-for-index
 //! identical to the rebuilt one (the from-scratch builder is the
 //! correctness oracle).
 //!
 //! This stays a wall-clock gate: the patch's work is block memmoves while
-//! a rebuild re-keys and sorts, so neither an entry count nor a
-//! comparison count tracks the time the two paths take.
+//! a rebuild pushes every row into three map-keyed groups, so neither an
+//! entry count nor a comparison count tracks the time the two paths take.
 
 use std::hint::black_box;
 use std::sync::Arc;

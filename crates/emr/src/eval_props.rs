@@ -353,6 +353,33 @@ fn churn_step(
     }
 }
 
+/// Every `actor.cpu.perc` threshold selection over `frame`: `Any` and `T1`,
+/// across the frame and on `server`, for `Gt` and `Le` at 50. Each list is
+/// sorted, since selection order is unspecified. The first call against a
+/// generation sorts all four cpu families.
+fn threshold_selections(frame: &EvalFrame, server: ServerId) -> Vec<Vec<ActorId>> {
+    use plasma_epl::ast::{AType, Comp};
+
+    let full: Vec<ServerId> = frame.servers().iter().map(|s| s.id).collect();
+    let ctx = EvalCtx::scoped(frame, &full);
+    let mut out = Vec::new();
+    for pattern in [AType::Any, AType::Named("T1".into())] {
+        let sel = ctx.type_sel(&pattern);
+        for on_server in [None, Some(server)] {
+            for comp in [Comp::Gt, Comp::Le] {
+                let mut ids: Vec<ActorId> = ctx
+                    .select_cpu_threshold(sel, on_server, comp, 50.0)
+                    .iter()
+                    .map(|a| a.actor)
+                    .collect();
+                ids.sort();
+                out.push(ids);
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -361,14 +388,17 @@ proptest! {
     /// a second frame advanced by one merged delta both end up
     /// index-for-index identical — contents *and* order — to a frame built
     /// from scratch off the final snapshot, and candidate enumeration
-    /// through the public context API agrees too.
+    /// through the public context API agrees too. Both frames answer a
+    /// threshold query before every apply, so their cpu-sorted copies are
+    /// built on the old generation and must not survive the swap.
     #[test]
     fn patched_frame_matches_rebuild_over_churn(seed in 0u64..1 << 48) {
         use plasma_actor::stats::SnapshotDelta;
-        use plasma_epl::ast::{AType, Comp};
+        use plasma_epl::ast::AType;
 
         let mut mix = Mix(seed);
         let (snap0, servers) = gen_world(&mut mix);
+        let probe = servers[(seed % servers.len() as u64) as usize].id;
         let (types, fns) = name_tables();
         let mut stepped =
             EvalFrame::from_parts(Arc::new(snap0.clone()), servers.clone(), types.clone(), fns.clone());
@@ -390,6 +420,7 @@ proptest! {
                 servers: Vec::new(),
             };
             let delta = SnapshotDelta::between(&prev, &next);
+            threshold_selections(&stepped, probe);
             prop_assert!(
                 stepped.apply(Arc::new(next.clone()), servers.clone(), &delta),
                 "per-step apply refused at step {}", step
@@ -401,6 +432,7 @@ proptest! {
             prev = next;
         }
         let final_snap = Arc::new(prev);
+        threshold_selections(&merged_frame, probe);
         prop_assert!(
             merged_frame.apply(Arc::new((*final_snap).clone()), servers.clone(), &merged.unwrap()),
             "merged apply refused"
@@ -410,7 +442,7 @@ proptest! {
         merged_frame.assert_same_indexes(&oracle);
 
         // Enumeration through the public API agrees as well, including the
-        // threshold-pruned path over the cpu-sorted twins.
+        // threshold-pruned path over the cpu-sorted copies.
         let full: Vec<ServerId> = servers.iter().map(|s| s.id).collect();
         let patched_ctx = EvalCtx::scoped(&stepped, &full);
         let oracle_ctx = EvalCtx::scoped(&oracle, &full);
@@ -427,21 +459,16 @@ proptest! {
                 .collect();
             prop_assert_eq!(a, b, "enumeration diverged for {:?}", pattern);
         }
-        let sel = patched_ctx.type_sel(&AType::Any);
-        for comp in [Comp::Gt, Comp::Le] {
-            let mut a: Vec<ActorId> = patched_ctx
-                .select_cpu_threshold(sel, None, comp, 50.0)
-                .iter()
-                .map(|a| a.actor)
-                .collect();
-            let mut b: Vec<ActorId> = oracle_ctx
-                .select_cpu_threshold(sel, None, comp, 50.0)
-                .iter()
-                .map(|a| a.actor)
-                .collect();
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b, "threshold selection diverged for {:?}", comp);
-        }
+        let expected = threshold_selections(&oracle, probe);
+        prop_assert_eq!(
+            threshold_selections(&stepped, probe),
+            expected.clone(),
+            "stepped threshold selections diverged"
+        );
+        prop_assert_eq!(
+            threshold_selections(&merged_frame, probe),
+            expected,
+            "merged threshold selections diverged"
+        );
     }
 }

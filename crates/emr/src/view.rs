@@ -8,30 +8,34 @@
 //! consumer borrows it through a cheap scoped [`EvalCtx`].
 //!
 //! The frame carries the indexes the evaluator drives candidate enumeration
-//! off: per-type actor lists, a per-server residency index, their
-//! `(server, type)` intersection, and `cpu_share`-sorted copies of each for
-//! threshold conditions (`actor.cpu.perc > X` resolves to a
-//! `partition_point` over a sorted index instead of a scan). Index groups
-//! store stable [`ActorId`]s — id order *is* enumeration order, which the
-//! behavior expansion relies on — resolved through a dense id-indexed row
-//! table, so membership edits never shift unrelated entries.
+//! off: per-type actor lists, a per-server residency index, and their
+//! `(server, type)` intersection. Index groups store stable [`ActorId`]s —
+//! id order *is* enumeration order, which the behavior expansion relies on
+//! — resolved through a dense id-indexed row table, so membership edits
+//! never shift unrelated entries. Threshold conditions
+//! (`actor.cpu.perc > X`) resolve to a `partition_point` over a
+//! `cpu_share`-sorted copy of a group (or of the whole in-scope world)
+//! instead of a scan. Those copies are sorted on demand: the first
+//! threshold query against a generation sorts the family it reads from its
+//! id-ordered twin, and advancing the frame drops them, so a round whose
+//! rules compare no actor's cpu share sorts nothing.
 //!
 //! # Incremental maintenance
 //!
 //! A frame is built from scratch once ([`EvalFrame::new`]) and then patched
 //! per round ([`EvalFrame::advance`]): the merged delta since the frame's
-//! generation names every actor whose indexed stats (`server`, `type_id`,
-//! `cpu_share`) may have changed, and only those ids are spliced out of and
-//! back into the affected groups at binary-searched positions. Row *data*
-//! is always read from the current snapshot through the dense row table
-//! (refreshed in one O(world) pass with no allocation or sorting), so
-//! non-indexed stats — call counters, refs, state size — are never stale.
-//! The frame falls back to a full rebuild on scope changes (the running
-//! server set differs from the frame's) and on generation gaps (the
-//! runtime's bounded delta history no longer reaches the frame's
-//! generation). The from-scratch builder remains the correctness oracle:
-//! a patched frame is index-for-index identical to a rebuilt one, which
-//! the churn property tests assert.
+//! generation names every actor whose indexed stats (`server`, `type_id`)
+//! may have changed, and only those ids are spliced out of and back into
+//! the affected groups at binary-searched positions. Row *data* is always
+//! read from the current snapshot through the dense row table (patched in
+//! one O(world) pass with no allocation or sorting), so non-indexed stats —
+//! cpu share, call counters, refs, state size — are never stale. The frame
+//! falls back to a full rebuild on scope changes (the running server set
+//! differs from the frame's) and on generation gaps (the runtime's bounded
+//! delta history no longer reaches the frame's generation). The
+//! from-scratch builder remains the correctness oracle: a patched frame is
+//! index-for-index identical to a rebuilt one, which the churn property
+//! tests assert.
 
 use std::cell::{Cell, OnceCell};
 use std::collections::BTreeMap;
@@ -46,10 +50,10 @@ use plasma_epl::ast::{AType, Comp, Res};
 /// Sentinel in the dense id->row table for "not in this frame".
 const NO_ROW: u32 = u32::MAX;
 
-/// A touched actor's indexed state — `(server, type, cpu_share)` — at one
-/// endpoint of a delta, or `None` when absent from that generation (or out
-/// of the frame's scope).
-type EndpointState = Option<(ServerId, ActorTypeId, f64)>;
+/// A touched actor's indexed state — `(server, type)` — at one endpoint of a
+/// delta, or `None` when absent from that generation (or out of the frame's
+/// scope).
+type EndpointState = Option<(ServerId, ActorTypeId)>;
 
 /// Static capacity data of one server, captured at context build time.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -148,53 +152,36 @@ pub struct EvalFrame {
     by_type: BTreeMap<ActorTypeId, Vec<ActorId>>,
     by_server: BTreeMap<ServerId, Vec<ActorId>>,
     by_server_type: BTreeMap<(ServerId, ActorTypeId), Vec<ActorId>>,
-    /// `(cpu_share, id)`-ascending copies of the groups above (plus the
-    /// whole world), for threshold pruning via `partition_point`.
-    all_cpu: CpuGroup,
-    by_type_cpu: BTreeMap<ActorTypeId, CpuGroup>,
-    by_server_cpu: BTreeMap<ServerId, CpuGroup>,
-    by_server_type_cpu: BTreeMap<(ServerId, ActorTypeId), CpuGroup>,
+    /// `cpu_share`-sorted copies of the groups above (plus the whole
+    /// in-scope world), sorted on demand for threshold pruning.
+    cpu_sorted: CpuSorted,
     type_names: BTreeMap<String, ActorTypeId>,
     fn_names: BTreeMap<String, FnId>,
 }
 
-/// A `(cpu_share, id)`-ascending candidate list with its sort keys stored
-/// alongside the ids. Keeping the keys contiguous means threshold pruning
-/// and the delta-patch binary searches probe a flat `f64` array instead of
-/// chasing `id -> row -> stats` indirections per comparison, and makes the
-/// group self-contained: its order can be queried without consulting any
-/// snapshot generation.
-#[derive(Clone, Debug, Default, PartialEq)]
-struct CpuGroup {
-    ids: Vec<ActorId>,
-    keys: Vec<f64>,
+/// A `(cpu_share, id)`-ascending candidate list, each id stored beside its
+/// sort key so threshold pruning probes the list itself instead of a stats
+/// row per comparison.
+type CpuGroup = Vec<(f64, ActorId)>;
+
+/// The `(cpu_share, id)`-ascending copies of a frame's index groups, one
+/// cell per family. The first threshold query against a generation sorts
+/// the family it reads from its id-ordered twin (the in-scope rows, for
+/// `all`); [`EvalFrame::apply`] empties every cell when it swaps snapshots.
+#[derive(Default)]
+struct CpuSorted {
+    all: OnceCell<CpuGroup>,
+    by_type: OnceCell<BTreeMap<ActorTypeId, CpuGroup>>,
+    by_server: OnceCell<BTreeMap<ServerId, CpuGroup>>,
+    by_server_type: OnceCell<BTreeMap<(ServerId, ActorTypeId), CpuGroup>>,
 }
 
-impl CpuGroup {
-    /// Lower-bound position of `(key, id)` under the `(cpu_share, id)`
-    /// ascending order.
-    fn lower_bound(&self, key: f64, id: ActorId) -> usize {
-        let (mut lo, mut hi) = (0, self.ids.len());
-        while lo < hi {
-            let m = lo + (hi - lo) / 2;
-            if self.keys[m]
-                .total_cmp(&key)
-                .then(self.ids[m].0.cmp(&id.0))
-                .is_lt()
-            {
-                lo = m + 1;
-            } else {
-                hi = m;
-            }
-        }
-        lo
-    }
-}
-
-/// Resolves `id` to its stats row. Free-standing so callers can borrow the
-/// index maps of the same frame mutably at the same time.
-fn row_of<'s>(actors: &'s [ActorWindowStats], rows: &[u32], id: ActorId) -> &'s ActorWindowStats {
-    &actors[rows[id.0 as usize] as usize]
+/// Sorts `rows` into a [`CpuGroup`]. Shares are finite, so `total_cmp` is
+/// the usual order.
+fn sort_by_cpu<'r>(rows: impl Iterator<Item = &'r ActorWindowStats>) -> CpuGroup {
+    let mut group: CpuGroup = rows.map(|a| (a.cpu_share, a.actor)).collect();
+    group.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+    group
 }
 
 impl EvalFrame {
@@ -258,19 +245,14 @@ impl EvalFrame {
             by_type: BTreeMap::new(),
             by_server: BTreeMap::new(),
             by_server_type: BTreeMap::new(),
-            all_cpu: CpuGroup::default(),
-            by_type_cpu: BTreeMap::new(),
-            by_server_cpu: BTreeMap::new(),
-            by_server_type_cpu: BTreeMap::new(),
+            cpu_sorted: CpuSorted::default(),
             type_names,
             fn_names,
         };
         frame.refresh_server_mask();
         frame.refresh_rows();
-        let mut in_scope: Vec<ActorId> = Vec::new();
         for a in &frame.snap.actors {
             if frame.rows.get(a.actor.0 as usize) != Some(&NO_ROW) {
-                in_scope.push(a.actor);
                 frame.by_type.entry(a.type_id).or_default().push(a.actor);
                 frame.by_server.entry(a.server).or_default().push(a.actor);
                 frame
@@ -280,40 +262,6 @@ impl EvalFrame {
                     .push(a.actor);
             }
         }
-        let actors = &frame.snap.actors;
-        let rows = &frame.rows;
-        let sort_cpu = |group: &[ActorId]| {
-            let mut sorted = group.to_vec();
-            // Stable sort over an id-ordered group keeps id-order ties, so
-            // the result is `(cpu_share, id)`-ascending; shares are finite
-            // so `total_cmp` equals the usual order.
-            sorted.sort_by(|&x, &y| {
-                row_of(actors, rows, x)
-                    .cpu_share
-                    .total_cmp(&row_of(actors, rows, y).cpu_share)
-            });
-            let keys = sorted
-                .iter()
-                .map(|&id| row_of(actors, rows, id).cpu_share)
-                .collect();
-            CpuGroup { ids: sorted, keys }
-        };
-        frame.all_cpu = sort_cpu(&in_scope);
-        frame.by_type_cpu = frame
-            .by_type
-            .iter()
-            .map(|(&k, v)| (k, sort_cpu(v)))
-            .collect();
-        frame.by_server_cpu = frame
-            .by_server
-            .iter()
-            .map(|(&k, v)| (k, sort_cpu(v)))
-            .collect();
-        frame.by_server_type_cpu = frame
-            .by_server_type
-            .iter()
-            .map(|(&k, v)| (k, sort_cpu(v)))
-            .collect();
         frame
     }
 
@@ -415,7 +363,9 @@ impl EvalFrame {
     ///
     /// Cost is O(world) for the row-table refresh (pointer writes only)
     /// plus O(touched · log group + touched · group-shift) for the index
-    /// splices — no re-sorting, no re-keying of untouched actors.
+    /// splices — no re-sorting, no re-keying of untouched actors. The
+    /// cpu-sorted copies are dropped, not patched: the next threshold query
+    /// sorts the family it reads again.
     pub fn apply(
         &mut self,
         snap: Arc<ProfileSnapshot>,
@@ -433,27 +383,43 @@ impl EvalFrame {
         {
             return false;
         }
-        // Classify every touched actor by its endpoint states: the old
-        // state read from the retained frame, the new state — plus its
-        // exact row — from the incoming snapshot (scope is unchanged, so
-        // the old server mask applies to both).
+        // Classify every touched actor by its endpoint states — the old
+        // state read from the retained frame, the new state (plus its exact
+        // row) from the incoming snapshot; scope is unchanged, so the old
+        // server mask applies to both — and batch the group edits a change
+        // needs: removals keyed by OLD membership, insertions by NEW.
+        // Batches accumulate in flat `(group key, id)` vectors sorted and
+        // walked as runs, so no per-group map or vector is allocated.
         let touched = delta.touched_actors();
-        let mut states: Vec<(ActorId, EndpointState, EndpointState)> =
-            Vec::with_capacity(touched.len());
         let mut exact_rows: Vec<(ActorId, u32)> = Vec::with_capacity(touched.len());
+        let mut ty_rm: Vec<(ActorTypeId, ActorId)> = Vec::new();
+        let mut srv_rm: Vec<(ServerId, ActorId)> = Vec::new();
+        let mut st_rm: Vec<((ServerId, ActorTypeId), ActorId)> = Vec::new();
+        let mut ty_ins: Vec<(ActorTypeId, ActorId)> = Vec::new();
+        let mut srv_ins: Vec<(ServerId, ActorId)> = Vec::new();
+        let mut st_ins: Vec<((ServerId, ActorTypeId), ActorId)> = Vec::new();
         for &id in &touched {
-            let old = self.lookup(id).map(|a| (a.server, a.type_id, a.cpu_share));
+            let old: EndpointState = self.lookup(id).map(|a| (a.server, a.type_id));
             let row = snap
                 .actors
                 .binary_search_by(|a| a.actor.0.cmp(&id.0))
                 .ok()
                 .filter(|&i| self.scope_has(snap.actors[i].server));
-            let new = row.map(|i| {
-                let a = &snap.actors[i];
-                (a.server, a.type_id, a.cpu_share)
-            });
+            let new: EndpointState = row.map(|i| (snap.actors[i].server, snap.actors[i].type_id));
             exact_rows.push((id, row.map_or(NO_ROW, |i| i as u32)));
-            states.push((id, old, new));
+            if old == new {
+                continue;
+            }
+            if let Some((srv, ty)) = old {
+                ty_rm.push((ty, id));
+                srv_rm.push((srv, id));
+                st_rm.push(((srv, ty), id));
+            }
+            if let Some((srv, ty)) = new {
+                ty_ins.push((ty, id));
+                srv_ins.push((srv, id));
+                st_ins.push(((srv, ty), id));
+            }
         }
         // Endpoint membership diff over the snapshot's actor vec (scope
         // notwithstanding: out-of-scope actors still occupy vec positions
@@ -500,127 +466,41 @@ impl EvalFrame {
                 }
             }
         }
-        // Batch the removals per group, keyed by OLD membership. Batches
-        // accumulate in flat `(group key, entry)` vectors sorted and walked
-        // as runs — no per-group map or vector allocation. The cpu batches
-        // carry their endpoint `cpu_share`, so position lookups never touch
-        // a snapshot row.
-        let mut ty_rm: Vec<(ActorTypeId, ActorId)> = Vec::new();
-        let mut srv_rm: Vec<(ServerId, ActorId)> = Vec::new();
-        let mut st_rm: Vec<((ServerId, ActorTypeId), ActorId)> = Vec::new();
-        let mut all_rm: Vec<(f64, ActorId)> = Vec::new();
-        let mut cty_rm: Vec<(ActorTypeId, (f64, ActorId))> = Vec::new();
-        let mut csrv_rm: Vec<(ServerId, (f64, ActorId))> = Vec::new();
-        let mut cst_rm: Vec<((ServerId, ActorTypeId), (f64, ActorId))> = Vec::new();
-        for &(id, old, new) in &states {
-            let Some((srv, ty, cpu)) = old else { continue };
-            let regroup = match new {
-                None => true,
-                Some((nsrv, nty, _)) => nsrv != srv || nty != ty,
-            };
-            let recpu = regroup || new.is_some_and(|(_, _, ncpu)| ncpu.total_cmp(&cpu).is_ne());
-            if regroup {
-                ty_rm.push((ty, id));
-                srv_rm.push((srv, id));
-                st_rm.push(((srv, ty), id));
-            }
-            if recpu {
-                all_rm.push((cpu, id));
-                cty_rm.push((ty, (cpu, id)));
-                csrv_rm.push((srv, (cpu, id)));
-                cst_rm.push(((srv, ty), (cpu, id)));
-            }
-        }
-        // Group the batches: a stable key sort keeps each run id-ascending
-        // (removal runs need no in-run order beyond that — their positions
-        // re-sort anyway).
+        // Group the batches into id-ascending runs, then splice each run
+        // out of (or into) its group: positions by binary search, then one
+        // block-memmove pass per *affected* group, so O(touched · log group)
+        // probe work plus one linear copy. Removals go first; emptied groups
+        // disappear and insertions create absent ones, keeping the map keys
+        // exactly the non-empty groups a rebuild would produce.
         ty_rm.sort_unstable();
         srv_rm.sort_unstable();
         st_rm.sort_unstable();
-        cty_rm.sort_by_key(|e| e.0);
-        csrv_rm.sort_by_key(|e| e.0);
-        cst_rm.sort_by_key(|e| e.0);
-        // Phase 1 — splice the batches out. Each removed id's position is
-        // found by binary search under the group's own order (the cpu
-        // twins store their keys inline, so no snapshot row is consulted),
-        // then the survivors compact with block memmoves: O(touched · log
-        // group) probe work plus one linear copy pass per *affected* group.
-        // Emptied groups disappear (insertions below re-create theirs,
-        // keeping map keys exactly the non-empty groups a rebuild would
-        // produce).
+        ty_ins.sort_unstable();
+        srv_ins.sort_unstable();
+        st_ins.sort_unstable();
         let mut pos: Vec<usize> = Vec::new();
         Self::remove_ids_runs(&mut self.by_type, &ty_rm, &mut pos);
         Self::remove_ids_runs(&mut self.by_server, &srv_rm, &mut pos);
         Self::remove_ids_runs(&mut self.by_server_type, &st_rm, &mut pos);
-        Self::splice_remove_cpu(&mut self.all_cpu, &all_rm, &mut pos);
-        Self::remove_cpu_runs(&mut self.by_type_cpu, &cty_rm, &mut pos);
-        Self::remove_cpu_runs(&mut self.by_server_cpu, &csrv_rm, &mut pos);
-        Self::remove_cpu_runs(&mut self.by_server_type_cpu, &cst_rm, &mut pos);
-        // Swap in the new generation: row data for every untouched actor
-        // now resolves to its current stats. The server mask is untouched —
-        // the scope ids were verified identical above — and the row table
-        // is patched from the membership diff instead of re-streamed from
-        // the (much larger) stats rows.
-        self.snap = snap;
-        self.servers = servers;
-        self.patch_rows(&vec_adds, &vec_rms, &exact_rows);
-        // Batch the insertions per group, keyed by NEW membership, in the
-        // same flat sorted-run layout.
-        let mut ty_ins: Vec<(ActorTypeId, ActorId)> = Vec::new();
-        let mut srv_ins: Vec<(ServerId, ActorId)> = Vec::new();
-        let mut st_ins: Vec<((ServerId, ActorTypeId), ActorId)> = Vec::new();
-        let mut all_ins: Vec<(f64, ActorId)> = Vec::new();
-        let mut cty_ins: Vec<(ActorTypeId, (f64, ActorId))> = Vec::new();
-        let mut csrv_ins: Vec<(ServerId, (f64, ActorId))> = Vec::new();
-        let mut cst_ins: Vec<((ServerId, ActorTypeId), (f64, ActorId))> = Vec::new();
-        for &(id, old, new) in &states {
-            let Some((srv, ty, cpu)) = new else { continue };
-            let regroup = match old {
-                None => true,
-                Some((osrv, oty, _)) => osrv != srv || oty != ty,
-            };
-            let recpu = regroup || old.is_some_and(|(_, _, ocpu)| ocpu.total_cmp(&cpu).is_ne());
-            if regroup {
-                ty_ins.push((ty, id));
-                srv_ins.push((srv, id));
-                st_ins.push(((srv, ty), id));
-            }
-            if recpu {
-                all_ins.push((cpu, id));
-                cty_ins.push((ty, (cpu, id)));
-                csrv_ins.push((srv, (cpu, id)));
-                cst_ins.push(((srv, ty), (cpu, id)));
-            }
-        }
-        // Phase 2 — splice the batches in at the new keys, same
-        // binary-search-then-block-move strategy as the removals. Insertion
-        // runs must ascend under their group's order, so the cpu batches
-        // sort by `(group key, cpu, id)`. Every element still in a cpu twin
-        // has a generation-stable sort key (its `cpu_share` is unchanged
-        // between the two snapshots, or the delta would have listed it), so
-        // the retained inline keys stay consistent across the swap.
-        ty_ins.sort_unstable();
-        srv_ins.sort_unstable();
-        st_ins.sort_unstable();
-        let cpu_entry =
-            |a: &(f64, ActorId), b: &(f64, ActorId)| a.0.total_cmp(&b.0).then(a.1 .0.cmp(&b.1 .0));
-        cty_ins.sort_by(|a, b| a.0.cmp(&b.0).then(cpu_entry(&a.1, &b.1)));
-        csrv_ins.sort_by(|a, b| a.0.cmp(&b.0).then(cpu_entry(&a.1, &b.1)));
-        cst_ins.sort_by(|a, b| a.0.cmp(&b.0).then(cpu_entry(&a.1, &b.1)));
-        all_ins.sort_by(cpu_entry);
         Self::insert_ids_runs(&mut self.by_type, &ty_ins, &mut pos);
         Self::insert_ids_runs(&mut self.by_server, &srv_ins, &mut pos);
         Self::insert_ids_runs(&mut self.by_server_type, &st_ins, &mut pos);
-        Self::splice_insert_cpu(&mut self.all_cpu, &all_ins, &mut pos);
-        Self::insert_cpu_runs(&mut self.by_type_cpu, &cty_ins, &mut pos);
-        Self::insert_cpu_runs(&mut self.by_server_cpu, &csrv_ins, &mut pos);
-        Self::insert_cpu_runs(&mut self.by_server_type_cpu, &cst_ins, &mut pos);
+        // Swap in the new generation: row data for every untouched actor
+        // now resolves to its current stats, and the cpu-sorted copies of
+        // the old one go. The server mask is untouched — the scope ids were
+        // verified identical above — and the row table is patched from the
+        // membership diff instead of re-streamed from the (much larger)
+        // stats rows.
+        self.snap = snap;
+        self.servers = servers;
+        self.cpu_sorted = CpuSorted::default();
+        self.patch_rows(&vec_adds, &vec_rms, &exact_rows);
         true
     }
 
     /// Compacts `v` by removing the elements at `positions` (strictly
     /// ascending) with one forward block-memmove pass.
-    fn splice_out<T: Copy>(v: &mut Vec<T>, positions: &[usize]) {
+    fn splice_out(v: &mut Vec<ActorId>, positions: &[usize]) {
         let mut w = positions[0];
         for (k, &p) in positions.iter().enumerate() {
             let next = positions.get(k + 1).copied().unwrap_or(v.len());
@@ -635,10 +515,10 @@ impl EvalFrame {
     /// with one backward block-memmove pass: each retained element shifts
     /// right at most once and the prefix below the first position never
     /// moves.
-    fn splice_in<T: Copy>(v: &mut Vec<T>, item: impl Fn(usize) -> T, positions: &[usize], fill: T) {
+    fn splice_in(v: &mut Vec<ActorId>, item: impl Fn(usize) -> ActorId, positions: &[usize]) {
         debug_assert!(positions.windows(2).all(|w| w[0] <= w[1]));
         let old_len = v.len();
-        v.resize(old_len + positions.len(), fill);
+        v.resize(old_len + positions.len(), ActorId(u64::MAX));
         let mut src_end = old_len;
         for j in (0..positions.len()).rev() {
             let p = positions[j];
@@ -646,43 +526,6 @@ impl EvalFrame {
             v[p + j] = item(j);
             src_end = p;
         }
-    }
-
-    /// Removes `(cpu, id)` entries (all present under their carried old
-    /// keys, in any order) from a cpu twin, keeping `ids` and `keys` in
-    /// lockstep. `pos` is caller-provided scratch.
-    fn splice_remove_cpu(group: &mut CpuGroup, rm: &[(f64, ActorId)], pos: &mut Vec<usize>) {
-        if rm.is_empty() {
-            return;
-        }
-        pos.clear();
-        for &(key, id) in rm {
-            let p = group.lower_bound(key, id);
-            debug_assert!(
-                group.ids.get(p) == Some(&id),
-                "a batched removal named an id absent from its cpu twin"
-            );
-            pos.push(p);
-        }
-        // `rm` ascends by id, not by the twin's `(cpu, id)` order; the
-        // block-move pass only needs the positions.
-        pos.sort_unstable();
-        Self::splice_out(&mut group.ids, pos);
-        Self::splice_out(&mut group.keys, pos);
-    }
-
-    /// Inserts `(cpu, id)` entries (already `(cpu, id)`-ascending, none
-    /// present) into a cpu twin, keeping `ids` and `keys` in lockstep.
-    fn splice_insert_cpu(group: &mut CpuGroup, ins: &[(f64, ActorId)], pos: &mut Vec<usize>) {
-        if ins.is_empty() {
-            return;
-        }
-        pos.clear();
-        for &(key, id) in ins {
-            pos.push(group.lower_bound(key, id));
-        }
-        Self::splice_in(&mut group.ids, |j| ins[j].1, pos, ActorId(u64::MAX));
-        Self::splice_in(&mut group.keys, |j| ins[j].0, pos, f64::NAN);
     }
 
     /// Walks `list` (sorted so equal group keys are adjacent) as runs,
@@ -741,55 +584,7 @@ impl EvalFrame {
             for &(_, id) in run {
                 pos.push(group.partition_point(|&x| x.0 < id.0));
             }
-            Self::splice_in(group, |j| run[j].1, pos, ActorId(u64::MAX));
-        });
-    }
-
-    /// Splices each run of `rm` out of its cpu twin; emptied twins leave
-    /// the map.
-    fn remove_cpu_runs<K: Ord + Copy>(
-        map: &mut BTreeMap<K, CpuGroup>,
-        rm: &[(K, (f64, ActorId))],
-        pos: &mut Vec<usize>,
-    ) {
-        Self::runs(rm, |k, run| {
-            let Some(group) = map.get_mut(&k) else {
-                debug_assert!(false, "removal from a cpu twin that does not exist");
-                return;
-            };
-            pos.clear();
-            for &(_, (key, id)) in run {
-                let p = group.lower_bound(key, id);
-                debug_assert!(
-                    group.ids.get(p) == Some(&id),
-                    "a batched removal named an id absent from its cpu twin"
-                );
-                pos.push(p);
-            }
-            pos.sort_unstable();
-            Self::splice_out(&mut group.ids, pos);
-            Self::splice_out(&mut group.keys, pos);
-            if group.ids.is_empty() {
-                map.remove(&k);
-            }
-        });
-    }
-
-    /// Splices each run of `ins` (already `(cpu, id)`-ascending per run)
-    /// into its cpu twin, creating absent twins.
-    fn insert_cpu_runs<K: Ord + Copy>(
-        map: &mut BTreeMap<K, CpuGroup>,
-        ins: &[(K, (f64, ActorId))],
-        pos: &mut Vec<usize>,
-    ) {
-        Self::runs(ins, |k, run| {
-            let group = map.entry(k).or_default();
-            pos.clear();
-            for &(_, (key, id)) in run {
-                pos.push(group.lower_bound(key, id));
-            }
-            Self::splice_in(&mut group.ids, |j| run[j].1 .1, pos, ActorId(u64::MAX));
-            Self::splice_in(&mut group.keys, |j| run[j].1 .0, pos, f64::NAN);
+            Self::splice_in(group, |j| run[j].1, pos);
         });
     }
 
@@ -893,34 +688,39 @@ impl EvalFrame {
         }
     }
 
-    fn group(&self, sel: TypeSel, on_server: Option<ServerId>, cpu_sorted: bool) -> &[ActorId] {
-        if cpu_sorted {
-            return self.cpu_group(sel, on_server).map_or(&[], |g| &g.ids);
-        }
-        let found = match (sel, on_server) {
-            (TypeSel::Unknown, _) => None,
-            (TypeSel::Any, None) => {
-                // The unsorted full list is `EvalCtx::actors()`; only the
-                // sorted variant is served from here.
-                debug_assert!(cpu_sorted);
-                Some(&self.all_cpu.ids)
-            }
-            (TypeSel::Any, Some(s)) => self.by_server.get(&s),
-            (TypeSel::Id(t), None) => self.by_type.get(&t),
-            (TypeSel::Id(t), Some(s)) => self.by_server_type.get(&(s, t)),
-        };
-        found.map_or(&[], |v| v)
-    }
-
-    /// The `(cpu_share, id)`-ascending twin for a selector, keys included.
+    /// The `(cpu_share, id)`-ascending copy of a selector's group, sorting
+    /// its family on the first query against this generation.
     fn cpu_group(&self, sel: TypeSel, on_server: Option<ServerId>) -> Option<&CpuGroup> {
+        let sorted = &self.cpu_sorted;
         match (sel, on_server) {
             (TypeSel::Unknown, _) => None,
-            (TypeSel::Any, None) => Some(&self.all_cpu),
-            (TypeSel::Any, Some(s)) => self.by_server_cpu.get(&s),
-            (TypeSel::Id(t), None) => self.by_type_cpu.get(&t),
-            (TypeSel::Id(t), Some(s)) => self.by_server_type_cpu.get(&(s, t)),
+            (TypeSel::Any, None) => Some(sorted.all.get_or_init(|| {
+                sort_by_cpu(self.snap.actors.iter().filter(|a| self.scope_has(a.server)))
+            })),
+            (TypeSel::Any, Some(s)) => sorted
+                .by_server
+                .get_or_init(|| self.sort_family(&self.by_server))
+                .get(&s),
+            (TypeSel::Id(t), None) => sorted
+                .by_type
+                .get_or_init(|| self.sort_family(&self.by_type))
+                .get(&t),
+            (TypeSel::Id(t), Some(s)) => sorted
+                .by_server_type
+                .get_or_init(|| self.sort_family(&self.by_server_type))
+                .get(&(s, t)),
         }
+    }
+
+    /// Sorts every group of an id-ordered family by `(cpu_share, id)`.
+    fn sort_family<K: Ord + Copy>(
+        &self,
+        family: &BTreeMap<K, Vec<ActorId>>,
+    ) -> BTreeMap<K, CpuGroup> {
+        family
+            .iter()
+            .map(|(&k, ids)| (k, sort_by_cpu(ids.iter().filter_map(|&id| self.lookup(id)))))
+            .collect()
     }
 
     /// Asserts this frame's indexes are identical — contents *and* order —
@@ -943,13 +743,6 @@ impl EvalFrame {
         assert_eq!(self.by_type, oracle.by_type, "by_type");
         assert_eq!(self.by_server, oracle.by_server, "by_server");
         assert_eq!(self.by_server_type, oracle.by_server_type, "by_server_type");
-        assert_eq!(self.all_cpu, oracle.all_cpu, "all_cpu");
-        assert_eq!(self.by_type_cpu, oracle.by_type_cpu, "by_type_cpu");
-        assert_eq!(self.by_server_cpu, oracle.by_server_cpu, "by_server_cpu");
-        assert_eq!(
-            self.by_server_type_cpu, oracle.by_server_type_cpu,
-            "by_server_type_cpu"
-        );
     }
 }
 
@@ -1111,26 +904,25 @@ impl<'a> EvalCtx<'a> {
         on_server: Option<ServerId>,
     ) -> Vec<&'a ActorWindowStats> {
         let frame = self.frame;
+        let rows_of = |group: Option<&'a Vec<ActorId>>| {
+            group
+                .into_iter()
+                .flatten()
+                .filter_map(move |&id| frame.lookup(id))
+        };
         let rows: Vec<_> = match (sel, on_server) {
             (TypeSel::Unknown, _) => Vec::new(),
             (_, Some(s)) if !self.in_scope(s) => Vec::new(),
             (TypeSel::Any, None) => self.in_scope_rows().to_vec(),
-            (sel, on_server @ Some(_)) => frame
-                .group(sel, on_server, false)
-                .iter()
-                .filter_map(|&id| frame.lookup(id))
-                .collect(),
-            (sel @ TypeSel::Id(_), None) => {
-                let group = frame.group(sel, None, false);
-                match &self.scope {
-                    None => group.iter().filter_map(|&id| frame.lookup(id)).collect(),
-                    Some(set) => group
-                        .iter()
-                        .filter_map(|&id| frame.lookup(id))
-                        .filter(|a| set.contains_key(&a.server))
-                        .collect(),
-                }
-            }
+            (TypeSel::Any, Some(s)) => rows_of(frame.by_server.get(&s)).collect(),
+            (TypeSel::Id(t), Some(s)) => rows_of(frame.by_server_type.get(&(s, t))).collect(),
+            // A type group spans the frame; a partial scope filters it.
+            (TypeSel::Id(t), None) => match &self.scope {
+                None => rows_of(frame.by_type.get(&t)).collect(),
+                Some(set) => rows_of(frame.by_type.get(&t))
+                    .filter(|a| set.contains_key(&a.server))
+                    .collect(),
+            },
         };
         self.hand_out(rows.len());
         rows
@@ -1139,7 +931,8 @@ impl<'a> EvalCtx<'a> {
     /// Threshold-pruned enumeration for `actor.cpu.perc comp val`
     /// conditions: candidates whose `cpu_share * 100` satisfies `comp`
     /// against `val`, selected by `partition_point` over the frame's
-    /// cpu-sorted index. The comparison applied is bit-identical to the
+    /// cpu-sorted copy of the group, which the first such query against a
+    /// generation sorts. The comparison applied is bit-identical to the
     /// per-candidate check, so the result set matches a full scan exactly;
     /// output order is unspecified (callers dedupe).
     pub(crate) fn select_cpu_threshold(
@@ -1158,21 +951,20 @@ impl<'a> EvalCtx<'a> {
         let Some(group) = frame.cpu_group(sel, on_server) else {
             return Vec::new();
         };
-        // The twin's inline keys are maintained bit-identical to each
-        // actor's `cpu_share`, so thresholding on them matches the
-        // per-candidate check exactly.
-        let pass = |&key: &f64| comp.eval(key * 100.0, val);
+        // The sort keys are each actor's `cpu_share`, so thresholding on
+        // them matches the per-candidate check exactly.
+        let pass = |&(key, _): &(f64, ActorId)| comp.eval(key * 100.0, val);
         // `cpu_share` ascends along the group and every `Comp` is a
         // half-line, so passing candidates form a prefix (Lt/Le) or a
         // suffix (Gt/Ge).
         let hits = match comp {
-            Comp::Gt | Comp::Ge => &group.ids[group.keys.partition_point(|k| !pass(k))..],
-            Comp::Lt | Comp::Le => &group.ids[..group.keys.partition_point(pass)],
+            Comp::Gt | Comp::Ge => &group[group.partition_point(|e| !pass(e))..],
+            Comp::Lt | Comp::Le => &group[..group.partition_point(pass)],
         };
         let needs_scope_filter = on_server.is_none() && self.scope.is_some();
         let rows: Vec<_> = hits
             .iter()
-            .filter_map(|&id| frame.lookup(id))
+            .filter_map(|&(_, id)| frame.lookup(id))
             .filter(|a| !needs_scope_filter || self.in_scope(a.server))
             .collect();
         self.hand_out(rows.len());

@@ -3,26 +3,32 @@
 //! Drives `plasma_epl::compile` — lexing, parsing, name resolution,
 //! statistic applicability checks, query-plan lowering, and conflict
 //! detection — with every checked-in corpus seed plus a budget of
-//! deterministic mutations derived from them. Compile *errors* are the
-//! expected outcome for most inputs; the property under test is that no
-//! input can make the front-end panic, loop, or index out of bounds.
-//!
-//! The layout follows the conventional `fuzz/fuzz_targets` shape, but the
-//! driver is self-contained instead of linking libFuzzer (not vendored):
-//! a splitmix64-seeded mutator over the seed corpus, so every run is
-//! reproducible from its printed seed. Usage:
+//! deterministic mutations derived from them (the shared driver in
+//! `plasma_fuzz`). Compile *errors* are the expected outcome for most
+//! inputs; the property under test is that no input can make the front-end
+//! panic, loop, or index out of bounds. Usage:
 //!
 //! ```text
 //! epl_compile [iterations] [seed]
 //! ```
 //!
-//! Defaults: 10_000 iterations, seed 0x45504C (ASCII "EPL"). A panic
-//! anywhere aborts the process with a non-zero exit, which is the failure
-//! signal CI keys on.
-
-use std::path::PathBuf;
+//! Defaults: 10_000 iterations, seed 0x45504C (ASCII "EPL").
 
 use plasma_epl::{compile, ActorSchema};
+use plasma_fuzz::{below, Target};
+
+const TARGET: Target = Target {
+    name: "epl_compile",
+    iterations: 10_000,
+    seed: 0x0045_504C,
+    max_len: 1 << 14,
+    // Inserts a dictionary token at a random point.
+    mutation: |out, state| {
+        let tok = DICT[below(state, DICT.len())];
+        let at = below(state, out.len() + 1);
+        out.splice(at..at, tok.bytes());
+    },
+};
 
 /// Mutation dictionary: the language's keywords, operators and the schema
 /// names below, so mutated inputs keep hitting deep front-end paths
@@ -93,68 +99,6 @@ fn fuzz_schema() -> ActorSchema {
     s
 }
 
-/// Deterministic splitmix64 step.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform value in `0..n` (`n > 0`).
-fn below(state: &mut u64, n: usize) -> usize {
-    (mix(state) % n as u64) as usize
-}
-
-/// Applies 1–4 random byte-level mutations to `base`.
-fn mutate(base: &[u8], seeds: &[Vec<u8>], state: &mut u64) -> Vec<u8> {
-    let mut out = base.to_vec();
-    for _ in 0..1 + below(state, 4) {
-        match below(state, 6) {
-            // Flip one bit.
-            0 if !out.is_empty() => {
-                let i = below(state, out.len());
-                out[i] ^= 1 << below(state, 8);
-            }
-            // Overwrite one byte with a printable-ish value.
-            1 if !out.is_empty() => {
-                let i = below(state, out.len());
-                out[i] = (below(state, 96) + 32) as u8;
-            }
-            // Truncate at a random point.
-            2 if !out.is_empty() => out.truncate(below(state, out.len())),
-            // Duplicate a random slice in place.
-            3 if !out.is_empty() => {
-                let a = below(state, out.len());
-                let b = a + below(state, out.len() - a);
-                let dup: Vec<u8> = out[a..b].to_vec();
-                let at = below(state, out.len() + 1);
-                out.splice(at..at, dup);
-            }
-            // Insert a dictionary token.
-            4 => {
-                let tok = DICT[below(state, DICT.len())];
-                let at = below(state, out.len() + 1);
-                out.splice(at..at, tok.bytes());
-            }
-            // Splice a random tail of another seed onto a random prefix.
-            _ => {
-                let other = &seeds[below(state, seeds.len())];
-                let cut = below(state, out.len() + 1);
-                let from = below(state, other.len() + 1);
-                out.truncate(cut);
-                out.extend_from_slice(&other[from..]);
-            }
-        }
-        // Keep inputs bounded so pathological growth can't stall a run.
-        if out.len() > 1 << 14 {
-            out.truncate(1 << 14);
-        }
-    }
-    out
-}
-
 /// One fuzz execution: compiling against both a populated and an empty
 /// schema (the latter forces the unresolved-name error paths) must return
 /// normally — `Ok` and `Err` are both fine, panics are not.
@@ -165,44 +109,6 @@ fn run_one(bytes: &[u8], rich: &ActorSchema, empty: &ActorSchema) {
 }
 
 fn main() {
-    let mut argv = std::env::args().skip(1);
-    let iterations: u64 = argv
-        .next()
-        .map(|a| a.parse().expect("iterations must be a number"))
-        .unwrap_or(10_000);
-    let mut state: u64 = argv
-        .next()
-        .map(|a| a.parse().expect("seed must be a number"))
-        .unwrap_or(0x0045_504C);
-    println!("epl_compile: {iterations} iterations, seed {state:#x}");
-
-    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus/epl_compile");
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(&corpus)
-        .unwrap_or_else(|e| panic!("corpus dir {}: {e}", corpus.display()))
-        .map(|e| e.expect("readable corpus entry").path())
-        .collect();
-    entries.sort();
-    let seeds: Vec<Vec<u8>> = entries
-        .iter()
-        .map(|p| std::fs::read(p).expect("readable corpus file"))
-        .collect();
-    assert!(!seeds.is_empty(), "seed corpus is empty");
-
     let (rich, empty) = (fuzz_schema(), ActorSchema::new());
-    for (path, seed) in entries.iter().zip(&seeds) {
-        run_one(seed, &rich, &empty);
-        println!("  seed ok: {}", path.file_name().unwrap().to_string_lossy());
-    }
-    for i in 0..iterations {
-        let base = &seeds[below(&mut state, seeds.len())];
-        let input = mutate(base, &seeds, &mut state);
-        run_one(&input, &rich, &empty);
-        if (i + 1) % 10_000 == 0 {
-            println!("  {} iterations...", i + 1);
-        }
-    }
-    println!(
-        "epl_compile: ok ({} seeds, {iterations} mutations)",
-        seeds.len()
-    );
+    plasma_fuzz::run(&TARGET, |bytes| run_one(bytes, &rich, &empty));
 }

@@ -9,21 +9,33 @@
 //! under test is that no schedule can make the kernel panic, deadlock the
 //! event loop, or corrupt the report.
 //!
-//! Same self-contained driver shape as `epl_compile`: a splitmix64-seeded
-//! mutator over a checked-in seed corpus, reproducible from the printed
-//! seed. Usage:
+//! Runs on the shared driver in `plasma_fuzz`. Usage:
 //!
 //! ```text
 //! fault_plan [iterations] [seed]
 //! ```
 //!
 //! Defaults: 500 iterations (each one a full ~120 sim-second run), seed
-//! 0x464C54 (ASCII "FLT"). A panic anywhere aborts the process with a
-//! non-zero exit, which is the failure signal CI keys on.
-
-use std::path::PathBuf;
+//! 0x464C54 (ASCII "FLT").
 
 use plasma::prelude::*;
+use plasma_fuzz::{below, Target};
+
+const TARGET: Target = Target {
+    name: "fault_plan",
+    iterations: 500,
+    seed: 0x0046_4C54,
+    // MAX_FAULTS bounds the decoded plan; this bounds raw memory.
+    max_len: 1 << 12,
+    // Inserts a fresh random record at a record boundary. Inputs are binary
+    // records rather than text, so a whole synthesized record keeps most of
+    // them schedule-shaped.
+    mutation: |out, state| {
+        let rec: Vec<u8> = (0..RECORD).map(|_| below(state, 256) as u8).collect();
+        let at = below(state, out.len() / RECORD + 1) * RECORD;
+        out.splice(at..at, rec);
+    },
+};
 
 /// Bytes per decoded fault record.
 const RECORD: usize = 6;
@@ -199,108 +211,6 @@ fn run_one(bytes: &[u8]) {
     );
 }
 
-/// Deterministic splitmix64 step.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform value in `0..n` (`n > 0`).
-fn below(state: &mut u64, n: usize) -> usize {
-    (mix(state) % n as u64) as usize
-}
-
-/// Applies 1–4 random mutations to `base`. Binary records rather than
-/// text, so instead of a token dictionary the insert mutation splices a
-/// whole synthesized record (keeping most inputs schedule-shaped).
-fn mutate(base: &[u8], seeds: &[Vec<u8>], state: &mut u64) -> Vec<u8> {
-    let mut out = base.to_vec();
-    for _ in 0..1 + below(state, 4) {
-        match below(state, 6) {
-            // Flip one bit.
-            0 if !out.is_empty() => {
-                let i = below(state, out.len());
-                out[i] ^= 1 << below(state, 8);
-            }
-            // Overwrite one byte.
-            1 if !out.is_empty() => {
-                let i = below(state, out.len());
-                out[i] = below(state, 256) as u8;
-            }
-            // Truncate at a random point (mid-record cuts included).
-            2 if !out.is_empty() => out.truncate(below(state, out.len())),
-            // Duplicate a random slice in place.
-            3 if !out.is_empty() => {
-                let a = below(state, out.len());
-                let b = a + below(state, out.len() - a);
-                let dup: Vec<u8> = out[a..b].to_vec();
-                let at = below(state, out.len() + 1);
-                out.splice(at..at, dup);
-            }
-            // Insert a fresh random record at a record boundary.
-            4 => {
-                let rec: Vec<u8> = (0..RECORD).map(|_| below(state, 256) as u8).collect();
-                let at = (below(state, out.len() / RECORD + 1)) * RECORD;
-                out.splice(at..at, rec);
-            }
-            // Splice a random tail of another seed onto a random prefix.
-            _ => {
-                let other = &seeds[below(state, seeds.len())];
-                let cut = below(state, out.len() + 1);
-                let from = below(state, other.len() + 1);
-                out.truncate(cut);
-                out.extend_from_slice(&other[from..]);
-            }
-        }
-        // MAX_FAULTS bounds the decoded plan; this bounds raw memory.
-        if out.len() > 1 << 12 {
-            out.truncate(1 << 12);
-        }
-    }
-    out
-}
-
 fn main() {
-    let mut argv = std::env::args().skip(1);
-    let iterations: u64 = argv
-        .next()
-        .map(|a| a.parse().expect("iterations must be a number"))
-        .unwrap_or(500);
-    let mut state: u64 = argv
-        .next()
-        .map(|a| a.parse().expect("seed must be a number"))
-        .unwrap_or(0x0046_4C54);
-    println!("fault_plan: {iterations} iterations, seed {state:#x}");
-
-    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus/fault_plan");
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(&corpus)
-        .unwrap_or_else(|e| panic!("corpus dir {}: {e}", corpus.display()))
-        .map(|e| e.expect("readable corpus entry").path())
-        .collect();
-    entries.sort();
-    let seeds: Vec<Vec<u8>> = entries
-        .iter()
-        .map(|p| std::fs::read(p).expect("readable corpus file"))
-        .collect();
-    assert!(!seeds.is_empty(), "seed corpus is empty");
-
-    for (path, seed) in entries.iter().zip(&seeds) {
-        run_one(seed);
-        println!("  seed ok: {}", path.file_name().unwrap().to_string_lossy());
-    }
-    for i in 0..iterations {
-        let base = &seeds[below(&mut state, seeds.len())];
-        let input = mutate(base, &seeds, &mut state);
-        run_one(&input);
-        if (i + 1) % 100 == 0 {
-            println!("  {} iterations...", i + 1);
-        }
-    }
-    println!(
-        "fault_plan: ok ({} seeds, {iterations} mutations)",
-        seeds.len()
-    );
+    plasma_fuzz::run(&TARGET, run_one);
 }

@@ -14,9 +14,7 @@
 //!    feeding match the frames recovered from the whole buffer, up to the
 //!    first error.
 //!
-//! Same self-contained driver shape as `epl_compile` / `fault_plan`: a
-//! splitmix64-seeded mutator over a checked-in seed corpus, reproducible
-//! from the printed seed. Usage:
+//! Runs on the shared driver in `plasma_fuzz`. Usage:
 //!
 //! ```text
 //! net_frame [iterations] [seed]
@@ -24,15 +22,30 @@
 //! ```
 //!
 //! Defaults: 20000 iterations (each one a decode pass over a mutated
-//! stream), seed 0x4652 (ASCII "FR"). A panic anywhere aborts the process
-//! with a non-zero exit, which is the failure signal CI keys on.
+//! stream), seed 0x4652 (ASCII "FR").
 
-use std::path::PathBuf;
+use std::path::Path;
 
 use plasma_backend::{
     ControlDecision, ControlQuery, ControlReply, Delivery, Execution, MigrationOrder, ServerReport,
 };
+use plasma_fuzz::{below, Target};
 use plasma_net::{Frame, FrameBuffer, WindowCounters, WIRE_VERSION};
+
+const TARGET: Target = Target {
+    name: "net_frame",
+    iterations: 20_000,
+    seed: 0x4652,
+    max_len: 1 << 12,
+    // Overwrites one of the first six bytes. Headers live at small offsets,
+    // so this concentrates damage on the length, version and kind fields.
+    mutation: |out, state| {
+        if !out.is_empty() {
+            let i = below(state, out.len().min(6));
+            out[i] = below(state, 256) as u8;
+        }
+    },
+};
 
 /// Decodes `bytes` as a whole-buffer frame stream: the exact frames, then
 /// whether the stream ended in an error (vs. an incomplete tail).
@@ -86,7 +99,7 @@ fn run_one(bytes: &[u8]) {
 /// Writes the seed corpus: one valid frame of every kind concatenated into
 /// a conversation-shaped stream, plus deliberately-broken variants that
 /// seed the mutator near the error paths.
-fn gen_corpus(dir: &PathBuf) {
+fn gen_corpus(dir: &Path) {
     std::fs::create_dir_all(dir).expect("create corpus dir");
     let counters = WindowCounters {
         deliveries: 10,
@@ -235,112 +248,10 @@ fn gen_corpus(dir: &PathBuf) {
     println!("net_frame: corpus written to {}", dir.display());
 }
 
-/// Deterministic splitmix64 step.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform value in `0..n` (`n > 0`).
-fn below(state: &mut u64, n: usize) -> usize {
-    (mix(state) % n as u64) as usize
-}
-
-/// Applies 1–4 random mutations to `base`. Frames are length-prefixed
-/// binary, so besides generic bit/byte damage the interesting mutations
-/// re-slice streams at non-frame boundaries and corrupt the header bytes
-/// (length, version, kind) specifically.
-fn mutate(base: &[u8], seeds: &[Vec<u8>], state: &mut u64) -> Vec<u8> {
-    let mut out = base.to_vec();
-    for _ in 0..1 + below(state, 4) {
-        match below(state, 6) {
-            // Flip one bit.
-            0 if !out.is_empty() => {
-                let i = below(state, out.len());
-                out[i] ^= 1 << below(state, 8);
-            }
-            // Overwrite one byte.
-            1 if !out.is_empty() => {
-                let i = below(state, out.len());
-                out[i] = below(state, 256) as u8;
-            }
-            // Truncate at a random point (mid-frame cuts included).
-            2 if !out.is_empty() => out.truncate(below(state, out.len())),
-            // Corrupt an early byte — headers live at small offsets, so
-            // this concentrates damage on length/version/kind fields.
-            3 if !out.is_empty() => {
-                let i = below(state, out.len().min(6));
-                out[i] = below(state, 256) as u8;
-            }
-            // Duplicate a random slice in place.
-            4 if !out.is_empty() => {
-                let a = below(state, out.len());
-                let b = a + below(state, out.len() - a);
-                let dup: Vec<u8> = out[a..b].to_vec();
-                let at = below(state, out.len() + 1);
-                out.splice(at..at, dup);
-            }
-            // Splice a random tail of another seed onto a random prefix.
-            _ => {
-                let other = &seeds[below(state, seeds.len())];
-                let cut = below(state, out.len() + 1);
-                let from = below(state, other.len() + 1);
-                out.truncate(cut);
-                out.extend_from_slice(&other[from..]);
-            }
-        }
-        if out.len() > 1 << 12 {
-            out.truncate(1 << 12);
-        }
-    }
-    out
-}
-
 fn main() {
-    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus/net_frame");
-    let mut argv = std::env::args().skip(1);
-    let first = argv.next();
-    if first.as_deref() == Some("gen-corpus") {
-        gen_corpus(&corpus);
+    if std::env::args().nth(1).as_deref() == Some("gen-corpus") {
+        gen_corpus(&plasma_fuzz::corpus_dir(TARGET.name));
         return;
     }
-    let iterations: u64 = first
-        .map(|a| a.parse().expect("iterations must be a number"))
-        .unwrap_or(20_000);
-    let mut state: u64 = argv
-        .next()
-        .map(|a| a.parse().expect("seed must be a number"))
-        .unwrap_or(0x4652);
-    println!("net_frame: {iterations} iterations, seed {state:#x}");
-
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(&corpus)
-        .unwrap_or_else(|e| panic!("corpus dir {}: {e}", corpus.display()))
-        .map(|e| e.expect("readable corpus entry").path())
-        .collect();
-    entries.sort();
-    let seeds: Vec<Vec<u8>> = entries
-        .iter()
-        .map(|p| std::fs::read(p).expect("readable corpus file"))
-        .collect();
-    assert!(!seeds.is_empty(), "seed corpus is empty");
-
-    for (path, seed) in entries.iter().zip(&seeds) {
-        run_one(seed);
-        println!("  seed ok: {}", path.file_name().unwrap().to_string_lossy());
-    }
-    for i in 0..iterations {
-        let base = &seeds[below(&mut state, seeds.len())];
-        let input = mutate(base, &seeds, &mut state);
-        run_one(&input);
-        if (i + 1) % 5000 == 0 {
-            println!("  {} iterations...", i + 1);
-        }
-    }
-    println!(
-        "net_frame: ok ({} seeds, {iterations} mutations)",
-        seeds.len()
-    );
+    plasma_fuzz::run(&TARGET, run_one);
 }
