@@ -39,7 +39,10 @@ use crate::ids::{ActorId, ActorTypeId, ClientId, FnId, NameRegistry};
 use crate::logic::{ActorCtx, ActorLogic, ClientCtx, ClientLogic, PendingSend};
 use crate::message::{CallerKind, Correlation, Message, Payload};
 use crate::report::{DecisionKind, DecisionRecord, MigrationRecord, RunReport};
-use crate::stats::{ActorWindowStats, ProfileSnapshot, ServerWindowStats, SnapshotDelta};
+use crate::stats::{
+    empty_page, ActorWindowStats, Page, ProfileSnapshot, ServerWindowStats, SnapshotDelta,
+    PAGE_SLOTS,
+};
 
 /// Fixed CPU work added to every message service by profiling.
 ///
@@ -187,6 +190,14 @@ pub struct Runtime {
     tracer: Tracer,
     stopped: bool,
     snapshot: Arc<ProfileSnapshot>,
+    /// One flag per snapshot page: whether the next roll must rebuild it.
+    /// [`Runtime::slot_mut`] sets it for every actor it hands out, so a
+    /// page no actor entry was reached through mutably since the last roll
+    /// is shared with the next snapshot as it is.
+    dirty: Vec<bool>,
+    /// Rows the rolls have written so far; see
+    /// [`Runtime::snapshot_rows_built`].
+    rows_built: u64,
     /// Per-window deltas between consecutive snapshot generations, oldest
     /// first; bounded by `delta_cap`. Consumers compose them via
     /// [`Runtime::delta_since`] to patch retained indexes incrementally.
@@ -260,6 +271,8 @@ impl Runtime {
             tracer: Tracer::disabled(),
             stopped: false,
             snapshot: Arc::new(ProfileSnapshot::default()),
+            dirty: Vec::new(),
+            rows_built: 0,
             deltas: VecDeque::new(),
             delta_cap,
             report,
@@ -432,7 +445,10 @@ impl Runtime {
     ) -> ActorId {
         let id = ActorId(self.actors.len() as u64);
         let entry = ActorEntry::new(id, type_id, server, logic, state_size, self.now);
-        self.actors.push(Some(entry));
+        self.actors.push(None);
+        self.dirty
+            .resize(self.actors.len().div_ceil(PAGE_SLOTS), false);
+        *self.slot_mut(id).expect("slot just pushed") = Some(entry);
         self.actors_by_server[server.0 as usize].insert(id);
         self.cluster.server_mut(server).add_mem(state_size);
         self.tracer.emit(self.now, Component::Runtime, None, || {
@@ -453,11 +469,7 @@ impl Runtime {
     /// (counted in the report). Returns `false` if the actor is unknown or
     /// already removed.
     pub fn remove_actor(&mut self, actor: ActorId) -> bool {
-        let Some(entry) = self
-            .actors
-            .get_mut(actor.0 as usize)
-            .and_then(|e| e.as_mut())
-        else {
+        let Some(entry) = self.try_entry_mut(actor) else {
             return false;
         };
         if entry.tombstone {
@@ -471,7 +483,7 @@ impl Runtime {
     }
 
     fn reap_actor(&mut self, actor: ActorId) {
-        let Some(entry) = self.actors.get_mut(actor.0 as usize).and_then(|e| e.take()) else {
+        let Some(entry) = self.slot_mut(actor).and_then(Option::take) else {
             return;
         };
         let server = entry.server;
@@ -563,6 +575,16 @@ impl Runtime {
     /// (the generation of the current snapshot).
     pub fn snapshot_builds(&self) -> u64 {
         self.snapshot.generation
+    }
+
+    /// Returns how many actor rows the window rolls have written so far.
+    ///
+    /// A roll rebuilds only the snapshot pages whose actors changed since
+    /// the previous one (the first roll builds them all) and shares the
+    /// rest, so this counts the roll's work: a deterministic measure that
+    /// grows with the actors a window touched, not with the world.
+    pub fn snapshot_rows_built(&self) -> u64 {
+        self.rows_built
     }
 
     /// Composes the per-window deltas from generation `from` up to the
@@ -1092,7 +1114,7 @@ impl Runtime {
             let Some(actor) = self.runq[sidx].pop_front() else {
                 break;
             };
-            let Some(entry) = self.actors[actor.0 as usize].as_mut() else {
+            let Some(entry) = self.try_entry_mut(actor) else {
                 continue;
             };
             entry.in_runq = false;
@@ -1137,9 +1159,7 @@ impl Runtime {
                 .server(server)
                 .instance()
                 .service_time(work + tax);
-            let entry = self.actors[actor.0 as usize]
-                .as_mut()
-                .expect("entry stable during dispatch");
+            let entry = self.entry_mut(actor);
             entry.logic = Some(logic);
             entry.counters.record_cpu(service);
             self.backend.execute(Execution {
@@ -1476,33 +1496,29 @@ impl Runtime {
                 .or_default()
                 .push(self.now, actor_count as f64);
         }
-        let mut actor_stats = Vec::new();
+        // Share every page no actor was reached through mutably since the
+        // last roll; rebuild the marked ones. The first roll finds every
+        // page marked (each insert marks its own).
+        let mut pages = self.snapshot.pages.clone();
         if self.cfg.epr_enabled {
-            for entry in self.actors.iter_mut().flatten() {
-                let server = entry.server;
-                let vcpus = self.cluster.server(server).instance().vcpus;
-                // Busy time is charged to the dispatch window, so a service
-                // spanning a window boundary can overshoot; clamp like the
-                // server-side meter does.
-                let cpu_share = if window.is_zero() || vcpus == 0 {
-                    0.0
-                } else {
-                    (entry.counters.cpu_busy.as_secs_f64() / (window.as_secs_f64() * vcpus as f64))
-                        .min(1.0)
-                };
-                actor_stats.push(ActorWindowStats {
-                    actor: entry.id,
-                    type_id: entry.type_id,
-                    server,
-                    state_size: entry.state_size,
-                    pinned: entry.pinned,
-                    cpu_share,
-                    // Taking the counters leaves them reset for the next
-                    // window; the refs map is shared, not copied.
-                    counters: std::mem::take(&mut entry.counters),
-                    refs: entry.refs.clone(),
-                });
+            #[cfg(debug_assertions)]
+            let fresh: Vec<Option<Arc<Page>>> = (0..self.dirty.len())
+                .map(|p| self.build_page(p, false).0)
+                .collect();
+            pages.resize(self.dirty.len(), None);
+            for (p, shared) in pages.iter_mut().enumerate() {
+                if !self.dirty[p] {
+                    continue;
+                }
+                let (page, rows, busy) = self.build_page(p, true);
+                self.rows_built += rows as u64;
+                *shared = page;
+                // Counters just taken into a row reset before the next
+                // roll, so that row changes again even if its actor idles.
+                self.dirty[p] = busy;
             }
+            #[cfg(debug_assertions)]
+            assert_same_rows(&pages, &fresh, self.snapshot.generation + 1);
         } else {
             for entry in self.actors.iter_mut().flatten() {
                 entry.counters.reset();
@@ -1512,7 +1528,7 @@ impl Runtime {
             generation: self.snapshot.generation + 1,
             at: self.now,
             window,
-            actors: actor_stats,
+            pages,
             servers,
         });
         // Emit the generation delta alongside the snapshot itself, so
@@ -1541,6 +1557,56 @@ impl Runtime {
         if schedule_next {
             self.events.push(self.now + window, Event::ProfileWindow);
         }
+    }
+
+    /// Builds snapshot page `p` from the actor slab: one row per live
+    /// entry in its id range, `None` when there is none. `take` moves each
+    /// entry's counters into its row, leaving them reset for the next
+    /// window (the roll); otherwise they are copied (the debug build of
+    /// every page each roll is checked against). Also returns how many rows
+    /// it built and whether any row's counters recorded something.
+    fn build_page(&mut self, p: usize, take: bool) -> (Option<Arc<Page>>, usize, bool) {
+        let window = self.cfg.profile_window;
+        let end = ((p + 1) * PAGE_SLOTS).min(self.actors.len());
+        let cluster = &self.cluster;
+        let slots = &mut self.actors[p * PAGE_SLOTS..end];
+        let (mut rows, mut busy) = (0, false);
+        let mut page = empty_page();
+        for (row, entry) in page.iter_mut().zip(slots.iter_mut()) {
+            let Some(entry) = entry.as_mut() else {
+                continue;
+            };
+            let server = entry.server;
+            let vcpus = cluster.server(server).instance().vcpus;
+            // Busy time is charged to the dispatch window, so a service
+            // spanning a window boundary can overshoot; clamp like the
+            // server-side meter does.
+            let cpu_share = if window.is_zero() || vcpus == 0 {
+                0.0
+            } else {
+                (entry.counters.cpu_busy.as_secs_f64() / (window.as_secs_f64() * vcpus as f64))
+                    .min(1.0)
+            };
+            let counters = if take {
+                std::mem::take(&mut entry.counters)
+            } else {
+                entry.counters.clone()
+            };
+            rows += 1;
+            busy |= !counters.is_empty();
+            *row = Some(ActorWindowStats {
+                actor: entry.id,
+                type_id: entry.type_id,
+                server,
+                state_size: entry.state_size,
+                pinned: entry.pinned,
+                cpu_share,
+                counters,
+                // The refs map is shared, not copied.
+                refs: entry.refs.clone(),
+            });
+        }
+        ((rows > 0).then(|| Arc::new(page)), rows, busy)
     }
 
     fn on_elasticity_tick(&mut self) {
@@ -1743,7 +1809,7 @@ impl Runtime {
                 }
             });
         for aid in residents {
-            let Some(entry) = self.actors[aid.0 as usize].take() else {
+            let Some(entry) = self.slot_mut(aid).and_then(Option::take) else {
                 continue;
             };
             self.actors_by_server[sidx].remove(&aid);
@@ -1993,7 +2059,7 @@ impl Runtime {
         entry.refs = orphan.refs;
         entry.pinned = orphan.pinned;
         entry.migration_seq = orphan.migration_seq;
-        self.actors[id.0 as usize] = Some(entry);
+        *self.slot_mut(id).expect("orphans keep their slot") = Some(entry);
         self.actors_by_server[dst.0 as usize].insert(id);
         self.cluster.server_mut(dst).add_mem(state_size);
         chaos.orphaned_ids.remove(&id);
@@ -2195,15 +2261,51 @@ impl Runtime {
         self.actors.get(actor.0 as usize).and_then(|e| e.as_ref())
     }
 
+    /// The one way to reach an actor's slab slot mutably. It marks the
+    /// slot's snapshot page, so the next roll rebuilds that page instead of
+    /// sharing it: every change a row can show (server, counters, refs,
+    /// pin, state size, presence) passes through here.
+    fn slot_mut(&mut self, actor: ActorId) -> Option<&mut Option<ActorEntry>> {
+        let i = actor.0 as usize;
+        let slot = self.actors.get_mut(i)?;
+        self.dirty[i / PAGE_SLOTS] = true;
+        Some(slot)
+    }
+
     fn try_entry_mut(&mut self, actor: ActorId) -> Option<&mut ActorEntry> {
-        self.actors
-            .get_mut(actor.0 as usize)
-            .and_then(|e| e.as_mut())
+        self.slot_mut(actor)?.as_mut()
     }
 
     fn entry_mut(&mut self, actor: ActorId) -> &mut ActorEntry {
-        self.actors[actor.0 as usize]
-            .as_mut()
-            .expect("actor exists")
+        self.try_entry_mut(actor).expect("actor exists")
     }
 }
+
+/// The roll oracle of debug builds: asserts that the rows the roll
+/// rebuilt or shared (`paged`) equal, field by field and `cpu_share` bit
+/// by bit, the rows a build of every page from the same entries produced
+/// (`fresh`). A page whose actor changed without [`Runtime::slot_mut`]
+/// marking it keeps its stale row and fails here.
+#[cfg(any(test, debug_assertions))]
+fn assert_same_rows(paged: &[Option<Arc<Page>>], fresh: &[Option<Arc<Page>>], generation: u64) {
+    fn row(table: &[Option<Arc<Page>>], p: usize, slot: usize) -> Option<&ActorWindowStats> {
+        table
+            .get(p)
+            .and_then(Option::as_ref)
+            .and_then(|page| page[slot].as_ref())
+    }
+    for p in 0..paged.len().max(fresh.len()) {
+        for slot in 0..PAGE_SLOTS {
+            let (a, b) = (row(paged, p, slot), row(fresh, p, slot));
+            assert!(
+                a == b && a.map(|r| r.cpu_share.to_bits()) == b.map(|r| r.cpu_share.to_bits()),
+                "generation {generation}: the paged row of actor {} differs from a full \
+                 build\n paged: {a:?}\n fresh: {b:?}",
+                p * PAGE_SLOTS + slot
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod churn_props;

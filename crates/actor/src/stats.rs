@@ -42,7 +42,7 @@ pub struct CallKey {
 }
 
 /// Counters an actor accumulates during one profiling window.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ActorCounters {
     /// CPU time this actor consumed.
     pub cpu_busy: SimDuration,
@@ -108,6 +108,12 @@ impl ActorCounters {
         self.calls.clear();
         self.bytes_sent = 0;
     }
+
+    /// Returns whether nothing was recorded: the counters of an actor that
+    /// was idle all window.
+    pub fn is_empty(&self) -> bool {
+        self.cpu_busy.is_zero() && self.calls.is_empty() && self.bytes_sent == 0
+    }
 }
 
 /// An actor's reference properties: property name to referenced actors.
@@ -124,7 +130,9 @@ impl ActorCounters {
 /// every actor's map, any change copies the map first, so a row that still
 /// shares the previous row's map (one allocation, or both empty) holds the
 /// same references. [`SnapshotDelta::between`] relies on this to list
-/// changed maps without comparing their contents.
+/// changed maps without comparing their contents. The rows themselves are
+/// shared the same way, a page at a time (see [`ProfileSnapshot`]); the
+/// derived `PartialEq` compares maps by content.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RefMap(Option<Arc<BTreeMap<String, Vec<ActorId>>>>);
 
@@ -185,7 +193,7 @@ impl From<BTreeMap<String, Vec<ActorId>>> for RefMap {
 }
 
 /// Snapshot of one actor's activity over the last profiling window.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ActorWindowStats {
     /// The actor.
     pub actor: ActorId,
@@ -217,7 +225,38 @@ pub struct ServerWindowStats {
     pub actor_count: usize,
 }
 
+/// Actor ids per snapshot page.
+///
+/// A roll rebuilds only the pages the runtime marked, so the page is the
+/// unit a roll, a [`SnapshotDelta::between`] walk and a frame swap pay
+/// for. Pages rebuilt per window, measured on perfbench (seed 17, every
+/// roll of a one-second run): `estore-wide-sim` 2, at most 3, of 640
+/// (~67 of 40,960 rows differ, all among the low ids its clients call);
+/// `estore-skew-net` 2, at most 3, of 40 (~81 of 2,560 rows differ);
+/// `media-churn-live` nearly every page (~63% of rows differ), where a
+/// page is as cheap to build as the rows it holds. 64 keeps a page's
+/// rebuild small where few rows change and the page table short where
+/// all do.
+pub const PAGE_SLOTS: usize = 64;
+
+/// One page of rows: slot `i` of page `p` holds actor `p * PAGE_SLOTS + i`.
+pub(crate) type Page = [Option<ActorWindowStats>; PAGE_SLOTS];
+
+/// A page with every slot empty.
+pub(crate) fn empty_page() -> Page {
+    std::array::from_fn(|_| None)
+}
+
 /// A complete profiling snapshot: what every LEM ships to its GEM.
+///
+/// Actor rows live in fixed-size pages indexed by actor id
+/// ([`PAGE_SLOTS`] ids each), every page behind an [`Arc`]. Consecutive
+/// generations share each page the window did not change, so a snapshot
+/// costs the pages its roll rebuilt, and dropping one frees only the pages
+/// no other generation holds. An edit ([`ProfileSnapshot::insert`],
+/// [`ProfileSnapshot::remove`], [`ProfileSnapshot::actor_mut`]) copies its
+/// page first while another generation still shares it. A page holds at
+/// least one row or is absent.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileSnapshot {
     /// Build counter, bumped once per profiling window. Two handles with
@@ -228,16 +267,61 @@ pub struct ProfileSnapshot {
     pub at: SimTime,
     /// Length of the window.
     pub window: SimDuration,
-    /// Per-actor stats, ordered by actor id.
-    pub actors: Vec<ActorWindowStats>,
+    /// Row pages indexed by `actor id / PAGE_SLOTS`.
+    pub(crate) pages: Vec<Option<Arc<Page>>>,
     /// Per-server stats, ordered by server id.
     pub servers: Vec<ServerWindowStats>,
 }
 
 impl ProfileSnapshot {
+    /// Builds a snapshot from rows in any order (synthetic snapshots in
+    /// tests and benches; the runtime builds its pages in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics if two rows name the same actor.
+    pub fn from_rows(
+        generation: u64,
+        at: SimTime,
+        window: SimDuration,
+        rows: impl IntoIterator<Item = ActorWindowStats>,
+        servers: Vec<ServerWindowStats>,
+    ) -> Self {
+        let mut snap = ProfileSnapshot {
+            generation,
+            at,
+            window,
+            servers,
+            ..ProfileSnapshot::default()
+        };
+        for row in rows {
+            let id = row.actor;
+            assert!(snap.insert(row).is_none(), "two rows for {id:?}");
+        }
+        snap
+    }
+
+    /// Returns every actor row, in id order.
+    pub fn actors(&self) -> impl DoubleEndedIterator<Item = &ActorWindowStats> {
+        self.pages
+            .iter()
+            .flatten()
+            .flat_map(|page| page.iter().flatten())
+    }
+
+    /// Returns the number of actor rows, counted over the pages.
+    pub fn len(&self) -> usize {
+        self.actors().count()
+    }
+
+    /// Returns whether the snapshot holds no actor row.
+    pub fn is_empty(&self) -> bool {
+        self.pages.iter().all(Option::is_none)
+    }
+
     /// Returns the stats of actors hosted on `server`.
     pub fn actors_on(&self, server: ServerId) -> impl Iterator<Item = &ActorWindowStats> {
-        self.actors.iter().filter(move |a| a.server == server)
+        self.actors().filter(move |a| a.server == server)
     }
 
     /// Returns the stats for one server, if present.
@@ -245,20 +329,53 @@ impl ProfileSnapshot {
         self.servers.iter().find(|s| s.server == server)
     }
 
-    /// Returns the stats for one actor, if present (a binary search over
-    /// the id-ordered rows).
+    /// Returns the stats for one actor, if present: its page, then its
+    /// slot.
     pub fn actor(&self, actor: ActorId) -> Option<&ActorWindowStats> {
-        self.actors
-            .binary_search_by(|a| a.actor.cmp(&actor))
-            .ok()
-            .map(|i| &self.actors[i])
+        let id = actor.0 as usize;
+        self.pages.get(id / PAGE_SLOTS)?.as_ref()?[id % PAGE_SLOTS].as_ref()
+    }
+
+    /// Returns one actor's row for editing, copying its page first if
+    /// another generation shares it.
+    pub fn actor_mut(&mut self, actor: ActorId) -> Option<&mut ActorWindowStats> {
+        let id = actor.0 as usize;
+        let page = self.pages.get_mut(id / PAGE_SLOTS)?.as_mut()?;
+        page[id % PAGE_SLOTS].as_ref()?;
+        Arc::make_mut(page)[id % PAGE_SLOTS].as_mut()
+    }
+
+    /// Puts `row` in its actor's slot, copying the page first if another
+    /// generation shares it. Returns the row it replaced.
+    pub fn insert(&mut self, row: ActorWindowStats) -> Option<ActorWindowStats> {
+        let id = row.actor.0 as usize;
+        let p = id / PAGE_SLOTS;
+        if p >= self.pages.len() {
+            self.pages.resize(p + 1, None);
+        }
+        let page = self.pages[p].get_or_insert_with(|| Arc::new(empty_page()));
+        Arc::make_mut(page)[id % PAGE_SLOTS].replace(row)
+    }
+
+    /// Takes one actor's row out, copying its page first if another
+    /// generation shares it; a page left without rows goes.
+    pub fn remove(&mut self, actor: ActorId) -> Option<ActorWindowStats> {
+        let id = actor.0 as usize;
+        let slot = self.pages.get_mut(id / PAGE_SLOTS)?;
+        let page = slot.as_mut()?;
+        page[id % PAGE_SLOTS].as_ref()?;
+        let old = Arc::make_mut(page)[id % PAGE_SLOTS].take();
+        if page.iter().all(Option::is_none) {
+            *slot = None;
+        }
+        old
     }
 }
 
 /// What changed between two consecutive profiling snapshots.
 ///
 /// Emitted by the runtime alongside every generation bump, derived from the
-/// slab-backed actor rows and the per-window server lists (which mirror the
+/// paged actor rows and the per-window server lists (which mirror the
 /// cluster lifecycle journal: a server enters when it starts running and
 /// leaves when it stops, crashes, or is decommissioned). Consumers use
 /// deltas to patch retained indexes in place instead of rebuilding them —
@@ -269,6 +386,12 @@ impl ProfileSnapshot {
 /// [`RefMap`] no longer shares the previous row's map is listed in
 /// `refs_changed`, which is what lets the EMR keep the pairs of `in ref`
 /// rules across rounds.
+///
+/// [`SnapshotDelta::between`] walks the two page tables side by side and
+/// skips every page both generations share, so a window costs the pages
+/// its roll rebuilt; inside an unshared page it compares slot by slot.
+/// [`SnapshotDelta::walk_rows`], the row-by-row merge walk it replaced,
+/// stays as the oracle it is tested against.
 ///
 /// All id vectors are sorted and deduplicated. After [`merge`], an id may
 /// appear in more than one category (e.g. added in one window and removed a
@@ -300,61 +423,76 @@ pub struct SnapshotDelta {
 }
 
 impl SnapshotDelta {
-    /// Diffs two consecutive snapshots; both actor and server lists are
-    /// id-ordered, so this is a single merge walk.
+    /// Diffs two snapshots: pages both share are skipped, the slots of
+    /// every other page compared in id order.
     pub fn between(from: &ProfileSnapshot, to: &ProfileSnapshot) -> Self {
-        let mut delta = SnapshotDelta {
-            from_generation: from.generation,
-            to_generation: to.generation,
-            ..SnapshotDelta::default()
-        };
-        let (mut i, mut j) = (0, 0);
-        while i < from.actors.len() || j < to.actors.len() {
-            let old = from.actors.get(i);
-            let new = to.actors.get(j);
+        let mut delta = Self::servers_between(from, to);
+        for p in 0..from.pages.len().max(to.pages.len()) {
+            let old = from.pages.get(p).and_then(Option::as_ref);
+            let new = to.pages.get(p).and_then(Option::as_ref);
             match (old, new) {
-                (Some(o), Some(n)) if o.actor == n.actor => {
-                    if o.server != n.server {
-                        delta.moved.push(o.actor);
-                    }
-                    if !o.refs.shares(&n.refs) {
-                        delta.refs_changed.push(o.actor);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (Some(o), Some(n)) if o.actor < n.actor => {
-                    delta.removed.push(o.actor);
-                    i += 1;
-                }
-                (Some(_), Some(n)) => {
-                    delta.added.push(n.actor);
-                    j += 1;
-                }
-                (Some(o), None) => {
-                    delta.removed.push(o.actor);
-                    i += 1;
-                }
-                (None, Some(n)) => {
-                    delta.added.push(n.actor);
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
+                (None, None) => continue,
+                (Some(a), Some(b)) if Arc::ptr_eq(a, b) => continue,
+                _ => {}
             }
-        }
-        let old_servers: Vec<ServerId> = from.servers.iter().map(|s| s.server).collect();
-        let new_servers: Vec<ServerId> = to.servers.iter().map(|s| s.server).collect();
-        for s in &new_servers {
-            if !old_servers.contains(s) {
-                delta.servers_added.push(*s);
-            }
-        }
-        for s in &old_servers {
-            if !new_servers.contains(s) {
-                delta.servers_removed.push(*s);
+            for slot in 0..PAGE_SLOTS {
+                delta.record(
+                    old.and_then(|page| page[slot].as_ref()),
+                    new.and_then(|page| page[slot].as_ref()),
+                );
             }
         }
         delta
+    }
+
+    /// Diffs two snapshots by one merge walk over every row of both,
+    /// sharing or not. The reference [`SnapshotDelta::between`] must
+    /// agree with; tests compare the two.
+    pub fn walk_rows(from: &ProfileSnapshot, to: &ProfileSnapshot) -> Self {
+        let mut delta = Self::servers_between(from, to);
+        let (mut old, mut new) = (from.actors().peekable(), to.actors().peekable());
+        loop {
+            let (o, n) = match (old.peek(), new.peek()) {
+                (None, None) => break,
+                (Some(o), Some(n)) if o.actor == n.actor => (old.next(), new.next()),
+                (Some(o), Some(n)) if o.actor < n.actor => (old.next(), None),
+                (Some(_), None) => (old.next(), None),
+                _ => (None, new.next()),
+            };
+            delta.record(o, n);
+        }
+        delta
+    }
+
+    /// An empty delta between the two generations, with their server
+    /// lists diffed.
+    fn servers_between(from: &ProfileSnapshot, to: &ProfileSnapshot) -> Self {
+        let old: Vec<ServerId> = from.servers.iter().map(|s| s.server).collect();
+        let new: Vec<ServerId> = to.servers.iter().map(|s| s.server).collect();
+        SnapshotDelta {
+            from_generation: from.generation,
+            to_generation: to.generation,
+            servers_added: new.iter().copied().filter(|s| !old.contains(s)).collect(),
+            servers_removed: old.iter().copied().filter(|s| !new.contains(s)).collect(),
+            ..SnapshotDelta::default()
+        }
+    }
+
+    /// Classifies one actor by its rows in the two generations.
+    fn record(&mut self, old: Option<&ActorWindowStats>, new: Option<&ActorWindowStats>) {
+        match (old, new) {
+            (Some(o), Some(n)) => {
+                if o.server != n.server {
+                    self.moved.push(o.actor);
+                }
+                if !o.refs.shares(&n.refs) {
+                    self.refs_changed.push(o.actor);
+                }
+            }
+            (Some(o), None) => self.removed.push(o.actor),
+            (None, Some(n)) => self.added.push(n.actor),
+            (None, None) => {}
+        }
     }
 
     /// Returns whether nothing changed between the two generations.
@@ -453,50 +591,117 @@ mod tests {
         assert_eq!(c.calls_from_kind(CallerKind::Actor(t), FnId(0)).count, 3);
     }
 
+    /// A row for `id` on `server` with `cpu_share` and nothing else.
+    fn row(id: u64, server: u32, cpu_share: f64) -> ActorWindowStats {
+        ActorWindowStats {
+            actor: ActorId(id),
+            type_id: ActorTypeId(0),
+            server: ServerId(server),
+            state_size: 1,
+            pinned: false,
+            cpu_share,
+            counters: ActorCounters::default(),
+            refs: RefMap::default(),
+        }
+    }
+
     #[test]
     fn snapshot_filters() {
-        let snap = ProfileSnapshot {
-            generation: 1,
-            at: SimTime::from_secs(10),
-            window: SimDuration::from_secs(1),
-            actors: vec![
-                ActorWindowStats {
-                    actor: ActorId(1),
-                    type_id: ActorTypeId(0),
-                    server: ServerId(0),
-                    state_size: 10,
-                    pinned: false,
-                    cpu_share: 0.5,
-                    counters: ActorCounters::default(),
-                    refs: RefMap::default(),
-                },
-                ActorWindowStats {
-                    actor: ActorId(3),
-                    type_id: ActorTypeId(0),
-                    server: ServerId(1),
-                    state_size: 10,
-                    pinned: true,
-                    cpu_share: 0.1,
-                    counters: ActorCounters::default(),
-                    refs: RefMap::default(),
-                },
-            ],
-            servers: vec![ServerWindowStats {
+        let mut pinned = row(3, 1, 0.1);
+        pinned.pinned = true;
+        let snap = ProfileSnapshot::from_rows(
+            1,
+            SimTime::from_secs(10),
+            SimDuration::from_secs(1),
+            [pinned, row(1, 0, 0.5)],
+            vec![ServerWindowStats {
                 server: ServerId(0),
                 usage: ResourceUsage::new(0.9, 0.1, 0.2),
                 actor_count: 1,
             }],
-        };
+        );
+        assert_eq!(snap.len(), 2);
         assert_eq!(snap.actors_on(ServerId(0)).count(), 1);
         assert_eq!(snap.actors_on(ServerId(1)).count(), 1);
         assert!(snap.server(ServerId(0)).is_some());
         assert!(snap.server(ServerId(9)).is_none());
         assert!(snap.actor(ActorId(3)).unwrap().pinned);
         assert!(!snap.actor(ActorId(1)).unwrap().pinned);
-        // Absent ids: below, between and above the present ones.
+        // Absent ids: below, between and above the present ones, and in a
+        // page the snapshot does not have.
         assert!(snap.actor(ActorId(0)).is_none());
         assert!(snap.actor(ActorId(2)).is_none());
         assert!(snap.actor(ActorId(4)).is_none());
+        assert!(snap.actor(ActorId(10 * PAGE_SLOTS as u64)).is_none());
+    }
+
+    #[test]
+    fn pages_are_indexed_by_id_and_copied_on_write() {
+        let far = 3 * PAGE_SLOTS as u64 + 5;
+        let a = ProfileSnapshot::from_rows(
+            1,
+            SimTime::from_secs(1),
+            SimDuration::from_secs(1),
+            [
+                row(far, 0, 0.3),
+                row(1, 0, 0.1),
+                row(PAGE_SLOTS as u64, 1, 0.2),
+            ],
+            Vec::new(),
+        );
+        let ids: Vec<u64> = a.actors().map(|r| r.actor.0).collect();
+        assert_eq!(ids, vec![1, PAGE_SLOTS as u64, far]);
+        assert_eq!(a.actors().next_back().unwrap().actor.0, far);
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.pages.len(), 4);
+        assert!(a.pages[2].is_none(), "a page without rows is absent");
+        // The successor shares every page until a row changes; an edit
+        // copies only its own page and leaves the predecessor intact.
+        let mut b = a.clone();
+        b.generation = 2;
+        b.actor_mut(ActorId(1)).unwrap().cpu_share = 0.9;
+        assert!(!Arc::ptr_eq(
+            a.pages[0].as_ref().unwrap(),
+            b.pages[0].as_ref().unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            a.pages[1].as_ref().unwrap(),
+            b.pages[1].as_ref().unwrap()
+        ));
+        assert_eq!(a.actor(ActorId(1)).unwrap().cpu_share, 0.1);
+        assert!(b.actor_mut(ActorId(2)).is_none(), "no row to edit");
+        // Removing a page's last row drops the page; inserting past the
+        // table grows it.
+        assert_eq!(
+            b.remove(ActorId(PAGE_SLOTS as u64)).unwrap().server,
+            ServerId(1)
+        );
+        assert!(b.remove(ActorId(PAGE_SLOTS as u64)).is_none());
+        assert!(b.pages[1].is_none());
+        assert!(b.insert(row(9 * PAGE_SLOTS as u64, 2, 0.0)).is_none());
+        assert_eq!(b.len(), 3);
+        assert!(
+            b.insert(row(1, 1, 0.0)).is_some(),
+            "a replaced row is returned"
+        );
+        assert_eq!(b.len(), 3);
+        let d = SnapshotDelta::between(&a, &b);
+        assert_eq!(d, SnapshotDelta::walk_rows(&a, &b));
+        assert_eq!(d.added, vec![ActorId(9 * PAGE_SLOTS as u64)]);
+        assert_eq!(d.removed, vec![ActorId(PAGE_SLOTS as u64)]);
+        assert_eq!(d.moved, vec![ActorId(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "two rows for")]
+    fn from_rows_rejects_duplicate_actors() {
+        ProfileSnapshot::from_rows(
+            1,
+            SimTime::ZERO,
+            SimDuration::from_secs(1),
+            [row(7, 0, 0.1), row(7, 1, 0.2)],
+            Vec::new(),
+        );
     }
 
     #[test]
@@ -526,27 +731,15 @@ mod tests {
         assert_eq!(RefMap::from(BTreeMap::new()), RefMap::default());
     }
 
-    /// Minimal snapshot: actors given as `(id, server, cpu_share)` rows
-    /// (already id-ordered), servers as bare ids.
+    /// Minimal snapshot: actors given as `(id, server, cpu_share)` rows,
+    /// servers as bare ids.
     fn snap_of(generation: u64, actors: &[(u64, u32, f64)], servers: &[u32]) -> ProfileSnapshot {
-        ProfileSnapshot {
+        ProfileSnapshot::from_rows(
             generation,
-            at: SimTime::from_secs(generation),
-            window: SimDuration::from_secs(1),
-            actors: actors
-                .iter()
-                .map(|&(id, srv, cpu)| ActorWindowStats {
-                    actor: ActorId(id),
-                    type_id: ActorTypeId(0),
-                    server: ServerId(srv),
-                    state_size: 1,
-                    pinned: false,
-                    cpu_share: cpu,
-                    counters: ActorCounters::default(),
-                    refs: RefMap::default(),
-                })
-                .collect(),
-            servers: servers
+            SimTime::from_secs(generation),
+            SimDuration::from_secs(1),
+            actors.iter().map(|&(id, srv, cpu)| row(id, srv, cpu)),
+            servers
                 .iter()
                 .map(|&s| ServerWindowStats {
                     server: ServerId(s),
@@ -554,7 +747,23 @@ mod tests {
                     actor_count: 0,
                 })
                 .collect(),
-        }
+        )
+    }
+
+    /// The reference map of actor `id`'s row.
+    fn refs_of(snap: &mut ProfileSnapshot, id: u64) -> &mut RefMap {
+        &mut snap.actor_mut(ActorId(id)).expect("row present").refs
+    }
+
+    /// [`SnapshotDelta::between`], checked against the full row walk.
+    fn diff(from: &ProfileSnapshot, to: &ProfileSnapshot) -> SnapshotDelta {
+        let d = SnapshotDelta::between(from, to);
+        assert_eq!(
+            d,
+            SnapshotDelta::walk_rows(from, to),
+            "page walk vs row walk"
+        );
+        d
     }
 
     /// A reference map holding `kids`.
@@ -580,13 +789,13 @@ mod tests {
         );
         // Actor 3's row keeps sharing its map through a no-op add; adding a
         // new target to actor 4's copies the map the old row still holds.
-        a.actors[2].refs = kids(&[1]);
-        a.actors[3].refs = kids(&[1]);
-        b.actors[1].refs = a.actors[2].refs.clone();
-        b.actors[1].refs.add("kids", ActorId(1));
-        b.actors[2].refs = a.actors[3].refs.clone();
-        b.actors[2].refs.add("kids", ActorId(2));
-        let d = SnapshotDelta::between(&a, &b);
+        *refs_of(&mut a, 3) = kids(&[1]);
+        *refs_of(&mut a, 4) = kids(&[1]);
+        *refs_of(&mut b, 3) = refs_of(&mut a, 3).clone();
+        refs_of(&mut b, 3).add("kids", ActorId(1));
+        *refs_of(&mut b, 4) = refs_of(&mut a, 4).clone();
+        refs_of(&mut b, 4).add("kids", ActorId(2));
+        let d = diff(&a, &b);
         assert_eq!(d.from_generation, 1);
         assert_eq!(d.to_generation, 2);
         assert_eq!(d.added, vec![ActorId(5)]);
@@ -604,8 +813,8 @@ mod tests {
         // them (a superset of the real changes is what it promises).
         let mut c = b.clone();
         c.generation = 3;
-        c.actors[1].refs = kids(&[1]);
-        let d = SnapshotDelta::between(&b, &c);
+        *refs_of(&mut c, 3) = kids(&[1]);
+        let d = diff(&b, &c);
         assert_eq!(d.refs_changed, vec![ActorId(3)]);
         assert!(!d.is_empty(), "a delta with only a map change is not empty");
         assert!(d.touched_actors().is_empty());
@@ -616,7 +825,7 @@ mod tests {
         let a = snap_of(1, &[(1, 0, 0.2), (2, 1, 0.3)], &[0, 1]);
         let mut b = a.clone();
         b.generation = 2;
-        let d = SnapshotDelta::between(&a, &b);
+        let d = diff(&a, &b);
         assert!(d.is_empty());
         assert!(!d.scope_changed());
         assert!(d.touched_actors().is_empty());
@@ -631,18 +840,18 @@ mod tests {
         // Window 3: actor 3 disappears again, actor 2 moves, actor 1's map
         // loses a target and actor 2's takes a no-op remove.
         let mut c = snap_of(3, &[(1, 0, 0.5), (2, 1, 0.3)], &[0, 1]);
-        a.actors[0].refs = kids(&[5]);
-        a.actors[1].refs = kids(&[6]);
-        b.actors[0].refs = a.actors[0].refs.clone();
-        b.actors[0].refs.add("kids", ActorId(5));
-        b.actors[1].refs = a.actors[1].refs.clone();
-        b.actors[1].refs.add("kids", ActorId(7));
-        c.actors[0].refs = b.actors[0].refs.clone();
-        c.actors[0].refs.remove("kids", ActorId(5));
-        c.actors[1].refs = b.actors[1].refs.clone();
-        c.actors[1].refs.remove("kids", ActorId(9));
-        let first = SnapshotDelta::between(&a, &b);
-        let second = SnapshotDelta::between(&b, &c);
+        *refs_of(&mut a, 1) = kids(&[5]);
+        *refs_of(&mut a, 2) = kids(&[6]);
+        *refs_of(&mut b, 1) = refs_of(&mut a, 1).clone();
+        refs_of(&mut b, 1).add("kids", ActorId(5));
+        *refs_of(&mut b, 2) = refs_of(&mut a, 2).clone();
+        refs_of(&mut b, 2).add("kids", ActorId(7));
+        *refs_of(&mut c, 1) = refs_of(&mut b, 1).clone();
+        refs_of(&mut c, 1).remove("kids", ActorId(5));
+        *refs_of(&mut c, 2) = refs_of(&mut b, 2).clone();
+        refs_of(&mut c, 2).remove("kids", ActorId(9));
+        let first = diff(&a, &b);
+        let second = diff(&b, &c);
         assert_eq!(first.refs_changed, vec![ActorId(2)]);
         assert_eq!(second.refs_changed, vec![ActorId(1)]);
         let mut d = first;
@@ -661,7 +870,7 @@ mod tests {
         assert_eq!(d.touched_actors(), vec![ActorId(2), ActorId(3)]);
         // The merged span must classify like a direct endpoint diff for
         // actors present in exactly one endpoint.
-        let direct = SnapshotDelta::between(&a, &c);
+        let direct = diff(&a, &c);
         assert_eq!(direct.added, Vec::<ActorId>::new());
         assert_eq!(direct.moved, d.moved);
         assert_eq!(direct.refs_changed, d.refs_changed);

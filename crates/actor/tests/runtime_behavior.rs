@@ -218,7 +218,7 @@ fn profiling_snapshot_reports_usage_and_calls() {
     }));
     rt.run_until(SimTime::from_secs(10));
     let snap = rt.snapshot();
-    assert_eq!(snap.actors.len(), 1);
+    assert_eq!(snap.len(), 1);
     let a = snap.actor(echo).unwrap();
     assert_eq!(a.server, s);
     assert!(a.cpu_share > 0.0, "actor consumed CPU");

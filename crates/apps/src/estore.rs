@@ -252,7 +252,7 @@ struct NativeEstore {
 
 impl ElasticityController for NativeEstore {
     fn on_elasticity_tick(&mut self, rt: &mut Runtime) {
-        let snapshot = rt.snapshot().clone();
+        let snapshot = rt.snapshot_shared();
         let servers = rt.cluster().running_ids();
         if servers.len() < 2 {
             return;

@@ -166,13 +166,13 @@ pub fn synth_world(n_servers: u32, n_actors: u64, seed: u64) -> (ProfileSnapshot
             }
         })
         .collect();
-    let snap = ProfileSnapshot {
-        generation: 1,
-        at: SimTime::from_secs(60),
-        window: SimDuration::from_secs(1),
+    let snap = ProfileSnapshot::from_rows(
+        1,
+        SimTime::from_secs(60),
+        SimDuration::from_secs(1),
         actors,
-        servers: Vec::new(),
-    };
+        Vec::new(),
+    );
     (snap, servers)
 }
 
@@ -180,21 +180,27 @@ pub fn synth_world(n_servers: u32, n_actors: u64, seed: u64) -> (ProfileSnapshot
 /// `frac` churn: roughly `frac * len` actors are touched — a quarter
 /// replaced (one death plus one fresh spawn), a quarter migrated, and the
 /// rest re-profiled with a new `cpu_share`. Everything derives from
-/// `seed`, the actor list stays id-sorted, and the generation advances by
-/// one, so `SnapshotDelta::between(base, &churned)` is exactly the delta a
-/// runtime would emit for this window.
+/// `seed`, and the generation advances by one. The successor starts as a
+/// copy of `base` that shares its pages, and every edit copies only its
+/// own page, as a runtime roll rebuilds only the pages that changed, so
+/// `SnapshotDelta::between(base, &churned)` is exactly the delta a runtime
+/// would emit for this window.
 pub fn churn_world(base: &ProfileSnapshot, frac: f64, seed: u64) -> ProfileSnapshot {
     let mut mix = Mix(seed);
-    let mut actors = base.actors.clone();
-    let n_servers = actors.iter().map(|a| a.server.0).max().unwrap_or(0) + 1;
-    let touches = ((actors.len() as f64 * frac).ceil() as u64).max(1);
-    let mut next_id = actors.last().map(|a| a.actor.0 + 1).unwrap_or(0);
+    let mut next = base.clone();
+    next.generation = base.generation + 1;
+    next.at = base.at + base.window;
+    // Live ids in id order: a draw picks the i-th of them.
+    let mut ids: Vec<ActorId> = base.actors().map(|a| a.actor).collect();
+    let n_servers = base.actors().map(|a| a.server.0).max().unwrap_or(0) + 1;
+    let touches = ((ids.len() as f64 * frac).ceil() as u64).max(1);
+    let mut next_id = ids.last().map_or(0, |a| a.0 + 1);
     for _ in 0..touches {
         match mix.below(4) {
-            0 if !actors.is_empty() => {
+            0 if !ids.is_empty() => {
                 // Replacement: one actor dies, a fresh one spawns.
-                let gone = mix.below(actors.len() as u64) as usize;
-                actors.remove(gone);
+                let gone = mix.below(ids.len() as u64) as usize;
+                next.remove(ids.remove(gone));
                 let mut calls = BTreeMap::new();
                 calls.insert(
                     CallKey {
@@ -207,7 +213,7 @@ pub fn churn_world(base: &ProfileSnapshot, frac: f64, seed: u64) -> ProfileSnaps
                         bytes: mix.below(1 << 16),
                     },
                 );
-                actors.push(ActorWindowStats {
+                next.insert(ActorWindowStats {
                     actor: ActorId(next_id),
                     type_id: ActorTypeId((next_id % 3) as u32),
                     server: ServerId(mix.below(n_servers as u64) as u32),
@@ -221,26 +227,23 @@ pub fn churn_world(base: &ProfileSnapshot, frac: f64, seed: u64) -> ProfileSnaps
                     },
                     refs: Default::default(),
                 });
+                ids.push(ActorId(next_id));
                 next_id += 1;
             }
-            1 if !actors.is_empty() => {
-                let i = mix.below(actors.len() as u64) as usize;
-                actors[i].server = ServerId(mix.below(n_servers as u64) as u32);
+            1 if !ids.is_empty() => {
+                let i = mix.below(ids.len() as u64) as usize;
+                let server = ServerId(mix.below(n_servers as u64) as u32);
+                next.actor_mut(ids[i]).expect("live id").server = server;
             }
-            _ if !actors.is_empty() => {
-                let i = mix.below(actors.len() as u64) as usize;
-                actors[i].cpu_share = mix.below(100) as f64 / 100.0;
+            _ if !ids.is_empty() => {
+                let i = mix.below(ids.len() as u64) as usize;
+                let cpu_share = mix.below(100) as f64 / 100.0;
+                next.actor_mut(ids[i]).expect("live id").cpu_share = cpu_share;
             }
             _ => {}
         }
     }
-    ProfileSnapshot {
-        generation: base.generation + 1,
-        at: base.at + base.window,
-        window: base.window,
-        actors,
-        servers: base.servers.clone(),
-    }
+    next
 }
 
 /// Runs a small live cluster under a balance policy with `num_gems` GEM

@@ -114,9 +114,9 @@ impl ElasticityController for FrequencyColocate {
     fn on_elasticity_tick(&mut self, rt: &mut Runtime) {
         // Find, per actor, its most frequent caller; if remote, move the
         // callee next to the caller.
-        let snapshot = rt.snapshot().clone();
+        let snapshot = rt.snapshot_shared();
         let mut moves: Vec<(ActorId, ServerId)> = Vec::new();
-        for stats in &snapshot.actors {
+        for stats in snapshot.actors() {
             let mut per_caller: BTreeMap<ActorId, u64> = BTreeMap::new();
             for (key, stat) in &stats.counters.calls {
                 if let Some(caller) = key.caller {
@@ -185,7 +185,7 @@ impl HeavyToIdle {
 
 impl ElasticityController for HeavyToIdle {
     fn on_elasticity_tick(&mut self, rt: &mut Runtime) {
-        let snapshot = rt.snapshot().clone();
+        let snapshot = rt.snapshot_shared();
         let servers = rt.cluster().running_ids();
         if servers.len() < 2 {
             return;

@@ -947,25 +947,23 @@ mod tests {
             .collect();
         // Twenty actors alternating T0/T1 over two servers; actor `i` reads
         // `cpu.perc` = 5 * i, so three T0 actors (14, 16, 18) pass `> 65`.
-        let actors = (0..20u64)
-            .map(|i| ActorWindowStats {
-                actor: ActorId(i),
-                type_id: ActorTypeId((i % 2) as u32),
-                server: ServerId((i / 2 % 2) as u32),
-                state_size: 0,
-                pinned: false,
-                cpu_share: i as f64 * 0.05,
-                counters: ActorCounters::default(),
-                refs: Default::default(),
-            })
-            .collect();
-        let snap = ProfileSnapshot {
-            generation: 1,
-            at: SimTime::from_secs(1),
-            window: SimDuration::from_secs(1),
+        let actors = (0..20u64).map(|i| ActorWindowStats {
+            actor: ActorId(i),
+            type_id: ActorTypeId((i % 2) as u32),
+            server: ServerId((i / 2 % 2) as u32),
+            state_size: 0,
+            pinned: false,
+            cpu_share: i as f64 * 0.05,
+            counters: ActorCounters::default(),
+            refs: Default::default(),
+        });
+        let snap = ProfileSnapshot::from_rows(
+            1,
+            SimTime::from_secs(1),
+            SimDuration::from_secs(1),
             actors,
-            servers: Vec::new(),
-        };
+            Vec::new(),
+        );
         let types = [("T0", 0), ("T1", 1)]
             .into_iter()
             .map(|(t, i)| (t.to_string(), ActorTypeId(i)))

@@ -216,16 +216,13 @@ fn gen_world(mix: &mut Mix) -> (ProfileSnapshot, Vec<ServerMeta>) {
         })
         .collect();
     let n_actors = mix.below(24);
-    let actors: Vec<ActorWindowStats> = (0..n_actors)
-        .map(|i| gen_actor(mix, i, n_actors, n_servers))
-        .collect();
-    let snap = ProfileSnapshot {
-        generation: 1,
-        at: SimTime::from_secs(10),
-        window: SimDuration::from_secs(1),
-        actors,
-        servers: Vec::new(),
-    };
+    let snap = ProfileSnapshot::from_rows(
+        1,
+        SimTime::from_secs(10),
+        SimDuration::from_secs(1),
+        (0..n_actors).map(|i| gen_actor(mix, i, n_actors, n_servers)),
+        Vec::new(),
+    );
     (snap, servers)
 }
 
@@ -319,36 +316,35 @@ proptest! {
     }
 }
 
-/// One random churn step applied to an id-sorted actor list: a handful of
-/// adds (fresh, strictly increasing ids), removals, migrations, and
-/// `cpu_share` changes.
-fn churn_step(
-    mix: &mut Mix,
-    actors: &mut Vec<ActorWindowStats>,
-    n_servers: u32,
-    next_id: &mut u64,
-) {
+/// One random churn step applied copy-on-write to `snap`, a copy of the
+/// previous generation: a handful of adds (fresh, strictly increasing ids
+/// that skip ahead, so rows spread over several pages), removals,
+/// migrations, and `cpu_share` changes. Pages no operation touched stay
+/// shared with the previous generation, as they do in the runtime.
+fn churn_step(mix: &mut Mix, snap: &mut ProfileSnapshot, n_servers: u32, next_id: &mut u64) {
     let ops = 1 + mix.below(5);
     for _ in 0..ops {
-        match mix.below(4) {
-            0 => {
-                let a = gen_actor(mix, *next_id, *next_id + 2, n_servers);
-                *next_id += 1;
-                actors.push(a);
+        let op = mix.below(4);
+        if op == 0 {
+            let a = gen_actor(mix, *next_id, *next_id + 2, n_servers);
+            *next_id += 1 + mix.below(32);
+            snap.insert(a);
+            continue;
+        }
+        if snap.is_empty() {
+            continue;
+        }
+        let nth = mix.below(snap.len() as u64) as usize;
+        let id = snap.actors().nth(nth).expect("in range").actor;
+        match op {
+            1 => {
+                snap.remove(id);
             }
-            1 if !actors.is_empty() => {
-                let i = mix.below(actors.len() as u64) as usize;
-                actors.remove(i);
+            2 => {
+                snap.actor_mut(id).expect("present").server =
+                    ServerId(mix.below(n_servers as u64) as u32)
             }
-            2 if !actors.is_empty() => {
-                let i = mix.below(actors.len() as u64) as usize;
-                actors[i].server = ServerId(mix.below(n_servers as u64) as u32);
-            }
-            _ if !actors.is_empty() => {
-                let i = mix.below(actors.len() as u64) as usize;
-                actors[i].cpu_share = mix.below(120) as f64 / 100.0;
-            }
-            _ => {}
+            _ => snap.actor_mut(id).expect("present").cpu_share = mix.below(120) as f64 / 100.0,
         }
     }
 }
@@ -390,7 +386,10 @@ proptest! {
     /// from scratch off the final snapshot, and candidate enumeration
     /// through the public context API agrees too. Both frames answer a
     /// threshold query before every apply, so their cpu-sorted copies are
-    /// built on the old generation and must not survive the swap.
+    /// built on the old generation and must not survive the swap. Each
+    /// generation is derived from the previous one copy-on-write, so the
+    /// frames swap between snapshots that share pages, and every step's
+    /// page-skipping delta is checked against the full row walk.
     #[test]
     fn patched_frame_matches_rebuild_over_churn(seed in 0u64..1 << 48) {
         use plasma_actor::stats::SnapshotDelta;
@@ -405,21 +404,21 @@ proptest! {
         let mut merged_frame =
             EvalFrame::from_parts(Arc::new(snap0.clone()), servers.clone(), types.clone(), fns.clone());
 
-        let mut actors = snap0.actors.clone();
-        let mut next_id = actors.last().map(|a| a.actor.0 + 1).unwrap_or(0);
+        let mut next_id = snap0.actors().next_back().map_or(0, |a| a.actor.0 + 1);
         let mut prev = snap0;
         let mut merged: Option<SnapshotDelta> = None;
         let n_steps = 1 + mix.below(8);
         for step in 0..n_steps {
-            churn_step(&mut mix, &mut actors, servers.len() as u32, &mut next_id);
-            let next = ProfileSnapshot {
-                generation: prev.generation + 1,
-                at: prev.at + SimDuration::from_secs(1),
-                window: prev.window,
-                actors: actors.clone(),
-                servers: Vec::new(),
-            };
+            let mut next = prev.clone();
+            next.generation += 1;
+            next.at = prev.at + SimDuration::from_secs(1);
+            churn_step(&mut mix, &mut next, servers.len() as u32, &mut next_id);
             let delta = SnapshotDelta::between(&prev, &next);
+            prop_assert_eq!(
+                &delta,
+                &SnapshotDelta::walk_rows(&prev, &next),
+                "page walk diverged from the row walk at step {}", step
+            );
             threshold_selections(&stepped, probe);
             prop_assert!(
                 stepped.apply(Arc::new(next.clone()), servers.clone(), &delta),

@@ -605,35 +605,32 @@ mod tests {
             (4, 2, 10, &[]),
             (5, 2, 10, &[]),
         ];
-        let actors = rows
-            .iter()
-            .map(|&(id, server, state_size, kids)| {
-                let mut refs = BTreeMap::new();
-                if !kids.is_empty() {
-                    refs.insert(
-                        "kids".to_string(),
-                        kids.iter().map(|&k| ActorId(k)).collect(),
-                    );
-                }
-                ActorWindowStats {
-                    actor: ActorId(id),
-                    type_id: ActorTypeId(0),
-                    server: ServerId(server),
-                    state_size,
-                    pinned: false,
-                    cpu_share: 0.01,
-                    counters: ActorCounters::default(),
-                    refs: refs.into(),
-                }
-            })
-            .collect();
-        let snap = ProfileSnapshot {
-            generation: 1,
-            at: SimTime::from_secs(1),
-            window: SimDuration::from_secs(1),
+        let actors = rows.iter().map(|&(id, server, state_size, kids)| {
+            let mut refs = BTreeMap::new();
+            if !kids.is_empty() {
+                refs.insert(
+                    "kids".to_string(),
+                    kids.iter().map(|&k| ActorId(k)).collect(),
+                );
+            }
+            ActorWindowStats {
+                actor: ActorId(id),
+                type_id: ActorTypeId(0),
+                server: ServerId(server),
+                state_size,
+                pinned: false,
+                cpu_share: 0.01,
+                counters: ActorCounters::default(),
+                refs: refs.into(),
+            }
+        });
+        let snap = ProfileSnapshot::from_rows(
+            1,
+            SimTime::from_secs(1),
+            SimDuration::from_secs(1),
             actors,
-            servers: Vec::new(),
-        };
+            Vec::new(),
+        );
         let servers = (0..3)
             .map(|i| ServerMeta {
                 id: ServerId(i),

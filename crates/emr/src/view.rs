@@ -11,14 +11,15 @@
 //! off: per-type actor lists, a per-server residency index, and their
 //! `(server, type)` intersection. Index groups store stable [`ActorId`]s —
 //! id order *is* enumeration order, which the behavior expansion relies on
-//! — resolved through a dense id-indexed row table, so membership edits
-//! never shift unrelated entries. Threshold conditions
-//! (`actor.cpu.perc > X`) resolve to a `partition_point` over a
-//! `cpu_share`-sorted copy of a group (or of the whole in-scope world)
-//! instead of a scan. Those copies are sorted on demand: the first
-//! threshold query against a generation sorts the family it reads from its
-//! id-ordered twin, and advancing the frame drops them, so a round whose
-//! rules compare no actor's cpu share sorts nothing.
+//! — and each id resolves to its row through the snapshot's id-indexed
+//! pages ([`ProfileSnapshot::actor`]), so membership edits never shift
+//! unrelated entries and the frame keeps no row table of its own.
+//! Threshold conditions (`actor.cpu.perc > X`) resolve to a
+//! `partition_point` over a `cpu_share`-sorted copy of a group (or of the
+//! whole in-scope world) instead of a scan. Those copies are sorted on
+//! demand: the first threshold query against a generation sorts the family
+//! it reads from its id-ordered twin, and advancing the frame drops them,
+//! so a round whose rules compare no actor's cpu share sorts nothing.
 //!
 //! # Incremental maintenance
 //!
@@ -27,15 +28,15 @@
 //! generation names every actor whose indexed stats (`server`, `type_id`)
 //! may have changed, and only those ids are spliced out of and back into
 //! the affected groups at binary-searched positions. Row *data* is always
-//! read from the current snapshot through the dense row table (patched in
-//! one O(world) pass with no allocation or sorting), so non-indexed stats —
-//! cpu share, call counters, refs, state size — are never stale. The frame
-//! falls back to a full rebuild on scope changes (the running server set
-//! differs from the frame's) and on generation gaps (the runtime's bounded
-//! delta history no longer reaches the frame's generation). The
-//! from-scratch builder remains the correctness oracle: a patched frame is
-//! index-for-index identical to a rebuilt one, which the churn property
-//! tests assert.
+//! read from the current snapshot, so non-indexed stats — cpu share, call
+//! counters, refs, state size — are never stale. Swapping in the new
+//! snapshot frees only the pages of the old one that no other generation
+//! shares. The frame falls back to a full rebuild on scope changes (the
+//! running server set differs from the frame's) and on generation gaps
+//! (the runtime's bounded delta history no longer reaches the frame's
+//! generation). The from-scratch builder remains the correctness oracle: a
+//! patched frame is index-for-index identical to a rebuilt one, which the
+//! churn property tests assert.
 
 use std::cell::{Cell, OnceCell};
 use std::collections::BTreeMap;
@@ -46,9 +47,6 @@ use plasma_actor::stats::{ActorWindowStats, ProfileSnapshot, SnapshotDelta};
 use plasma_actor::{Runtime, ServerReport};
 use plasma_cluster::ServerId;
 use plasma_epl::ast::{AType, Comp, Res};
-
-/// Sentinel in the dense id->row table for "not in this frame".
-const NO_ROW: u32 = u32::MAX;
 
 /// A touched actor's indexed state — `(server, type)` — at one endpoint of a
 /// delta, or `None` when absent from that generation (or out of the frame's
@@ -131,19 +129,14 @@ impl TypeSel {
 }
 
 /// The retained indexed view over one profiling snapshot: server metadata,
-/// the dense id->row table, candidate indexes, and the name tables rule
-/// plans are bound against. Built once, advanced per decision round by
-/// applying snapshot deltas, and shared by every [`EvalCtx`].
+/// candidate indexes, and the name tables rule plans are bound against.
+/// Built once, advanced per decision round by applying snapshot deltas, and
+/// shared by every [`EvalCtx`].
 pub struct EvalFrame {
     snap: Arc<ProfileSnapshot>,
     /// Server metadata in construction-scope order.
     servers: Vec<ServerMeta>,
     server_idx: BTreeMap<ServerId, usize>,
-    /// Dense actor-id-indexed row table: position of the actor's stats in
-    /// `snap.actors`, or [`NO_ROW`] when the actor is absent or hosted
-    /// outside the frame's scope. Actor ids are slab indices, so this stays
-    /// compact and replaces the former `BTreeMap<ActorId, u32>` lookup.
-    rows: Vec<u32>,
     /// Dense server-id-indexed membership mask over the frame's scope
     /// (server ids are slab indices too); the O(1) replacement for
     /// `server_idx` lookups on the per-actor hot paths.
@@ -240,7 +233,6 @@ impl EvalFrame {
             snap,
             servers,
             server_idx,
-            rows: Vec::new(),
             server_mask: Vec::new(),
             by_type: BTreeMap::new(),
             by_server: BTreeMap::new(),
@@ -250,9 +242,8 @@ impl EvalFrame {
             fn_names,
         };
         frame.refresh_server_mask();
-        frame.refresh_rows();
-        for a in &frame.snap.actors {
-            if frame.rows.get(a.actor.0 as usize) != Some(&NO_ROW) {
+        for a in frame.snap.actors() {
+            if frame.scope_has(a.server) {
                 frame.by_type.entry(a.type_id).or_default().push(a.actor);
                 frame.by_server.entry(a.server).or_default().push(a.actor);
                 frame
@@ -286,29 +277,6 @@ impl EvalFrame {
             .get(sid.0 as usize)
             .copied()
             .unwrap_or(false)
-    }
-
-    /// Rebuilds the dense id->row table from the current snapshot: one
-    /// O(world) pass, no allocation beyond table growth, no sorting.
-    fn refresh_rows(&mut self) {
-        let max_id = self
-            .snap
-            .actors
-            .last()
-            .map(|a| a.actor.0 as usize + 1)
-            .unwrap_or(0);
-        self.rows.clear();
-        self.rows.resize(max_id, NO_ROW);
-        for (pos, a) in self.snap.actors.iter().enumerate() {
-            if self
-                .server_mask
-                .get(a.server.0 as usize)
-                .copied()
-                .unwrap_or(false)
-            {
-                self.rows[a.actor.0 as usize] = pos as u32;
-            }
-        }
     }
 
     /// Advances the retained frame to the runtime's current snapshot by
@@ -361,11 +329,11 @@ impl EvalFrame {
     /// untouched — when the delta does not chain the two generations or the
     /// scope differs.
     ///
-    /// Cost is O(world) for the row-table refresh (pointer writes only)
-    /// plus O(touched · log group + touched · group-shift) for the index
-    /// splices — no re-sorting, no re-keying of untouched actors. The
-    /// cpu-sorted copies are dropped, not patched: the next threshold query
-    /// sorts the family it reads again.
+    /// Cost is O(touched · log group + touched · group-shift) for the index
+    /// splices — no re-sorting, no re-keying of untouched actors — plus
+    /// dropping the old snapshot, which frees only the pages the new one
+    /// does not share. The cpu-sorted copies are dropped, not patched: the
+    /// next threshold query sorts the family it reads again.
     pub fn apply(
         &mut self,
         snap: Arc<ProfileSnapshot>,
@@ -384,29 +352,24 @@ impl EvalFrame {
             return false;
         }
         // Classify every touched actor by its endpoint states — the old
-        // state read from the retained frame, the new state (plus its exact
-        // row) from the incoming snapshot; scope is unchanged, so the old
-        // server mask applies to both — and batch the group edits a change
-        // needs: removals keyed by OLD membership, insertions by NEW.
-        // Batches accumulate in flat `(group key, id)` vectors sorted and
-        // walked as runs, so no per-group map or vector is allocated.
-        let touched = delta.touched_actors();
-        let mut exact_rows: Vec<(ActorId, u32)> = Vec::with_capacity(touched.len());
+        // state read from the retained frame, the new one from the
+        // incoming snapshot; scope is unchanged, so the old server mask
+        // applies to both — and batch the group edits a change needs:
+        // removals keyed by OLD membership, insertions by NEW. Batches
+        // accumulate in flat `(group key, id)` vectors sorted and walked as
+        // runs, so no per-group map or vector is allocated.
         let mut ty_rm: Vec<(ActorTypeId, ActorId)> = Vec::new();
         let mut srv_rm: Vec<(ServerId, ActorId)> = Vec::new();
         let mut st_rm: Vec<((ServerId, ActorTypeId), ActorId)> = Vec::new();
         let mut ty_ins: Vec<(ActorTypeId, ActorId)> = Vec::new();
         let mut srv_ins: Vec<(ServerId, ActorId)> = Vec::new();
         let mut st_ins: Vec<((ServerId, ActorTypeId), ActorId)> = Vec::new();
-        for &id in &touched {
+        for id in delta.touched_actors() {
             let old: EndpointState = self.lookup(id).map(|a| (a.server, a.type_id));
-            let row = snap
-                .actors
-                .binary_search_by(|a| a.actor.0.cmp(&id.0))
-                .ok()
-                .filter(|&i| self.scope_has(snap.actors[i].server));
-            let new: EndpointState = row.map(|i| (snap.actors[i].server, snap.actors[i].type_id));
-            exact_rows.push((id, row.map_or(NO_ROW, |i| i as u32)));
+            let new: EndpointState = snap
+                .actor(id)
+                .filter(|a| self.scope_has(a.server))
+                .map(|a| (a.server, a.type_id));
             if old == new {
                 continue;
             }
@@ -419,51 +382,6 @@ impl EvalFrame {
                 ty_ins.push((ty, id));
                 srv_ins.push((srv, id));
                 st_ins.push(((srv, ty), id));
-            }
-        }
-        // Endpoint membership diff over the snapshot's actor vec (scope
-        // notwithstanding: out-of-scope actors still occupy vec positions
-        // and therefore shift everyone's rows). Single deltas list exactly
-        // the endpoint changes; a *merged* delta may list one id as both
-        // added and removed, so overlaps resolve by presence in the two
-        // endpoint snapshots.
-        let mut vec_adds: Vec<u64> = Vec::new();
-        let mut vec_rms: Vec<u64> = Vec::new();
-        {
-            let (a, r) = (&delta.added, &delta.removed);
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() || j < r.len() {
-                match (a.get(i), r.get(j)) {
-                    (Some(&x), Some(&y)) if x == y => {
-                        let present = |s: &ProfileSnapshot| {
-                            s.actors.binary_search_by(|w| w.actor.0.cmp(&x.0)).is_ok()
-                        };
-                        match (present(&self.snap), present(&snap)) {
-                            (false, true) => vec_adds.push(x.0),
-                            (true, false) => vec_rms.push(x.0),
-                            _ => {}
-                        }
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(&x), Some(&y)) if x < y => {
-                        vec_adds.push(x.0);
-                        i += 1;
-                    }
-                    (Some(_), Some(&y)) => {
-                        vec_rms.push(y.0);
-                        j += 1;
-                    }
-                    (Some(&x), None) => {
-                        vec_adds.push(x.0);
-                        i += 1;
-                    }
-                    (None, Some(&y)) => {
-                        vec_rms.push(y.0);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
             }
         }
         // Group the batches into id-ascending runs, then splice each run
@@ -485,16 +403,12 @@ impl EvalFrame {
         Self::insert_ids_runs(&mut self.by_type, &ty_ins, &mut pos);
         Self::insert_ids_runs(&mut self.by_server, &srv_ins, &mut pos);
         Self::insert_ids_runs(&mut self.by_server_type, &st_ins, &mut pos);
-        // Swap in the new generation: row data for every untouched actor
-        // now resolves to its current stats, and the cpu-sorted copies of
-        // the old one go. The server mask is untouched — the scope ids were
-        // verified identical above — and the row table is patched from the
-        // membership diff instead of re-streamed from the (much larger)
-        // stats rows.
+        // Swap in the new generation: every row now resolves through its
+        // pages, and the cpu-sorted copies of the old one go. The server
+        // mask is untouched — the scope ids were verified identical above.
         self.snap = snap;
         self.servers = servers;
         self.cpu_sorted = CpuSorted::default();
-        self.patch_rows(&vec_adds, &vec_rms, &exact_rows);
         true
     }
 
@@ -588,73 +502,15 @@ impl EvalFrame {
         });
     }
 
-    /// Patches the dense id->row table across a snapshot swap. Untouched
-    /// actors' rows shift by the running count of vec insertions minus
-    /// removals below their id (`vec_adds` / `vec_rms`, id-ascending);
-    /// touched actors then get their `exact` rows written directly. One
-    /// O(world) pass over the packed `u32` table — the stats rows
-    /// themselves are never streamed.
-    fn patch_rows(&mut self, vec_adds: &[u64], vec_rms: &[u64], exact: &[(ActorId, u32)]) {
-        let new_width = self
-            .snap
-            .actors
-            .last()
-            .map(|a| a.actor.0 as usize + 1)
-            .unwrap_or(0);
-        if new_width > self.rows.len() {
-            self.rows.resize(new_width, NO_ROW);
-        }
-        let mut events: Vec<(u64, i64)> = vec_adds
-            .iter()
-            .map(|&id| (id, 1i64))
-            .chain(vec_rms.iter().map(|&id| (id, -1i64)))
-            .collect();
-        events.sort_unstable();
-        let mut shift = 0i64;
-        for (k, &(eid, d)) in events.iter().enumerate() {
-            shift += d;
-            // A membership change at `eid` shifts every row for ids above
-            // it, up to the next event (ranges between same-id events are
-            // empty, so duplicate ids compose correctly).
-            let lo = (eid as usize + 1).min(self.rows.len());
-            let hi = events
-                .get(k + 1)
-                .map(|&(n, _)| n as usize + 1)
-                .unwrap_or(self.rows.len())
-                .min(self.rows.len());
-            if shift != 0 {
-                for r in &mut self.rows[lo..hi] {
-                    if *r != NO_ROW {
-                        // Touched rows may transiently wrap here; their
-                        // exact values land below.
-                        *r = (*r as i64).wrapping_add(shift) as u32;
-                    }
-                }
-            }
-        }
-        for &(id, row) in exact {
-            // A touched id can sit beyond the table when a merged delta
-            // names an actor absent from both endpoints; its implicit row
-            // is already NO_ROW.
-            if let Some(r) = self.rows.get_mut(id.0 as usize) {
-                *r = row;
-            } else {
-                debug_assert_eq!(row, NO_ROW);
-            }
-        }
-    }
-
     /// Returns the snapshot generation this frame was built from.
     pub fn generation(&self) -> u64 {
         self.snap.generation
     }
 
-    /// Returns the stats row of `id`, if the actor is in the frame.
+    /// Returns the stats row of `id`, if the actor is in the frame: in the
+    /// snapshot and hosted on one of the frame's servers.
     pub(crate) fn lookup(&self, id: ActorId) -> Option<&ActorWindowStats> {
-        match self.rows.get(id.0 as usize) {
-            Some(&pos) if pos != NO_ROW => Some(&self.snap.actors[pos as usize]),
-            _ => None,
-        }
+        self.snap.actor(id).filter(|a| self.scope_has(a.server))
     }
 
     /// Returns the metadata of every frame server.
@@ -695,7 +551,7 @@ impl EvalFrame {
         match (sel, on_server) {
             (TypeSel::Unknown, _) => None,
             (TypeSel::Any, None) => Some(sorted.all.get_or_init(|| {
-                sort_by_cpu(self.snap.actors.iter().filter(|a| self.scope_has(a.server)))
+                sort_by_cpu(self.snap.actors().filter(|a| self.scope_has(a.server)))
             })),
             (TypeSel::Any, Some(s)) => sorted
                 .by_server
@@ -730,16 +586,6 @@ impl EvalFrame {
         assert_eq!(self.snap.generation, oracle.snap.generation, "generation");
         assert_eq!(self.servers, oracle.servers, "server metadata");
         assert_eq!(self.server_idx, oracle.server_idx, "server index");
-        // Row tables may differ in trailing NO_ROW padding (the retained
-        // table never shrinks); compare them semantically.
-        let width = self.rows.len().max(oracle.rows.len());
-        for i in 0..width {
-            assert_eq!(
-                self.rows.get(i).copied().unwrap_or(NO_ROW),
-                oracle.rows.get(i).copied().unwrap_or(NO_ROW),
-                "row table entry for actor {i}"
-            );
-        }
         assert_eq!(self.by_type, oracle.by_type, "by_type");
         assert_eq!(self.by_server, oracle.by_server, "by_server");
         assert_eq!(self.by_server_type, oracle.by_server_type, "by_server_type");
@@ -843,8 +689,7 @@ impl<'a> EvalCtx<'a> {
         self.actors.get_or_init(|| {
             self.frame
                 .snap
-                .actors
-                .iter()
+                .actors()
                 .filter(|a| self.in_scope(a.server))
                 .collect()
         })

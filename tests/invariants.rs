@@ -155,7 +155,7 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&usage.cpu()));
         prop_assert!((0.0..=1.0).contains(&usage.mem()));
         prop_assert!((0.0..=1.0).contains(&usage.net()));
-        for actor in &snap.actors {
+        for actor in snap.actors() {
             prop_assert!((0.0..=1.0).contains(&actor.cpu_share));
         }
     }
@@ -201,7 +201,7 @@ fn utilization_bounded_regression_saturated_server() {
     );
     assert!((0.0..=1.0).contains(&usage.mem()));
     assert!((0.0..=1.0).contains(&usage.net()));
-    for actor in &snap.actors {
+    for actor in snap.actors() {
         assert!((0.0..=1.0).contains(&actor.cpu_share));
     }
 }
