@@ -40,8 +40,7 @@ use crate::logic::{ActorCtx, ActorLogic, ClientCtx, ClientLogic, PendingSend};
 use crate::message::{CallerKind, Correlation, Message, Payload};
 use crate::report::{DecisionKind, DecisionRecord, MigrationRecord, RunReport};
 use crate::stats::{
-    empty_page, ActorWindowStats, Page, ProfileSnapshot, ServerWindowStats, SnapshotDelta,
-    PAGE_SLOTS,
+    empty_page, ActorWindowStats, Page, ProfileSnapshot, ServerWindowStats, PAGE_SLOTS,
 };
 
 /// Fixed CPU work added to every message service by profiling.
@@ -198,13 +197,6 @@ pub struct Runtime {
     /// Rows the rolls have written so far; see
     /// [`Runtime::snapshot_rows_built`].
     rows_built: u64,
-    /// Per-window deltas between consecutive snapshot generations, oldest
-    /// first; bounded by `delta_cap`. Consumers compose them via
-    /// [`Runtime::delta_since`] to patch retained indexes incrementally.
-    deltas: VecDeque<SnapshotDelta>,
-    /// History bound: a couple of elasticity periods' worth of windows, so
-    /// a round can always bridge back to the previous round's generation.
-    delta_cap: usize,
     report: RunReport,
     next_request: u64,
     orphan_replies: u64,
@@ -247,13 +239,6 @@ impl Runtime {
                     .unwrap_or_else(|e| panic!("launching {} backend workers: {e}", kind.name())),
             ),
         };
-        // Enough per-window deltas to span two elasticity rounds (plus
-        // slack for skew-injected extra generations); if a configuration
-        // outruns this, `delta_since` reports a gap and consumers rebuild.
-        let windows_per_round = (cfg.elasticity_period.as_secs_f64()
-            / cfg.profile_window.as_secs_f64().max(1e-9))
-        .ceil() as usize;
-        let delta_cap = (2 * windows_per_round + 4).clamp(8, 1024);
         Runtime {
             cfg,
             now: SimTime::ZERO,
@@ -273,8 +258,6 @@ impl Runtime {
             snapshot: Arc::new(ProfileSnapshot::default()),
             dirty: Vec::new(),
             rows_built: 0,
-            deltas: VecDeque::new(),
-            delta_cap,
             report,
             next_request: 0,
             orphan_replies: 0,
@@ -585,38 +568,6 @@ impl Runtime {
     /// grows with the actors a window touched, not with the world.
     pub fn snapshot_rows_built(&self) -> u64 {
         self.rows_built
-    }
-
-    /// Composes the per-window deltas from generation `from` up to the
-    /// current snapshot into one [`SnapshotDelta`], or `None` when the
-    /// bounded history no longer reaches back that far (or `from` is ahead
-    /// of the current generation) — the caller must rebuild from scratch.
-    ///
-    /// `from == current` yields an empty delta.
-    pub fn delta_since(&self, from: u64) -> Option<SnapshotDelta> {
-        let current = self.snapshot.generation;
-        if from > current {
-            return None;
-        }
-        let mut merged = SnapshotDelta {
-            from_generation: from,
-            to_generation: from,
-            ..SnapshotDelta::default()
-        };
-        if from == current {
-            return Some(merged);
-        }
-        // History holds consecutive one-generation steps, oldest first.
-        let first = self.deltas.front()?.from_generation;
-        if from < first {
-            return None;
-        }
-        for step in self.deltas.iter().skip((from - first) as usize) {
-            debug_assert_eq!(step.from_generation, merged.to_generation);
-            merged.merge(step);
-        }
-        debug_assert_eq!(merged.to_generation, current);
-        Some(merged)
     }
 
     /// Returns the server currently hosting `actor`.
@@ -1524,22 +1475,13 @@ impl Runtime {
                 entry.counters.reset();
             }
         }
-        let next = Arc::new(ProfileSnapshot {
+        self.snapshot = Arc::new(ProfileSnapshot {
             generation: self.snapshot.generation + 1,
             at: self.now,
             window,
             pages,
             servers,
         });
-        // Emit the generation delta alongside the snapshot itself, so
-        // retained index structures (the EMR's EvalFrame) can patch in
-        // place instead of rebuilding per round.
-        if self.deltas.len() == self.delta_cap {
-            self.deltas.pop_front();
-        }
-        self.deltas
-            .push_back(SnapshotDelta::between(&self.snapshot, &next));
-        self.snapshot = next;
         // Publish every running server's LEM report row to the carrier
         // before the barrier closes the window: worker-held rows become
         // byte-exact copies of what the EMR's `EvalFrame` computes from

@@ -372,13 +372,15 @@ impl ProfileSnapshot {
     }
 }
 
-/// What changed between two consecutive profiling snapshots.
+/// What changed between two profiling snapshots, any number of generations
+/// apart.
 ///
-/// Emitted by the runtime alongside every generation bump, derived from the
-/// paged actor rows and the per-window server lists (which mirror the
-/// cluster lifecycle journal: a server enters when it starts running and
-/// leaves when it stops, crashes, or is decommissioned). Consumers use
-/// deltas to patch retained indexes in place instead of rebuilding them —
+/// Derived from the paged actor rows and the per-window server lists (which
+/// mirror the cluster lifecycle journal: a server enters when it starts
+/// running and leaves when it stops, crashes, or is decommissioned), and
+/// only from the two endpoints: an actor added and removed again in
+/// between is not listed, nor is one that moved away and back. Consumers
+/// use deltas to patch retained indexes in place instead of rebuilding them —
 /// only `server` and `type_id` feed retained indexes, and an actor's type
 /// never changes, so `server` is the only per-actor stat diffed; everything
 /// else, `cpu_share` included, is read straight from the current snapshot.
@@ -388,22 +390,18 @@ impl ProfileSnapshot {
 /// rules across rounds.
 ///
 /// [`SnapshotDelta::between`] walks the two page tables side by side and
-/// skips every page both generations share, so a window costs the pages
-/// its roll rebuilt; inside an unshared page it compares slot by slot.
+/// skips every page both generations share, so a span costs the pages its
+/// rolls rebuilt; inside an unshared page it compares slot by slot.
 /// [`SnapshotDelta::walk_rows`], the row-by-row merge walk it replaced,
 /// stays as the oracle it is tested against.
 ///
-/// All id vectors are sorted and deduplicated. After [`merge`], an id may
-/// appear in more than one category (e.g. added in one window and removed a
-/// few windows later); consumers must classify a touched actor by its state
-/// in the two endpoint generations, not by category.
-///
-/// [`merge`]: SnapshotDelta::merge
+/// All id vectors are sorted without duplicates, and an id appears in at
+/// most one of `added`, `removed` and `moved`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SnapshotDelta {
     /// Generation this delta starts from.
     pub from_generation: u64,
-    /// Generation this delta produces (`from + 1` until merged).
+    /// Generation this delta produces.
     pub to_generation: u64,
     /// Actors present in `to` but not in `from`.
     pub added: Vec<ActorId>,
@@ -508,30 +506,6 @@ impl SnapshotDelta {
     /// Returns whether the reporting server set changed at all.
     pub fn scope_changed(&self) -> bool {
         !self.servers_added.is_empty() || !self.servers_removed.is_empty()
-    }
-
-    /// Folds a later consecutive delta into this one, producing a delta
-    /// spanning `self.from_generation .. later.to_generation`.
-    ///
-    /// Category vectors become unions (sorted, deduplicated); see the type
-    /// docs for why categories may overlap after merging.
-    pub fn merge(&mut self, later: &SnapshotDelta) {
-        debug_assert_eq!(
-            self.to_generation, later.from_generation,
-            "merged deltas must be consecutive"
-        );
-        self.to_generation = later.to_generation;
-        fn union<T: Ord + Copy>(dst: &mut Vec<T>, src: &[T]) {
-            dst.extend_from_slice(src);
-            dst.sort_unstable();
-            dst.dedup();
-        }
-        union(&mut self.added, &later.added);
-        union(&mut self.removed, &later.removed);
-        union(&mut self.moved, &later.moved);
-        union(&mut self.refs_changed, &later.refs_changed);
-        union(&mut self.servers_added, &later.servers_added);
-        union(&mut self.servers_removed, &later.servers_removed);
     }
 
     /// Every actor id whose indexed stats this delta may touch — `added`,
@@ -832,7 +806,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_spans_generations_and_unions_categories() {
+    fn between_spans_generations_by_endpoints() {
         let mut a = snap_of(1, &[(1, 0, 0.2), (2, 0, 0.3)], &[0]);
         // Window 2: actor 3 appears, actor 1's cpu changes, actor 2's map
         // gains a target and actor 1's takes a no-op add.
@@ -850,29 +824,20 @@ mod tests {
         refs_of(&mut c, 1).remove("kids", ActorId(5));
         *refs_of(&mut c, 2) = refs_of(&mut b, 2).clone();
         refs_of(&mut c, 2).remove("kids", ActorId(9));
-        let first = diff(&a, &b);
-        let second = diff(&b, &c);
-        assert_eq!(first.refs_changed, vec![ActorId(2)]);
-        assert_eq!(second.refs_changed, vec![ActorId(1)]);
-        let mut d = first;
-        d.merge(&second);
+        assert_eq!(diff(&a, &b).refs_changed, vec![ActorId(2)]);
+        assert_eq!(diff(&b, &c).refs_changed, vec![ActorId(1)]);
+        // The span diffs its endpoints: actor 3, added and removed inside
+        // it, is in neither; each map changed in one of the two windows.
+        let d = diff(&a, &c);
         assert_eq!(d.from_generation, 1);
         assert_eq!(d.to_generation, 3);
-        // Actor 3 is listed as both added and removed: the merged delta
-        // records categories, consumers classify by endpoint presence.
-        assert_eq!(d.added, vec![ActorId(3)]);
-        assert_eq!(d.removed, vec![ActorId(3)]);
+        assert!(d.added.is_empty());
+        assert!(d.removed.is_empty());
         assert_eq!(d.moved, vec![ActorId(2)]);
         assert_eq!(d.refs_changed, vec![ActorId(1), ActorId(2)]);
         assert_eq!(d.servers_added, vec![ServerId(1)]);
-        // touched_actors dedups across categories; actor 1's share and map
-        // changes touch no index.
-        assert_eq!(d.touched_actors(), vec![ActorId(2), ActorId(3)]);
-        // The merged span must classify like a direct endpoint diff for
-        // actors present in exactly one endpoint.
-        let direct = diff(&a, &c);
-        assert_eq!(direct.added, Vec::<ActorId>::new());
-        assert_eq!(direct.moved, d.moved);
-        assert_eq!(direct.refs_changed, d.refs_changed);
+        assert!(d.servers_removed.is_empty());
+        // Actor 1's share and map changes touch no index.
+        assert_eq!(d.touched_actors(), vec![ActorId(2)]);
     }
 }

@@ -3,6 +3,7 @@
 use plasma_actor::logic::{ActorCtx, ClientCtx};
 use plasma_actor::message::Payload;
 use plasma_actor::runtime::{Runtime, RuntimeConfig};
+use plasma_actor::stats::{ProfileSnapshot, SnapshotDelta};
 use plasma_actor::{ActorId, ActorLogic, ClientLogic, ElasticityController, Message};
 use plasma_cluster::{InstanceType, ServerId};
 use plasma_sim::{SimDuration, SimTime};
@@ -269,6 +270,17 @@ fn snapshot_refs_are_copy_on_write() {
     assert_eq!(next.actor(quiet).unwrap().refs["peers"], vec![owner]);
 }
 
+/// [`SnapshotDelta::between`], checked against the full row walk.
+fn diff(from: &ProfileSnapshot, to: &ProfileSnapshot) -> SnapshotDelta {
+    let delta = SnapshotDelta::between(from, to);
+    assert_eq!(
+        delta,
+        SnapshotDelta::walk_rows(from, to),
+        "page vs row walk"
+    );
+    delta
+}
+
 #[test]
 fn delta_lists_actors_whose_refs_changed() {
     let mut rt = Runtime::new(small_config());
@@ -279,7 +291,7 @@ fn delta_lists_actors_whose_refs_changed() {
     rt.actor_add_ref(steady, "children", a);
     let window = rt.config().profile_window;
     rt.run_until(SimTime::ZERO + window);
-    let g = rt.snapshot_builds();
+    let first = rt.snapshot_shared();
 
     // A new target copies the owner's map. Re-adding a present target and
     // removing an absent one leave the steady actor's map shared, and the
@@ -289,15 +301,17 @@ fn delta_lists_actors_whose_refs_changed() {
     rt.actor_remove_ref(steady, "children", b);
     rt.actor_remove_ref(a, "children", b);
     rt.run_until(SimTime::ZERO + window * 2);
-    let delta = rt.delta_since(g).expect("one window back is in history");
+    let second = rt.snapshot_shared();
+    let delta = diff(&first, &second);
     assert_eq!(delta.refs_changed, vec![owner]);
     assert!(delta.touched_actors().is_empty(), "maps feed no index");
 
-    // A window without edits lists nothing; the span from `g` still
-    // carries the owner's change.
+    // A window without edits lists nothing; the two-window span from the
+    // first snapshot still carries the owner's change.
     rt.run_until(SimTime::ZERO + window * 3);
-    assert!(rt.delta_since(g + 1).unwrap().is_empty());
-    assert_eq!(rt.delta_since(g).unwrap().refs_changed, vec![owner]);
+    let third = rt.snapshot_shared();
+    assert!(diff(&second, &third).is_empty());
+    assert_eq!(diff(&first, &third).refs_changed, vec![owner]);
 }
 
 #[test]

@@ -102,7 +102,7 @@ fn rolls_rebuild_only_the_pages_of_the_called_actors() {
         for &a in &called {
             assert!(snap.actor(a).unwrap().counters.total_received() > 0);
         }
-        let delta = rt.delta_since(prev.generation).expect("one window back");
+        let delta = SnapshotDelta::between(&prev, &snap);
         assert_eq!(
             delta,
             SnapshotDelta::walk_rows(&prev, &snap),

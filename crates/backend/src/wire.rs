@@ -466,124 +466,122 @@ mod tests {
 
     mod control_props {
         use super::*;
-        use proptest::prelude::*;
+        use plasma_sim::rng::check_cases;
+        use plasma_sim::DetRng;
 
-        /// Full-width integer strategies (the offline proptest stand-in has
-        /// range strategies only; `..MAX` loses one value, which is fine).
-        fn u64s() -> std::ops::Range<u64> {
-            0..u64::MAX
+        /// A full-width `u32` field.
+        fn u32s(rng: &mut DetRng) -> u32 {
+            rng.next_u64() as u32
         }
 
-        fn u32s() -> std::ops::Range<u32> {
-            0..u32::MAX
+        /// `0..max` values, each drawn by `draw`.
+        fn vec_of<T>(rng: &mut DetRng, max: u64, draw: fn(&mut DetRng) -> T) -> Vec<T> {
+            (0..rng.below(max)).map(|_| draw(rng)).collect()
         }
 
-        fn arb_report() -> impl Strategy<Value = ServerReport> {
-            (
-                u32s(),
-                u32s(),
-                u64s(),
-                u64s(),
-                (u64s(), u64s()),
-                (u64s(), u64s(), u64s()),
-            )
-                .prop_map(
-                    |(server, vcpus, actor_count, mem_bytes, (speed, bps), (cpu, mem, net))| {
-                        ServerReport {
-                            server,
-                            vcpus,
-                            actor_count,
-                            mem_bytes,
-                            total_speed_bits: speed,
-                            net_bps_bits: bps,
-                            cpu_bits: cpu,
-                            mem_bits: mem,
-                            net_bits: net,
-                        }
-                    },
-                )
+        /// A report row of arbitrary raw-bit fields, NaN payloads included.
+        fn arb_report(rng: &mut DetRng) -> ServerReport {
+            ServerReport {
+                server: u32s(rng),
+                vcpus: u32s(rng),
+                actor_count: rng.next_u64(),
+                mem_bytes: rng.next_u64(),
+                total_speed_bits: rng.next_u64(),
+                net_bps_bits: rng.next_u64(),
+                cpu_bits: rng.next_u64(),
+                mem_bits: rng.next_u64(),
+                net_bits: rng.next_u64(),
+            }
         }
 
-        proptest! {
-            /// Decode∘encode is the identity and re-encoding reproduces the
-            /// bytes — for arbitrary queries.
-            #[test]
-            fn query_round_trips(
-                gem in u32s(),
-                round in u64s(),
-                generation in u64s(),
-                scope in proptest::collection::vec(u32s(), 0..64),
-            ) {
-                let q = ControlQuery { gem, round, generation, scope };
+        /// Decode∘encode is the identity and re-encoding reproduces the
+        /// bytes — for arbitrary queries.
+        #[test]
+        fn query_round_trips() {
+            check_cases("query_round_trips", 64, |rng| {
+                let q = ControlQuery {
+                    gem: u32s(rng),
+                    round: rng.next_u64(),
+                    generation: rng.next_u64(),
+                    scope: vec_of(rng, 64, u32s),
+                };
                 let mut buf = Vec::new();
                 q.wire_encode(&mut buf);
                 let mut c = WireCursor::new(&buf);
                 let back = ControlQuery::wire_decode(&mut c).unwrap();
-                prop_assert_eq!(c.consumed(), buf.len());
-                prop_assert_eq!(&back, &q);
+                assert_eq!(c.consumed(), buf.len());
+                assert_eq!(&back, &q);
                 let mut again = Vec::new();
                 back.wire_encode(&mut again);
-                prop_assert_eq!(again, buf);
-            }
+                assert_eq!(again, buf);
+            });
+        }
 
-            /// The same for replies, whose report rows carry arbitrary
-            /// raw-bit floats, NaN payloads included.
-            #[test]
-            fn reply_round_trips(
-                gem in u32s(),
-                round in u64s(),
-                generation in u64s(),
-                candidates in proptest::collection::vec(arb_report(), 0..32),
-            ) {
-                let r = ControlReply { gem, round, generation, candidates };
+        /// The same for replies, whose report rows carry arbitrary
+        /// raw-bit floats, NaN payloads included.
+        #[test]
+        fn reply_round_trips() {
+            check_cases("reply_round_trips", 64, |rng| {
+                let r = ControlReply {
+                    gem: u32s(rng),
+                    round: rng.next_u64(),
+                    generation: rng.next_u64(),
+                    candidates: vec_of(rng, 32, arb_report),
+                };
                 let mut buf = Vec::new();
                 r.wire_encode(&mut buf);
                 let mut c = WireCursor::new(&buf);
                 let back = ControlReply::wire_decode(&mut c).unwrap();
-                prop_assert_eq!(c.consumed(), buf.len());
-                prop_assert_eq!(&back, &r);
+                assert_eq!(c.consumed(), buf.len());
+                assert_eq!(&back, &r);
                 let mut again = Vec::new();
                 back.wire_encode(&mut again);
-                prop_assert_eq!(again, buf);
-            }
+                assert_eq!(again, buf);
+            });
+        }
 
-            #[test]
-            fn decision_round_trips(
-                round in u64s(),
-                grow in u32s(),
-                shrink in u32s(),
-                migrations in proptest::collection::vec(
-                    (u64s(), u32s(), u32s())
-                        .prop_map(|(actor, src, dst)| MigrationOrder { actor, src, dst }),
-                    0..64,
-                ),
-            ) {
-                let d = ControlDecision { round, grow, shrink, migrations };
+        #[test]
+        fn decision_round_trips() {
+            check_cases("decision_round_trips", 64, |rng| {
+                let d = ControlDecision {
+                    round: rng.next_u64(),
+                    grow: u32s(rng),
+                    shrink: u32s(rng),
+                    migrations: vec_of(rng, 64, |rng| MigrationOrder {
+                        actor: rng.next_u64(),
+                        src: u32s(rng),
+                        dst: u32s(rng),
+                    }),
+                };
                 let mut buf = Vec::new();
                 d.wire_encode(&mut buf);
                 let mut c = WireCursor::new(&buf);
                 let back = ControlDecision::wire_decode(&mut c).unwrap();
-                prop_assert_eq!(c.consumed(), buf.len());
-                prop_assert_eq!(&back, &d);
+                assert_eq!(c.consumed(), buf.len());
+                assert_eq!(&back, &d);
                 let mut again = Vec::new();
                 back.wire_encode(&mut again);
-                prop_assert_eq!(again, buf);
-            }
+                assert_eq!(again, buf);
+            });
+        }
 
-            /// Truncating an encoded reply at any byte fails cleanly.
-            #[test]
-            fn reply_truncation_is_clean(
-                candidates in proptest::collection::vec(arb_report(), 0..8),
-                frac in 0.0f64..1.0,
-            ) {
-                let r = ControlReply { gem: 1, round: 2, generation: 3, candidates };
+        /// Truncating an encoded reply at any byte fails cleanly.
+        #[test]
+        fn reply_truncation_is_clean() {
+            check_cases("reply_truncation_is_clean", 64, |rng| {
+                let r = ControlReply {
+                    gem: 1,
+                    round: 2,
+                    generation: 3,
+                    candidates: vec_of(rng, 8, arb_report),
+                };
                 let mut buf = Vec::new();
                 r.wire_encode(&mut buf);
-                let cut = (buf.len() as f64 * frac) as usize;
-                prop_assert!(cut < buf.len());
+                let cut = (buf.len() as f64 * rng.next_f64()) as usize;
+                assert!(cut < buf.len());
                 let err = ControlReply::wire_decode(&mut WireCursor::new(&buf[..cut]));
-                prop_assert_eq!(err.unwrap_err(), DecodeError::Truncated);
-            }
+                assert_eq!(err.unwrap_err(), DecodeError::Truncated);
+            });
         }
     }
 }

@@ -18,8 +18,8 @@ use plasma_cluster::InstanceType;
 use plasma_emr::{EmrConfig, PlasmaEmr};
 use plasma_epl::verify::{verify, Property, VerifyConfig};
 use plasma_epl::{compile, ActorSchema};
+use plasma_sim::rng::check_cases;
 use plasma_sim::{SimDuration, SimTime};
-use proptest::prelude::*;
 
 /// Burns a fixed CPU share per request and replies.
 struct Burner {
@@ -68,22 +68,17 @@ fn worker_schema() -> ActorSchema {
 /// abstract model reasons about.
 const WORKERS: usize = 12;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Sampled bands violate `upper·2 ≥ lower·3`, so a two-server cluster
-    /// oscillates. The margin (`3·lower - 2·upper ≥ 12` percent) keeps the
-    /// replay's load point comfortably inside the grow *and* shrink regions
-    /// despite discrete actors and measurement jitter.
-    #[test]
-    fn abstract_oscillation_replays_in_sim(
-        upper in 70u32..81,
-        lower_pick in 0u32..100,
-    ) {
+/// Sampled bands violate `upper·2 ≥ lower·3`, so a two-server cluster
+/// oscillates. The margin (`3·lower - 2·upper ≥ 12` percent) keeps the
+/// replay's load point comfortably inside the grow *and* shrink regions
+/// despite discrete actors and measurement jitter.
+#[test]
+fn abstract_oscillation_replays_in_sim() {
+    check_cases("abstract_oscillation_replays_in_sim", 6, |rng| {
+        let upper = 70 + rng.below(11) as u32;
         // Place lower inside [ceil((2·upper + 12) / 3), upper - 1].
         let lo_min = (2 * upper + 12).div_ceil(3);
-        let lo_max = upper - 1;
-        let lower = lo_min + lower_pick % (lo_max - lo_min + 1);
+        let lower = lo_min + rng.below(u64::from(upper - lo_min)) as u32;
 
         let policy_src = format!(
             "server.cpu.perc > {upper} or server.cpu.perc < {lower} => \
@@ -102,7 +97,7 @@ proptest! {
             .of(Property::Oscillation)
             .next()
             .expect("verifier flags 2U < 3L band");
-        prop_assert!(finding.gating());
+        assert!(finding.gating());
 
         // Concrete side: replay the counterexample's load point. Any total
         // load W with 2·upper < W < 3·lower grows 2 servers and shrinks 3;
@@ -144,10 +139,10 @@ proptest! {
         let report = rt.report();
         let outs = report.scalar("emr.scale_outs").unwrap_or(0.0);
         let ins = report.scalar("emr.scale_ins").unwrap_or(0.0);
-        prop_assert!(
+        assert!(
             outs >= 1.0 && ins >= 1.0,
             "band {upper}/{lower} at load {w_total}%: expected a grow and a \
              shrink under constant load, got scale_outs={outs} scale_ins={ins}"
         );
-    }
+    });
 }

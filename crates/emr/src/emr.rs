@@ -136,10 +136,10 @@ pub struct EmrStats {
     /// served by an already-built snapshot/frame instead of rebuilding one.
     pub snapshot_reuse: u64,
     /// Rounds whose evaluation frame was rebuilt from scratch (first round,
-    /// scope changes, generation gaps past the delta history).
+    /// scope changes).
     pub frame_rebuilds: u64,
     /// Rounds whose retained evaluation frame was advanced in place by
-    /// applying snapshot deltas instead of rebuilding.
+    /// applying a snapshot delta instead of rebuilding.
     pub frame_patches: u64,
     /// Interaction-rule pairs the LEM pass handed to its per-pair planner;
     /// pairs the retained LEM proved inert are not counted.
@@ -173,7 +173,8 @@ pub struct PlasmaEmr {
     failed_gems: BTreeSet<usize>,
     placement_counter: usize,
     /// The retained evaluation frame, advanced across rounds by applying
-    /// snapshot deltas; `None` until the first planning round.
+    /// the delta between its snapshot and the runtime's; `None` until the
+    /// first planning round.
     frame: Option<EvalFrame>,
     /// Pair-only interaction rules' pairs, kept beside the frame.
     lem: lem::RetainedLem,
@@ -352,10 +353,9 @@ impl PlasmaEmr {
         let gem_count = assignment.len();
         let round_no = self.stats.ticks;
         // Advance the retained frame to this round's snapshot generation by
-        // applying the runtime's deltas; fall back to a from-scratch build
-        // on the first round, on scope changes, and on generation gaps
-        // beyond the bounded delta history. The applied delta tells the
-        // retained LEM what changed.
+        // applying the delta from its snapshot to the runtime's; fall back
+        // to a from-scratch build on the first round and on scope changes.
+        // The applied delta tells the retained LEM what changed.
         let advanced = self
             .frame
             .take()

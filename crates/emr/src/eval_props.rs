@@ -17,37 +17,15 @@ use plasma_actor::message::CallerKind;
 use plasma_actor::stats::{ActorCounters, ActorWindowStats, CallKey, CallStat, ProfileSnapshot};
 use plasma_cluster::ServerId;
 use plasma_epl::{compile, ActorSchema};
-use plasma_sim::{SimDuration, SimTime};
-use proptest::prelude::*;
+use plasma_sim::rng::check_cases;
+use plasma_sim::{DetRng, SimDuration, SimTime};
 
 use crate::eval::{naive, solve_bound, BoundRule};
 use crate::view::{EvalCtx, EvalFrame, ServerMeta};
 
-/// Deterministic splitmix64: one proptest-drawn seed fans out into all the
-/// structural choices below, which keeps the generator code flat.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `0..n` (`n > 0`).
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.below(xs.len() as u64) as usize]
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
+/// `true` with probability `percent` / 100.
+fn chance(rng: &mut DetRng, percent: u64) -> bool {
+    rng.below(100) < percent
 }
 
 const TYPES: [&str; 3] = ["T0", "T1", "T2"];
@@ -69,54 +47,54 @@ fn schema() -> ActorSchema {
 /// (`a: T0`, `b: T1`, `c: T2`, `d: T0`, `e: T1`) so conjuncts that reuse
 /// a name produce a *join* on the shared slot rather than a type-clash
 /// compile error.
-fn gen_var(mix: &mut Mix) -> (&'static str, &'static str) {
-    let i = mix.below(VARS.len() as u64) as usize;
+fn gen_var(rng: &mut DetRng) -> (&'static str, &'static str) {
+    let i = rng.below(VARS.len() as u64) as usize;
     (TYPES[i % TYPES.len()], VARS[i])
 }
 
 /// Draws a statistic plus a value within its legal range (`perc` bounds
 /// must sit in `[0, 100]`; `count`/`size` are open-ended).
-fn gen_stat(mix: &mut Mix, pool: &[&'static str]) -> (&'static str, u64) {
-    let stat = *mix.pick(pool);
+fn gen_stat(rng: &mut DetRng, pool: &[&'static str]) -> (&'static str, u64) {
+    let stat = *rng.choose(pool);
     let val = if stat == "perc" {
-        mix.below(101)
+        rng.below(101)
     } else {
-        mix.below(3000)
+        rng.below(3000)
     };
     (stat, val)
 }
 
 /// One random atomic predicate.
-fn gen_pred(mix: &mut Mix) -> String {
-    let cmp = *mix.pick(&CMPS);
-    match mix.below(5) {
+fn gen_pred(rng: &mut DetRng) -> String {
+    let cmp = *rng.choose(&CMPS);
+    match rng.below(5) {
         0 => {
-            let res = *mix.pick(&["cpu", "mem", "net"]);
-            let (stat, val) = gen_stat(mix, &["perc"]);
+            let res = *rng.choose(&["cpu", "mem", "net"]);
+            let (stat, val) = gen_stat(rng, &["perc"]);
             format!("server.{res}.{stat} {cmp} {val}")
         }
         1 => {
-            let (t, v) = gen_var(mix);
-            let res = *mix.pick(&["cpu", "mem"]);
-            let (stat, val) = gen_stat(mix, &["perc"]);
+            let (t, v) = gen_var(rng);
+            let res = *rng.choose(&["cpu", "mem"]);
+            let (stat, val) = gen_stat(rng, &["perc"]);
             format!("{t}({v}).{res}.{stat} {cmp} {val}")
         }
         2 => {
-            let (t, v) = gen_var(mix);
-            let f = *mix.pick(&FNS);
-            let (stat, val) = gen_stat(mix, &["perc", "count", "size"]);
+            let (t, v) = gen_var(rng);
+            let f = *rng.choose(&FNS);
+            let (stat, val) = gen_stat(rng, &["perc", "count", "size"]);
             format!("client.call({t}({v}).{f}).{stat} {cmp} {val}")
         }
         3 => {
-            let (tc, vc) = gen_var(mix);
-            let (tv, vv) = gen_var(mix);
-            let f = *mix.pick(&FNS);
-            let (stat, val) = gen_stat(mix, &["perc", "count", "size"]);
+            let (tc, vc) = gen_var(rng);
+            let (tv, vv) = gen_var(rng);
+            let f = *rng.choose(&FNS);
+            let (stat, val) = gen_stat(rng, &["perc", "count", "size"]);
             format!("{tc}({vc}).call({tv}({vv}).{f}).{stat} {cmp} {val}")
         }
         _ => {
-            let (tm, vm) = gen_var(mix);
-            let (to, vo) = gen_var(mix);
+            let (tm, vm) = gen_var(rng);
+            let (to, vo) = gen_var(rng);
             format!("{tm}({vm}) in ref({to}({vo}).r0)")
         }
     }
@@ -125,14 +103,14 @@ fn gen_pred(mix: &mut Mix) -> String {
 /// A random rule: 1-4 predicates joined by `and`, occasionally with an
 /// `or` pair, always ending in a var-free behavior so solving is the only
 /// thing under test.
-fn gen_rule(mix: &mut Mix) -> String {
-    let n = 1 + mix.below(4);
+fn gen_rule(rng: &mut DetRng) -> String {
+    let n = 1 + rng.below(4);
     let mut parts = Vec::new();
     for _ in 0..n {
-        if mix.chance(25) {
-            parts.push(format!("({} or {})", gen_pred(mix), gen_pred(mix)));
+        if chance(rng, 25) {
+            parts.push(format!("({} or {})", gen_pred(rng), gen_pred(rng)));
         } else {
-            parts.push(gen_pred(mix));
+            parts.push(gen_pred(rng));
         }
     }
     format!("{} => balance({{T0}}, cpu);", parts.join(" and "))
@@ -140,10 +118,10 @@ fn gen_rule(mix: &mut Mix) -> String {
 
 /// One random actor row. `n_actors` is only a hint sizing the caller-id
 /// and dangling-reference pools.
-fn gen_actor(mix: &mut Mix, id: u64, n_actors: u64, n_servers: u32) -> ActorWindowStats {
+fn gen_actor(rng: &mut DetRng, id: u64, n_actors: u64, n_servers: u32) -> ActorWindowStats {
     let mut calls = BTreeMap::new();
     for (f, _) in FNS.iter().enumerate() {
-        if mix.chance(60) {
+        if chance(rng, 60) {
             calls.insert(
                 CallKey {
                     caller_kind: CallerKind::Client,
@@ -151,46 +129,46 @@ fn gen_actor(mix: &mut Mix, id: u64, n_actors: u64, n_servers: u32) -> ActorWind
                     fname: FnId(f as u32),
                 },
                 CallStat {
-                    count: mix.below(3000),
-                    bytes: mix.below(1 << 20),
+                    count: rng.below(3000),
+                    bytes: rng.below(1 << 20),
                 },
             );
         }
-        if mix.chance(40) && n_actors > 1 {
-            let caller = ActorId(mix.below(n_actors));
+        if chance(rng, 40) && n_actors > 1 {
+            let caller = ActorId(rng.below(n_actors));
             calls.insert(
                 CallKey {
-                    caller_kind: CallerKind::Actor(ActorTypeId(mix.below(3) as u32)),
+                    caller_kind: CallerKind::Actor(ActorTypeId(rng.below(3) as u32)),
                     caller: Some(caller),
                     fname: FnId(f as u32),
                 },
                 CallStat {
-                    count: mix.below(3000),
-                    bytes: mix.below(1 << 20),
+                    count: rng.below(3000),
+                    bytes: rng.below(1 << 20),
                 },
             );
         }
     }
     let mut refs = BTreeMap::new();
-    if mix.chance(50) {
+    if chance(rng, 50) {
         // Reference ids may dangle past the live actor range.
-        let members: Vec<ActorId> = (0..mix.below(4))
-            .map(|_| ActorId(mix.below(n_actors + 2)))
+        let members: Vec<ActorId> = (0..rng.below(4))
+            .map(|_| ActorId(rng.below(n_actors + 2)))
             .collect();
         refs.insert("r0".to_string(), members);
     }
     ActorWindowStats {
         actor: ActorId(id),
         // Type id 3 exists in the snapshot but not in the schema.
-        type_id: ActorTypeId(mix.below(4) as u32),
-        server: ServerId(mix.below(n_servers as u64) as u32),
-        state_size: mix.below(1 << 24),
-        pinned: mix.chance(10),
-        cpu_share: mix.below(120) as f64 / 100.0,
+        type_id: ActorTypeId(rng.below(4) as u32),
+        server: ServerId(rng.below(n_servers as u64) as u32),
+        state_size: rng.below(1 << 24),
+        pinned: chance(rng, 10),
+        cpu_share: rng.below(120) as f64 / 100.0,
         counters: ActorCounters {
             cpu_busy: SimDuration::ZERO,
             calls,
-            bytes_sent: mix.below(1 << 20),
+            bytes_sent: rng.below(1 << 20),
         },
         refs: refs.into(),
     }
@@ -200,8 +178,8 @@ fn gen_actor(mix: &mut Mix, id: u64, n_actors: u64, n_servers: u32) -> ActorWind
 /// up to two dozen actors with random types (including one *unregistered*
 /// type id), call counters from clients and other actors, and dangling
 /// `r0` references.
-fn gen_world(mix: &mut Mix) -> (ProfileSnapshot, Vec<ServerMeta>) {
-    let n_servers = 1 + mix.below(4) as u32;
+fn gen_world(rng: &mut DetRng) -> (ProfileSnapshot, Vec<ServerMeta>) {
+    let n_servers = 1 + rng.below(4) as u32;
     let servers: Vec<ServerMeta> = (0..n_servers)
         .map(|i| ServerMeta {
             id: ServerId(i),
@@ -209,18 +187,18 @@ fn gen_world(mix: &mut Mix) -> (ProfileSnapshot, Vec<ServerMeta>) {
             vcpus: 1,
             mem_bytes: 1 << 30,
             net_bps: 1e9,
-            cpu: mix.below(150) as f64 / 100.0,
-            mem: mix.below(120) as f64 / 100.0,
-            net: mix.below(120) as f64 / 100.0,
-            actor_count: mix.below(30) as usize,
+            cpu: rng.below(150) as f64 / 100.0,
+            mem: rng.below(120) as f64 / 100.0,
+            net: rng.below(120) as f64 / 100.0,
+            actor_count: rng.below(30) as usize,
         })
         .collect();
-    let n_actors = mix.below(24);
+    let n_actors = rng.below(24);
     let snap = ProfileSnapshot::from_rows(
         1,
         SimTime::from_secs(10),
         SimDuration::from_secs(1),
-        (0..n_actors).map(|i| gen_actor(mix, i, n_actors, n_servers)),
+        (0..n_actors).map(|i| gen_actor(rng, i, n_actors, n_servers)),
         Vec::new(),
     );
     (snap, servers)
@@ -244,20 +222,20 @@ fn name_tables() -> (BTreeMap<String, ActorTypeId>, BTreeMap<String, FnId>) {
 /// range, most rules must compile, a healthy share of the compiled ones
 /// must produce at least one matching environment, and some must have more
 /// variables than an environment stores inline. (Purely deterministic —
-/// `Mix` derives everything from the seed.)
+/// each seed's generator derives everything.)
 #[test]
 fn generator_is_not_vacuous() {
     let (mut compiled, mut matched, mut spilled) = (0u32, 0u32, 0u32);
     let total = 400;
     for seed in 0..total {
-        let mut mix = Mix(seed);
-        let src = gen_rule(&mut mix);
+        let mut rng = DetRng::new(seed);
+        let src = gen_rule(&mut rng);
         let Ok(policy) = compile(&src, &schema()) else {
             continue;
         };
         compiled += 1;
         spilled += u32::from(policy.rules[0].vars.len() > 3);
-        let (snap, servers) = gen_world(&mut mix);
+        let (snap, servers) = gen_world(&mut rng);
         let (types, fns) = name_tables();
         let frame = EvalFrame::from_parts(Arc::new(snap), servers.clone(), types, fns);
         let scope: Vec<ServerId> = servers.iter().map(|s| s.id).collect();
@@ -281,39 +259,34 @@ fn generator_is_not_vacuous() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// For every compilable random rule, random snapshot, and every scope
-    /// (full and partial), the indexed evaluator's `Env` set equals the
-    /// naive one exactly. Both evaluators canonicalize (sort + dedupe)
-    /// their output, so plain equality is order-insensitive already.
-    #[test]
-    fn indexed_solver_matches_naive_oracle(seed in 0u64..1 << 48) {
-        let mut mix = Mix(seed);
-        let src = gen_rule(&mut mix);
+/// For every compilable random rule, random snapshot, and every scope
+/// (full and partial), the indexed evaluator's `Env` set equals the naive
+/// one exactly. Both evaluators canonicalize (sort + dedupe) their output,
+/// so plain equality is order-insensitive already.
+#[test]
+fn indexed_solver_matches_naive_oracle() {
+    check_cases("indexed_solver_matches_naive_oracle", 512, |rng| {
+        let src = gen_rule(rng);
         // Var/type clashes and other static errors are not this test's
         // concern; skip those draws.
-        let Ok(policy) = compile(&src, &schema()) else { return };
-        let (snap, servers) = gen_world(&mut mix);
+        let Ok(policy) = compile(&src, &schema()) else {
+            return;
+        };
+        let (snap, servers) = gen_world(rng);
         let (types, fns) = name_tables();
         let frame = EvalFrame::from_parts(Arc::new(snap), servers.clone(), types, fns);
         let rule = &policy.rules[0];
         let bound = BoundRule::bind(rule, &frame);
         // Full scope plus a random strict prefix of the server list.
         let full: Vec<ServerId> = servers.iter().map(|s| s.id).collect();
-        let partial: Vec<ServerId> =
-            full[..1 + mix.below(full.len() as u64) as usize].to_vec();
+        let partial: Vec<ServerId> = full[..1 + rng.below(full.len() as u64) as usize].to_vec();
         for scope in [&full, &partial] {
             let ctx = EvalCtx::scoped(&frame, scope);
             let fast = solve_bound(&bound, &ctx);
             let slow = naive::solve(rule, &ctx);
-            prop_assert_eq!(
-                fast, slow,
-                "diverged on rule `{}` scope {:?} seed {}", src, scope, seed
-            );
+            assert_eq!(fast, slow, "diverged on rule `{src}` scope {scope:?}");
         }
-    }
+    });
 }
 
 /// One random churn step applied copy-on-write to `snap`, a copy of the
@@ -321,20 +294,20 @@ proptest! {
 /// that skip ahead, so rows spread over several pages), removals,
 /// migrations, and `cpu_share` changes. Pages no operation touched stay
 /// shared with the previous generation, as they do in the runtime.
-fn churn_step(mix: &mut Mix, snap: &mut ProfileSnapshot, n_servers: u32, next_id: &mut u64) {
-    let ops = 1 + mix.below(5);
+fn churn_step(rng: &mut DetRng, snap: &mut ProfileSnapshot, n_servers: u32, next_id: &mut u64) {
+    let ops = 1 + rng.below(5);
     for _ in 0..ops {
-        let op = mix.below(4);
+        let op = rng.below(4);
         if op == 0 {
-            let a = gen_actor(mix, *next_id, *next_id + 2, n_servers);
-            *next_id += 1 + mix.below(32);
+            let a = gen_actor(rng, *next_id, *next_id + 2, n_servers);
+            *next_id += 1 + rng.below(32);
             snap.insert(a);
             continue;
         }
         if snap.is_empty() {
             continue;
         }
-        let nth = mix.below(snap.len() as u64) as usize;
+        let nth = rng.below(snap.len() as u64) as usize;
         let id = snap.actors().nth(nth).expect("in range").actor;
         match op {
             1 => {
@@ -342,9 +315,9 @@ fn churn_step(mix: &mut Mix, snap: &mut ProfileSnapshot, n_servers: u32, next_id
             }
             2 => {
                 snap.actor_mut(id).expect("present").server =
-                    ServerId(mix.below(n_servers as u64) as u32)
+                    ServerId(rng.below(n_servers as u64) as u32)
             }
-            _ => snap.actor_mut(id).expect("present").cpu_share = mix.below(120) as f64 / 100.0,
+            _ => snap.actor_mut(id).expect("present").cpu_share = rng.below(120) as f64 / 100.0,
         }
     }
 }
@@ -376,69 +349,74 @@ fn threshold_selections(frame: &EvalFrame, server: ServerId) -> Vec<Vec<ActorId>
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// Incremental frame maintenance is equivalent to rebuilding: over a random
+/// churn sequence, a retained frame advanced delta-by-delta and a second
+/// frame advanced by one delta between the first and the last snapshot both
+/// end up index-for-index identical — contents *and* order — to a frame
+/// built from scratch off the final snapshot, and candidate enumeration
+/// through the public context API agrees too. Both frames answer a
+/// threshold query before every apply, so their cpu-sorted copies are built
+/// on the old generation and must not survive the swap. Each generation is
+/// derived from the previous one copy-on-write, so the frames swap between
+/// snapshots that share pages, and every delta's page walk is checked
+/// against the full row walk.
+#[test]
+fn patched_frame_matches_rebuild_over_churn() {
+    use plasma_actor::stats::SnapshotDelta;
+    use plasma_epl::ast::AType;
 
-    /// Incremental frame maintenance is equivalent to rebuilding: over a
-    /// random churn sequence, a retained frame advanced delta-by-delta and
-    /// a second frame advanced by one merged delta both end up
-    /// index-for-index identical — contents *and* order — to a frame built
-    /// from scratch off the final snapshot, and candidate enumeration
-    /// through the public context API agrees too. Both frames answer a
-    /// threshold query before every apply, so their cpu-sorted copies are
-    /// built on the old generation and must not survive the swap. Each
-    /// generation is derived from the previous one copy-on-write, so the
-    /// frames swap between snapshots that share pages, and every step's
-    /// page-skipping delta is checked against the full row walk.
-    #[test]
-    fn patched_frame_matches_rebuild_over_churn(seed in 0u64..1 << 48) {
-        use plasma_actor::stats::SnapshotDelta;
-        use plasma_epl::ast::AType;
+    /// [`SnapshotDelta::between`], checked against the full row walk.
+    fn diff(from: &ProfileSnapshot, to: &ProfileSnapshot) -> SnapshotDelta {
+        let delta = SnapshotDelta::between(from, to);
+        assert_eq!(
+            delta,
+            SnapshotDelta::walk_rows(from, to),
+            "page walk diverged from the row walk from generation {}",
+            from.generation
+        );
+        delta
+    }
 
-        let mut mix = Mix(seed);
-        let (snap0, servers) = gen_world(&mut mix);
-        let probe = servers[(seed % servers.len() as u64) as usize].id;
+    check_cases("patched_frame_matches_rebuild_over_churn", 256, |rng| {
+        let (snap0, servers) = gen_world(rng);
+        let probe = rng.choose(&servers).id;
         let (types, fns) = name_tables();
-        let mut stepped =
-            EvalFrame::from_parts(Arc::new(snap0.clone()), servers.clone(), types.clone(), fns.clone());
-        let mut merged_frame =
-            EvalFrame::from_parts(Arc::new(snap0.clone()), servers.clone(), types.clone(), fns.clone());
+        let frame = |snap: &ProfileSnapshot| {
+            EvalFrame::from_parts(
+                Arc::new(snap.clone()),
+                servers.clone(),
+                types.clone(),
+                fns.clone(),
+            )
+        };
+        let mut stepped = frame(&snap0);
+        let mut spanned = frame(&snap0);
 
         let mut next_id = snap0.actors().next_back().map_or(0, |a| a.actor.0 + 1);
-        let mut prev = snap0;
-        let mut merged: Option<SnapshotDelta> = None;
-        let n_steps = 1 + mix.below(8);
+        let mut prev = snap0.clone();
+        let n_steps = 1 + rng.below(8);
         for step in 0..n_steps {
             let mut next = prev.clone();
             next.generation += 1;
             next.at = prev.at + SimDuration::from_secs(1);
-            churn_step(&mut mix, &mut next, servers.len() as u32, &mut next_id);
-            let delta = SnapshotDelta::between(&prev, &next);
-            prop_assert_eq!(
-                &delta,
-                &SnapshotDelta::walk_rows(&prev, &next),
-                "page walk diverged from the row walk at step {}", step
-            );
+            churn_step(rng, &mut next, servers.len() as u32, &mut next_id);
+            let delta = diff(&prev, &next);
             threshold_selections(&stepped, probe);
-            prop_assert!(
+            assert!(
                 stepped.apply(Arc::new(next.clone()), servers.clone(), &delta),
-                "per-step apply refused at step {}", step
+                "per-step apply refused at step {step}"
             );
-            match &mut merged {
-                Some(m) => m.merge(&delta),
-                None => merged = Some(delta),
-            }
             prev = next;
         }
-        let final_snap = Arc::new(prev);
-        threshold_selections(&merged_frame, probe);
-        prop_assert!(
-            merged_frame.apply(Arc::new((*final_snap).clone()), servers.clone(), &merged.unwrap()),
-            "merged apply refused"
+        let span = diff(&snap0, &prev);
+        threshold_selections(&spanned, probe);
+        assert!(
+            spanned.apply(Arc::new(prev.clone()), servers.clone(), &span),
+            "spanning apply refused"
         );
-        let oracle = EvalFrame::from_parts(Arc::clone(&final_snap), servers.clone(), types, fns);
+        let oracle = frame(&prev);
         stepped.assert_same_indexes(&oracle);
-        merged_frame.assert_same_indexes(&oracle);
+        spanned.assert_same_indexes(&oracle);
 
         // Enumeration through the public API agrees as well, including the
         // threshold-pruned path over the cpu-sorted copies.
@@ -456,18 +434,18 @@ proptest! {
                 .iter()
                 .map(|a| a.actor)
                 .collect();
-            prop_assert_eq!(a, b, "enumeration diverged for {:?}", pattern);
+            assert_eq!(a, b, "enumeration diverged for {pattern:?}");
         }
         let expected = threshold_selections(&oracle, probe);
-        prop_assert_eq!(
+        assert_eq!(
             threshold_selections(&stepped, probe),
-            expected.clone(),
+            expected,
             "stepped threshold selections diverged"
         );
-        prop_assert_eq!(
-            threshold_selections(&merged_frame, probe),
+        assert_eq!(
+            threshold_selections(&spanned, probe),
             expected,
-            "merged threshold selections diverged"
+            "spanned threshold selections diverged"
         );
-    }
+    });
 }

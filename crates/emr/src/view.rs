@@ -4,8 +4,9 @@
 //! LEMs evaluate rules anchored to their own server; GEMs evaluate over all
 //! servers they manage. Both used to rebuild a string-keyed context per
 //! evaluation; now the EMR retains one [`EvalFrame`] across decision rounds,
-//! advances it by applying the runtime's [`SnapshotDelta`]s, and every
-//! consumer borrows it through a cheap scoped [`EvalCtx`].
+//! advances it by applying the [`SnapshotDelta`] between its snapshot and
+//! the runtime's, and every consumer borrows it through a cheap scoped
+//! [`EvalCtx`].
 //!
 //! The frame carries the indexes the evaluator drives candidate enumeration
 //! off: per-type actor lists, a per-server residency index, and their
@@ -24,19 +25,20 @@
 //! # Incremental maintenance
 //!
 //! A frame is built from scratch once ([`EvalFrame::new`]) and then patched
-//! per round ([`EvalFrame::advance`]): the merged delta since the frame's
-//! generation names every actor whose indexed stats (`server`, `type_id`)
-//! may have changed, and only those ids are spliced out of and back into
-//! the affected groups at binary-searched positions. Row *data* is always
-//! read from the current snapshot, so non-indexed stats — cpu share, call
-//! counters, refs, state size — are never stale. Swapping in the new
-//! snapshot frees only the pages of the old one that no other generation
-//! shares. The frame falls back to a full rebuild on scope changes (the
-//! running server set differs from the frame's) and on generation gaps
-//! (the runtime's bounded delta history no longer reaches the frame's
-//! generation). The from-scratch builder remains the correctness oracle: a
-//! patched frame is index-for-index identical to a rebuilt one, which the
-//! churn property tests assert.
+//! per round ([`EvalFrame::advance`]): the delta between the frame's
+//! snapshot and the runtime's current one names every actor whose indexed
+//! stats (`server`, `type_id`) may have changed, and only those ids are
+//! spliced out of and back into the affected groups at binary-searched
+//! positions. The delta skips every page the two snapshots share, so it
+//! costs the pages that changed however many windows lie between them.
+//! Row *data* is always read from the current snapshot, so non-indexed
+//! stats — cpu share, call counters, refs, state size — are never stale.
+//! Swapping in the new snapshot frees only the pages of the old one that no
+//! other generation shares. The frame falls back to a full rebuild on scope
+//! changes (the running server set differs from the frame's). The
+//! from-scratch builder remains the correctness oracle: a patched frame is
+//! index-for-index identical to a rebuilt one, which the churn property
+//! tests assert.
 
 use std::cell::{Cell, OnceCell};
 use std::collections::BTreeMap;
@@ -280,26 +282,28 @@ impl EvalFrame {
     }
 
     /// Advances the retained frame to the runtime's current snapshot by
-    /// applying the composed generation delta. Returns `false` — leaving
-    /// the frame untouched — when a full rebuild is required instead: the
-    /// running server set changed, the runtime's bounded delta history no
-    /// longer reaches this frame's generation, or the delta itself reports
-    /// servers entering or leaving the profile.
+    /// applying the delta between the frame's snapshot and the runtime's,
+    /// however many windows apart they are. Returns `false` — leaving the
+    /// frame untouched — when a full rebuild is required instead: the
+    /// running server set changed, the delta reports servers entering or
+    /// leaving the profile, or the runtime's generation is behind the
+    /// frame's.
     pub fn advance(&mut self, rt: &Runtime) -> bool {
         self.advance_delta(rt).is_some()
     }
 
-    /// [`EvalFrame::advance`], returning the composed delta it applied (the
-    /// span from the frame's old generation to its new one), or `None`
-    /// when a full rebuild is required.
+    /// [`EvalFrame::advance`], returning the delta it applied (the span
+    /// from the frame's old generation to its new one), or `None` when a
+    /// full rebuild is required.
     pub fn advance_delta(&mut self, rt: &Runtime) -> Option<SnapshotDelta> {
         let scope = rt.cluster().running_ids();
         if scope.len() != self.servers.len()
             || !scope.iter().zip(&self.servers).all(|(s, m)| *s == m.id)
+            || rt.snapshot().generation < self.snap.generation
         {
             return None;
         }
-        let delta = rt.delta_since(self.snap.generation)?;
+        let delta = SnapshotDelta::between(&self.snap, rt.snapshot());
         if delta.scope_changed() {
             return None;
         }
@@ -323,8 +327,8 @@ impl EvalFrame {
             .then_some(delta)
     }
 
-    /// Applies one composed delta, advancing the frame from its current
-    /// snapshot to `snap`. `servers` must cover the same server ids as the
+    /// Applies the delta from the frame's snapshot to `snap`, advancing the
+    /// frame to it. `servers` must cover the same server ids as the
     /// frame (scope changes require a rebuild). Returns `false` — frame
     /// untouched — when the delta does not chain the two generations or the
     /// scope differs.

@@ -1,8 +1,9 @@
-//! Regression tests for the retained-frame fallback paths: when
-//! `EvalFrame::advance` cannot patch (scope changed, or the runtime's
-//! bounded delta history no longer reaches the frame's generation) it must
-//! refuse — leaving the frame untouched — and a from-scratch rebuild must
-//! produce a frame equivalent to one built fresh at that instant.
+//! Regression tests for advancing a retained frame and for its fallback
+//! path. When `EvalFrame::advance` cannot patch (the server scope changed)
+//! it must refuse — leaving the frame untouched — and a from-scratch
+//! rebuild must produce a frame equivalent to one built fresh at that
+//! instant. When it can, however many windows behind the frame is, the
+//! patched frame must equal a fresh build.
 
 use plasma_actor::logic::{ActorCtx, ClientCtx};
 use plasma_actor::message::Payload;
@@ -105,42 +106,49 @@ fn scope_change_refuses_advance_and_rebuild_sees_new_server_zeroed() {
 }
 
 #[test]
-fn generation_gap_refuses_advance_and_rebuild_matches_fresh() {
-    // 1s windows and 1s rounds floor the runtime's delta history at 8
-    // generations; sitting out 15 windows guarantees the frame's
-    // generation has fallen off the back.
+fn frame_many_windows_behind_advances_and_matches_fresh() {
     let mut rt = busy_world(RuntimeConfig {
         seed: 12,
         profile_window: SimDuration::from_secs(1),
         elasticity_period: SimDuration::from_secs(1),
+        min_residency: SimDuration::ZERO,
         ..RuntimeConfig::default()
     });
     rt.run_until(SimTime::from_secs(5));
     let mut frame = EvalFrame::new(&rt);
     let stale = frame.generation();
 
+    // The frame sits out 15 windows of churn: an actor spawned and removed
+    // again, one migrated away and back, one migrated for good and a
+    // reference edit all fall inside the span it advances over.
+    let &[s0, s1] = &rt.cluster().running_ids()[..] else {
+        panic!("two servers run");
+    };
+    let workers = rt.all_actors();
+    let brief = rt.spawn_actor("Worker", Box::new(Worker { work: 0.02 }), 1 << 10, s0);
+    rt.migrate(workers[0], s1).expect("movable");
+    rt.actor_add_ref(workers[1], "peers", workers[2]);
+    rt.run_until(SimTime::from_secs(9));
+    let mid = rt.snapshot_shared();
+    assert!(mid.actor(brief).is_some(), "the spawn reached a snapshot");
+    assert_eq!(mid.actor(workers[0]).unwrap().server, s1, "moved away");
+    rt.remove_actor(brief);
+    rt.migrate(workers[0], s0).expect("movable back");
+    rt.migrate(workers[3], s0).expect("movable");
     rt.run_until(SimTime::from_secs(20));
-    assert!(
-        rt.snapshot().generation > stale + 8,
-        "history outran the cap"
-    );
-    assert!(!frame.advance(&rt), "generation gap must force a rebuild");
-    assert_eq!(frame.generation(), stale, "refused advance mutated");
+    assert_eq!(rt.snapshot().generation, stale + 15);
 
-    let rebuilt = EvalFrame::new(&rt);
-    assert_eq!(rebuilt.generation(), rt.snapshot().generation);
-    assert_eq!(
-        observe(&rebuilt, &rt).2.len(),
-        4,
-        "all four workers visible after rebuild"
-    );
+    assert!(frame.advance(&rt), "a frame far behind advances");
+    assert_eq!(frame.generation(), rt.snapshot().generation);
+    let fresh = EvalFrame::new(&rt);
+    assert_eq!(observe(&frame, &rt), observe(&fresh, &rt));
 }
 
 #[test]
-fn advance_within_delta_window_matches_fresh_build() {
-    // Control: a short sit-out stays within the delta history, advance
-    // succeeds, and the patched frame is observationally identical to one
-    // built from scratch at the same instant.
+fn advance_two_windows_behind_matches_fresh_build() {
+    // Control: a short sit-out advances, and the patched frame is
+    // observationally identical to one built from scratch at the same
+    // instant.
     let mut rt = busy_world(RuntimeConfig {
         seed: 13,
         profile_window: SimDuration::from_secs(1),
@@ -151,7 +159,7 @@ fn advance_within_delta_window_matches_fresh_build() {
     let mut frame = EvalFrame::new(&rt);
 
     rt.run_until(SimTime::from_secs(7));
-    assert!(frame.advance(&rt), "2 generations are within the cap");
+    assert!(frame.advance(&rt), "two windows behind advances");
     let fresh = EvalFrame::new(&rt);
     assert_eq!(observe(&frame, &rt), observe(&fresh, &rt));
 }

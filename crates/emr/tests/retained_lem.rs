@@ -20,34 +20,17 @@ use plasma_emr::lem::{self, LemPlan, RetainedLem};
 use plasma_emr::view::{EvalCtx, EvalFrame};
 use plasma_emr::ActionKind;
 use plasma_epl::{compile, ActorSchema};
-use plasma_sim::SimDuration;
-use proptest::prelude::*;
+use plasma_sim::rng::check_cases;
+use plasma_sim::{DetRng, SimDuration};
 
-/// Deterministic splitmix64: one proptest-drawn seed fans out into every
-/// choice a case makes.
-struct Mix(u64);
+/// `true` with probability `percent` / 100.
+fn chance(rng: &mut DetRng, percent: u64) -> bool {
+    rng.below(100) < percent
+}
 
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `0..n` (`n > 0`).
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-
-    fn pick<T: Copy>(&mut self, xs: &[T]) -> Option<T> {
-        (!xs.is_empty()).then(|| xs[self.below(xs.len() as u64) as usize])
-    }
+/// A uniform element of `xs`, or `None` when it is empty.
+fn pick<T: Copy>(rng: &mut DetRng, xs: &[T]) -> Option<T> {
+    (!xs.is_empty()).then(|| *rng.choose(xs))
 }
 
 /// An actor that is never sent anything.
@@ -83,13 +66,13 @@ fn schema() -> ActorSchema {
 }
 
 /// One case's policy: a random non-empty subset of [`RULES`], shuffled.
-fn policy_src(mix: &mut Mix) -> String {
+fn policy_src(rng: &mut DetRng) -> String {
     let mut rules: Vec<&str> = Vec::new();
     while rules.is_empty() {
-        rules = RULES.iter().copied().filter(|_| mix.chance(50)).collect();
+        rules = RULES.iter().copied().filter(|_| chance(rng, 50)).collect();
     }
     for i in (1..rules.len()).rev() {
-        rules.swap(i, mix.below(i as u64 + 1) as usize);
+        rules.swap(i, rng.below(i as u64 + 1) as usize);
     }
     rules.concat()
 }
@@ -125,41 +108,41 @@ struct Seen {
     actions: u64,
 }
 
-fn spawn(rt: &mut Runtime, mix: &mut Mix, ty: &str) -> ActorId {
+fn spawn(rt: &mut Runtime, rng: &mut DetRng, ty: &str) -> ActorId {
     let servers = rt.cluster().running_ids();
-    let home = mix.pick(&servers).expect("servers run");
-    let size = (1 + mix.below(8)) << 10;
+    let home = *rng.choose(&servers);
+    let size = (1 + rng.below(8)) << 10;
     rt.spawn_actor(ty, Box::new(Idle), size, home)
 }
 
 /// A random live actor.
-fn any_actor(rt: &Runtime, mix: &mut Mix) -> Option<ActorId> {
-    mix.pick(&rt.all_actors())
+fn any_actor(rt: &Runtime, rng: &mut DetRng) -> Option<ActorId> {
+    pick(rng, &rt.all_actors())
 }
 
 /// One random edit to the runtime.
-fn churn(rt: &mut Runtime, mix: &mut Mix) {
+fn churn(rt: &mut Runtime, rng: &mut DetRng) {
     let servers = rt.cluster().running_ids();
-    match mix.below(10) {
+    match rng.below(10) {
         0..=2 => {
-            if let (Some(a), Some(dst)) = (any_actor(rt, mix), mix.pick(&servers)) {
+            if let (Some(a), Some(dst)) = (any_actor(rt, rng), pick(rng, &servers)) {
                 let _ = rt.migrate(a, dst);
             }
         }
         3 | 4 => {
-            if let (Some(owner), Some(target)) = (any_actor(rt, mix), any_actor(rt, mix)) {
-                let prop = mix.pick(&PROPS).expect("props");
+            if let (Some(owner), Some(target)) = (any_actor(rt, rng), any_actor(rt, rng)) {
+                let prop = *rng.choose(&PROPS);
                 rt.actor_add_ref(owner, prop, target);
             }
         }
         5 => {
             // Half the time the target is absent and the remove is a no-op.
-            if let Some(owner) = any_actor(rt, mix) {
-                let prop = mix.pick(&PROPS).expect("props");
+            if let Some(owner) = any_actor(rt, rng) {
+                let prop = *rng.choose(&PROPS);
                 let present = rt.actor_refs(owner, prop);
-                let target = match mix.pick(&present) {
-                    Some(t) if mix.chance(50) => t,
-                    _ => ActorId(mix.below(rt.all_actors().len() as u64 + 4)),
+                let target = match pick(rng, &present) {
+                    Some(t) if chance(rng, 50) => t,
+                    _ => ActorId(rng.below(rt.all_actors().len() as u64 + 4)),
                 };
                 rt.actor_remove_ref(owner, prop, target);
             }
@@ -169,14 +152,14 @@ fn churn(rt: &mut Runtime, mix: &mut Mix) {
             if rt.names().lookup_type("T2").is_some() {
                 types.push("T2");
             }
-            let ty = mix.pick(&types).expect("types");
-            let id = spawn(rt, mix, ty);
-            if let Some(target) = any_actor(rt, mix) {
+            let ty = *rng.choose(&types);
+            let id = spawn(rt, rng, ty);
+            if let Some(target) = any_actor(rt, rng) {
                 rt.actor_add_ref(id, "r0", target);
             }
         }
         7 => {
-            if let Some(a) = any_actor(rt, mix) {
+            if let Some(a) = any_actor(rt, rng) {
                 rt.remove_actor(a);
             }
         }
@@ -184,8 +167,8 @@ fn churn(rt: &mut Runtime, mix: &mut Mix) {
             rt.names_mut().actor_type("T2");
         }
         _ => {
-            if let Some(a) = any_actor(rt, mix) {
-                rt.set_pinned(a, mix.chance(30));
+            if let Some(a) = any_actor(rt, rng) {
+                rt.set_pinned(a, chance(rng, 30));
             }
         }
     }
@@ -194,8 +177,8 @@ fn churn(rt: &mut Runtime, mix: &mut Mix) {
 /// Runs one case: `rounds` rounds of churn, each checked against the
 /// from-scratch plan.
 fn run_case(seed: u64, rounds: usize) -> Seen {
-    let mut mix = Mix(seed);
-    let src = policy_src(&mut mix);
+    let rng = &mut DetRng::new(seed);
+    let src = policy_src(rng);
     let policy = compile(&src, &schema()).unwrap_or_else(|e| panic!("{src}: {e:?}"));
     let mut rt = Runtime::new(RuntimeConfig {
         seed,
@@ -206,18 +189,18 @@ fn run_case(seed: u64, rounds: usize) -> Seen {
     for _ in 0..SERVERS {
         rt.add_server(InstanceType::m1_small());
     }
-    let n = 10 + mix.below(20);
+    let n = 10 + rng.below(20);
     for _ in 0..n {
-        let ty = if mix.chance(40) { "T0" } else { "T1" };
-        spawn(&mut rt, &mut mix, ty);
+        let ty = if chance(rng, 40) { "T0" } else { "T1" };
+        spawn(&mut rt, rng, ty);
     }
     // Members shared between owners and owners with several members make
     // a planned mover name later pairs.
     let actors = rt.all_actors();
     for &owner in &actors {
-        for _ in 0..mix.below(5) {
-            let target = mix.pick(&actors).expect("actors");
-            let prop = mix.pick(&PROPS).expect("props");
+        for _ in 0..rng.below(5) {
+            let target = *rng.choose(&actors);
+            let prop = *rng.choose(&PROPS);
             rt.actor_add_ref(owner, prop, target);
         }
     }
@@ -228,17 +211,17 @@ fn run_case(seed: u64, rounds: usize) -> Seen {
     let mut retained = RetainedLem::default();
     let mut seen = Seen::default();
     for round in 0..rounds {
-        let edits = if mix.chance(40) { 0 } else { 1 + mix.below(3) };
+        let edits = if chance(rng, 40) { 0 } else { 1 + rng.below(3) };
         for _ in 0..edits {
-            churn(&mut rt, &mut mix);
+            churn(&mut rt, rng);
         }
-        let windows = match mix.below(10) {
+        let windows = match rng.below(10) {
             0 => 0,
             1 | 2 => 2,
             _ => 1,
         };
         rt.run_until(rt.now() + window * windows);
-        if mix.chance(8) {
+        if chance(rng, 8) {
             frame = None;
         }
         let advanced = frame
@@ -251,28 +234,28 @@ fn run_case(seed: u64, rounds: usize) -> Seen {
         let frame_ref = frame.insert(f);
         // A scope that drops one server is what a draining server leaves
         // the LEM; it often holds for several rounds.
-        if mix.chance(20) {
+        if chance(rng, 20) {
             scope = all.clone();
-            if mix.chance(50) {
-                scope.remove(mix.below(all.len() as u64) as usize);
+            if chance(rng, 50) {
+                scope.remove(rng.below(all.len() as u64) as usize);
             }
         }
         let ctx = EvalCtx::scoped(frame_ref, &scope);
         let bound = BoundPolicy::bind(&policy, frame_ref);
         // GEM-pending moves, mostly of actors some owner references.
         let mut pending: BTreeMap<ActorId, ServerId> = BTreeMap::new();
-        for _ in 0..mix.below(3) {
-            let owner = any_actor(&rt, &mut mix);
+        for _ in 0..rng.below(3) {
+            let owner = any_actor(&rt, rng);
             let named = owner.and_then(|o| {
-                let prop = mix.pick(&PROPS).expect("props");
-                mix.pick(&rt.actor_refs(o, prop))
+                let prop = *rng.choose(&PROPS);
+                pick(rng, &rt.actor_refs(o, prop))
             });
-            if let (Some(a), Some(dst)) = (named.or(owner), mix.pick(&all)) {
+            if let (Some(a), Some(dst)) = (named.or(owner), pick(rng, &all)) {
                 pending.insert(a, dst);
             }
         }
-        let reserved: BTreeSet<ServerId> = if mix.chance(10) {
-            mix.pick(&all).into_iter().collect()
+        let reserved: BTreeSet<ServerId> = if chance(rng, 10) {
+            pick(rng, &all).into_iter().collect()
         } else {
             BTreeSet::new()
         };
@@ -292,7 +275,7 @@ fn run_case(seed: u64, rounds: usize) -> Seen {
         // Carry out some of the plan, as the EMR would, so pairs settle
         // and the worlds hold quiet pairs as well as triggered ones.
         for action in &want.actions {
-            if mix.chance(60) {
+            if chance(rng, 60) {
                 let _ = rt.migrate(action.actor, action.dst);
             }
         }
@@ -300,13 +283,11 @@ fn run_case(seed: u64, rounds: usize) -> Seen {
     seen
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(160))]
-
-    #[test]
-    fn retained_lem_plans_what_a_fresh_pass_plans(seed in 0u64..1 << 48) {
-        run_case(seed, 14);
-    }
+#[test]
+fn retained_lem_plans_what_a_fresh_pass_plans() {
+    check_cases("retained_lem_plans_what_a_fresh_pass_plans", 160, |rng| {
+        run_case(rng.next_u64(), 14);
+    });
 }
 
 /// Guards the churn against becoming vacuous: across a fixed seed range,

@@ -575,6 +575,8 @@ mod tests {
             "VideoStream(v).call(UserInfo(u).track).count > 0 => pin(v); colocate(v, u);",
             "true => pin(MovieReview(m));",
             "Player(p) in ref(Session(s).players) => pin(s); colocate(p, s);",
+            // A right-nested conjunction keeps its parentheses when printed.
+            "true and (true and true) => balance({any}, cpu);",
         ];
         for src in sources {
             let once = parse(src);
@@ -589,167 +591,167 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod props {
     use super::*;
-    use proptest::prelude::*;
+    use plasma_sim::rng::check_cases;
+    use plasma_sim::DetRng;
 
-    fn ident_strategy() -> impl Strategy<Value = String> {
-        // Avoid keywords and ensure a letter first.
-        "[a-zA-Z][a-zA-Z0-9_]{0,6}".prop_filter("not a keyword", |s| {
-            !matches!(
-                s.as_str(),
-                "and"
-                    | "or"
-                    | "true"
-                    | "in"
-                    | "ref"
-                    | "call"
-                    | "server"
-                    | "client"
-                    | "any"
-                    | "cpu"
-                    | "mem"
-                    | "net"
-                    | "count"
-                    | "size"
-                    | "perc"
-                    | "balance"
-                    | "reserve"
-                    | "colocate"
-                    | "separate"
-                    | "pin"
-                    | "priority"
-            )
-        })
+    /// Words an identifier must not be.
+    const KEYWORDS: [&str; 21] = [
+        "and", "or", "true", "in", "ref", "call", "server", "client", "any", "cpu", "mem", "net",
+        "count", "size", "perc", "balance", "reserve", "colocate", "separate", "pin", "priority",
+    ];
+
+    /// A letter, then up to six letters, digits or underscores; never a
+    /// keyword.
+    fn ident(rng: &mut DetRng) -> String {
+        // The first 52 are the letters.
+        const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_";
+        loop {
+            let mut s = String::from(CHARS[rng.index(52)] as char);
+            for _ in 0..rng.below(7) {
+                s.push(*rng.choose(CHARS) as char);
+            }
+            if !KEYWORDS.contains(&s.as_str()) {
+                return s;
+            }
+        }
     }
 
-    fn atype_strategy() -> impl Strategy<Value = AType> {
-        prop_oneof![Just(AType::Any), ident_strategy().prop_map(AType::Named),]
+    fn atype(rng: &mut DetRng) -> AType {
+        if rng.below(2) == 0 {
+            AType::Any
+        } else {
+            AType::Named(ident(rng))
+        }
     }
 
-    fn actor_ref_strategy() -> impl Strategy<Value = ActorRef> {
-        prop_oneof![
-            (atype_strategy(), ident_strategy()).prop_map(|(t, v)| ActorRef::Decl(t, v)),
-            Just(ActorRef::Type(AType::Any)),
-            ident_strategy().prop_map(ActorRef::Var),
-        ]
+    fn actor_ref(rng: &mut DetRng) -> ActorRef {
+        match rng.below(3) {
+            0 => ActorRef::Decl(atype(rng), ident(rng)),
+            1 => ActorRef::Type(AType::Any),
+            _ => ActorRef::Var(ident(rng)),
+        }
     }
 
-    fn res_strategy() -> impl Strategy<Value = Res> {
-        prop_oneof![Just(Res::Cpu), Just(Res::Mem), Just(Res::Net)]
+    fn res(rng: &mut DetRng) -> Res {
+        *rng.choose(&[Res::Cpu, Res::Mem, Res::Net])
     }
 
-    fn stat_strategy() -> impl Strategy<Value = Stat> {
-        prop_oneof![Just(Stat::Count), Just(Stat::Size), Just(Stat::Perc)]
+    fn feature(rng: &mut DetRng) -> Feature {
+        match rng.below(3) {
+            0 => Feature::ServerRes(res(rng)),
+            1 => Feature::ActorRes(actor_ref(rng), res(rng)),
+            _ => Feature::Call {
+                caller: if rng.below(2) == 0 {
+                    Caller::Client
+                } else {
+                    Caller::Actor(actor_ref(rng))
+                },
+                callee: actor_ref(rng),
+                fname: ident(rng),
+            },
+        }
     }
 
-    fn comp_strategy() -> impl Strategy<Value = Comp> {
-        prop_oneof![
-            Just(Comp::Lt),
-            Just(Comp::Gt),
-            Just(Comp::Ge),
-            Just(Comp::Le)
-        ]
+    fn leaf_cond(rng: &mut DetRng) -> Cond {
+        match rng.below(3) {
+            0 => Cond::True,
+            1 => Cond::Compare {
+                feat: feature(rng),
+                stat: *rng.choose(&[Stat::Count, Stat::Size, Stat::Perc]),
+                comp: *rng.choose(&[Comp::Lt, Comp::Gt, Comp::Ge, Comp::Le]),
+                val: rng.below(10_000) as f64,
+            },
+            _ => Cond::InRef {
+                member: actor_ref(rng),
+                owner: actor_ref(rng),
+                prop: ident(rng),
+            },
+        }
     }
 
-    fn feature_strategy() -> impl Strategy<Value = Feature> {
-        prop_oneof![
-            res_strategy().prop_map(Feature::ServerRes),
-            (actor_ref_strategy(), res_strategy()).prop_map(|(a, r)| Feature::ActorRes(a, r)),
-            (
-                prop_oneof![
-                    Just(Caller::Client),
-                    actor_ref_strategy().prop_map(Caller::Actor)
-                ],
-                actor_ref_strategy(),
-                ident_strategy()
-            )
-                .prop_map(|(caller, callee, fname)| Feature::Call {
-                    caller,
-                    callee,
-                    fname
-                }),
-        ]
+    /// A leaf, or, while `depth` lasts, half the time an `and` or `or` of
+    /// two conditions one level shallower.
+    fn cond(rng: &mut DetRng, depth: u32) -> Cond {
+        if depth == 0 || rng.below(2) == 0 {
+            return leaf_cond(rng);
+        }
+        let a = Box::new(cond(rng, depth - 1));
+        let b = Box::new(cond(rng, depth - 1));
+        if rng.below(2) == 0 {
+            Cond::And(a, b)
+        } else {
+            Cond::Or(a, b)
+        }
     }
 
-    fn leaf_cond_strategy() -> impl Strategy<Value = Cond> {
-        prop_oneof![
-            Just(Cond::True),
-            (
-                feature_strategy(),
-                stat_strategy(),
-                comp_strategy(),
-                0u32..10_000u32
-            )
-                .prop_map(|(feat, stat, comp, val)| Cond::Compare {
-                    feat,
-                    stat,
-                    comp,
-                    val: val as f64
-                }),
-            (actor_ref_strategy(), actor_ref_strategy(), ident_strategy()).prop_map(
-                |(member, owner, prop)| Cond::InRef {
-                    member,
-                    owner,
-                    prop
-                }
-            ),
-        ]
+    fn behavior(rng: &mut DetRng) -> Behavior {
+        match rng.below(5) {
+            0 => Behavior::Balance {
+                types: (0..1 + rng.below(3)).map(|_| atype(rng)).collect(),
+                res: res(rng),
+            },
+            1 => Behavior::Reserve {
+                actor: actor_ref(rng),
+                res: res(rng),
+            },
+            2 => Behavior::Colocate(actor_ref(rng), actor_ref(rng)),
+            3 => Behavior::Separate(actor_ref(rng), actor_ref(rng)),
+            _ => Behavior::Pin(actor_ref(rng)),
+        }
     }
 
-    fn cond_strategy() -> impl Strategy<Value = Cond> {
-        leaf_cond_strategy().prop_recursive(3, 12, 2, |inner| {
-            prop_oneof![
-                (inner.clone(), inner.clone())
-                    .prop_map(|(a, b)| Cond::And(Box::new(a), Box::new(b))),
-                (inner.clone(), inner).prop_map(|(a, b)| Cond::Or(Box::new(a), Box::new(b))),
-            ]
-        })
+    fn rule(rng: &mut DetRng) -> Rule {
+        Rule {
+            priority: (rng.below(4) != 0).then(|| rng.below(1000) as u32),
+            cond: cond(rng, 3),
+            behaviors: (0..1 + rng.below(3)).map(|_| behavior(rng)).collect(),
+        }
     }
 
-    fn behavior_strategy() -> impl Strategy<Value = Behavior> {
-        prop_oneof![
-            (
-                proptest::collection::vec(atype_strategy(), 1..4),
-                res_strategy()
-            )
-                .prop_map(|(types, res)| Behavior::Balance { types, res }),
-            (actor_ref_strategy(), res_strategy())
-                .prop_map(|(actor, res)| Behavior::Reserve { actor, res }),
-            (actor_ref_strategy(), actor_ref_strategy())
-                .prop_map(|(a, b)| Behavior::Colocate(a, b)),
-            (actor_ref_strategy(), actor_ref_strategy())
-                .prop_map(|(a, b)| Behavior::Separate(a, b)),
-            actor_ref_strategy().prop_map(Behavior::Pin),
-        ]
-    }
-
-    fn rule_strategy() -> impl Strategy<Value = Rule> {
-        (
-            proptest::option::of(0u32..1000),
-            cond_strategy(),
-            proptest::collection::vec(behavior_strategy(), 1..4),
-        )
-            .prop_map(|(priority, cond, behaviors)| Rule {
-                priority,
-                cond,
-                behaviors,
+    /// Up to 200 non-control characters: printable ASCII, and one in ten
+    /// from wider Unicode (Latin, Greek, Cyrillic, CJK, emoji).
+    fn printable(rng: &mut DetRng) -> String {
+        const BLOCKS: [(u32, u32); 5] = [
+            (0x00A1, 0x024F),
+            (0x0391, 0x03C9),
+            (0x0410, 0x044F),
+            (0x4E00, 0x4E80),
+            (0x1F600, 0x1F64F),
+        ];
+        (0..rng.below(201))
+            .map(|_| {
+                let code = if rng.below(10) == 0 {
+                    let (lo, hi) = *rng.choose(&BLOCKS);
+                    lo + rng.below(u64::from(hi - lo + 1)) as u32
+                } else {
+                    0x20 + rng.below(0x5F) as u32
+                };
+                char::from_u32(code).expect("the blocks hold no surrogates")
             })
+            .collect()
     }
 
-    proptest! {
-        #[test]
-        fn pretty_print_reparses_to_same_ast(rules in proptest::collection::vec(rule_strategy(), 1..5)) {
-            let policy = Policy { rules };
+    #[test]
+    fn pretty_print_reparses_to_same_ast() {
+        check_cases("pretty_print_reparses_to_same_ast", 64, |rng| {
+            let policy = Policy {
+                rules: (0..1 + rng.below(4)).map(|_| rule(rng)).collect(),
+            };
             let printed = policy.to_string();
             let reparsed = parse_policy(&printed)
                 .unwrap_or_else(|e| panic!("reparse failed: {e}\nsource: {printed}"));
-            prop_assert_eq!(policy, reparsed);
-        }
+            assert_eq!(policy, reparsed);
+        });
+    }
 
-        #[test]
-        fn parser_never_panics(src in "\\PC{0,200}") {
+    #[test]
+    fn parser_never_panics() {
+        check_cases("parser_never_panics", 64, |rng| {
+            let src = printable(rng);
+            assert!(!src.chars().any(char::is_control));
             let _ = parse_policy(&src);
-        }
+        });
     }
 }

@@ -317,29 +317,28 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod props {
     use super::*;
     use crate::gen::uniform_random;
-    use proptest::prelude::*;
+    use plasma_sim::rng::check_cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn partition_is_total_and_bounded(
-            n in 16u32..400,
-            m in 1u32..4,
-            k in 1u32..9,
-            seed in 0u64..1_000,
-        ) {
+    #[test]
+    fn partition_is_total_and_bounded() {
+        check_cases("partition_is_total_and_bounded", 32, |rng| {
+            let n = 16 + rng.below(384) as u32;
+            let m = 1 + rng.below(3) as u32;
+            let k = 1 + rng.below(8) as u32;
+            let seed = rng.below(1_000);
             let g = uniform_random(n, m, &mut DetRng::new(seed));
             let p = partition_balanced(&g, k, 1.05, &mut DetRng::new(seed + 1));
-            prop_assert_eq!(p.assignment.len(), n as usize);
-            prop_assert!(p.assignment.iter().all(|&a| a < k));
-            prop_assert_eq!(p.part_sizes().iter().sum::<u64>(), n as u64);
+            assert_eq!(p.assignment.len(), n as usize);
+            assert!(p.assignment.iter().all(|&a| a < k));
+            assert_eq!(p.part_sizes().iter().sum::<u64>(), n as u64);
             // Every part non-empty when k <= n.
+            let sizes = p.part_sizes();
             if k <= n {
-                prop_assert!(p.part_sizes().iter().all(|&s| s > 0), "{:?}", p.part_sizes());
+                assert!(sizes.iter().all(|&s| s > 0), "{sizes:?}");
             }
-        }
+        });
     }
 }

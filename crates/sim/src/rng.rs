@@ -197,6 +197,27 @@ impl DetRng {
     }
 }
 
+/// Runs a seeded property test: `cases` cases, each drawing its inputs from
+/// its own [`DetRng`], seeded from `name` and the case index, so every run
+/// explores the same inputs. A failing case prints the property, the case
+/// and the seed (`DetRng::new(seed)` replays it), then resumes the panic.
+pub fn check_cases(name: &str, cases: u32, mut case: impl FnMut(&mut DetRng)) {
+    // FNV-1a: properties with different names draw different streams.
+    let name_seed = name.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    });
+    for i in 0..cases {
+        let seed = name_seed ^ u64::from(i);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            case(&mut DetRng::new(seed))
+        }));
+        if let Err(panic) = outcome {
+            eprintln!("property {name} failed at case {i} of {cases} (seed {seed:#018x})");
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
 /// Weights per skip test in [`clean_total`].
 const SKIP_CHUNK: usize = 64;
 
@@ -339,8 +360,6 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::collection;
-    use proptest::prelude::*;
 
     #[test]
     fn deterministic_streams() {
@@ -474,106 +493,111 @@ mod tests {
 
     /// One weight from a pool mixing every class that the clean rule and
     /// the skip test treat differently.
-    fn pooled_weight() -> BoxedStrategy<f64> {
-        prop_oneof![
-            Just(f64::NAN),
-            Just(f64::INFINITY),
-            Just(f64::NEG_INFINITY),
-            Just(-0.0),
-            -1e6f64..0.0,
-            Just(5e-324),
-            Just(f64::MIN_POSITIVE),
-            Just(1e300),
-            Just(f64::MAX),
-            0.0f64..1.0,
-        ]
-        .boxed()
+    fn pooled_weight(rng: &mut DetRng) -> f64 {
+        match rng.below(10) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => rng.range_f64(-1e6, 0.0),
+            5 => 5e-324,
+            6 => f64::MIN_POSITIVE,
+            7 => 1e300,
+            8 => f64::MAX,
+            _ => rng.next_f64(),
+        }
+    }
+
+    /// A uniform draw from `lo..hi`.
+    fn within(rng: &mut DetRng, lo: usize, hi: usize) -> usize {
+        lo + rng.index(hi - lo)
     }
 
     /// A geometric tail `scale * ratio^i` with one large weight placed after
     /// two or more chunks and a few pool weights dropped in anywhere.
-    fn geometric_tail() -> BoxedStrategy<Vec<f64>> {
-        let scale = prop_oneof![Just(1.0), Just(1e-300), Just(1e300), 1e-3f64..1e3];
-        let big = prop_oneof![
-            0.5f64..2.0,
-            Just(1e300),
-            Just(f64::MAX),
-            Just(2f64.powi(970))
-        ];
-        (
-            (1..4 * SKIP_CHUNK, 0.05f64..0.95, scale),
-            (2 * SKIP_CHUNK..4 * SKIP_CHUNK, big),
-            collection::vec((0..4 * SKIP_CHUNK, pooled_weight()), 0..4),
-        )
-            .prop_map(|((len, ratio, scale), (big_at, big), dropped)| {
-                let mut w: Vec<f64> = (0..len).map(|i| scale * ratio.powi(i as i32)).collect();
-                for (at, x) in std::iter::once((big_at, big)).chain(dropped) {
-                    if at < len {
-                        w[at] = x;
-                    }
-                }
-                w
-            })
-            .boxed()
+    fn geometric_tail(rng: &mut DetRng) -> Vec<f64> {
+        let len = within(rng, 1, 4 * SKIP_CHUNK);
+        let ratio = rng.range_f64(0.05, 0.95);
+        let scale = match rng.below(4) {
+            0 => 1.0,
+            1 => 1e-300,
+            2 => 1e300,
+            _ => rng.range_f64(1e-3, 1e3),
+        };
+        let big_at = within(rng, 2 * SKIP_CHUNK, 4 * SKIP_CHUNK);
+        let big = match rng.below(4) {
+            0 => rng.range_f64(0.5, 2.0),
+            1 => 1e300,
+            2 => f64::MAX,
+            _ => 2f64.powi(970),
+        };
+        let mut placed = vec![(big_at, big)];
+        for _ in 0..rng.below(4) {
+            placed.push((rng.index(4 * SKIP_CHUNK), pooled_weight(rng)));
+        }
+        let mut w: Vec<f64> = (0..len).map(|i| scale * ratio.powi(i as i32)).collect();
+        for (at, x) in placed {
+            if at < len {
+                w[at] = x;
+            }
+        }
+        w
     }
 
     /// A geometric tail whose later chunk holds one weight at, or one ulp
     /// either side of, the skip threshold of the total that chunk starts
     /// from: exact ties land on odd- and even-mantissa totals alike.
-    fn threshold_probe() -> BoxedStrategy<Vec<f64>> {
-        (
-            SKIP_CHUNK + 1..4 * SKIP_CHUNK,
-            0.05f64..0.5,
-            1..3usize,
-            0..SKIP_CHUNK,
-            0..3u8,
-        )
-            .prop_map(|(len, ratio, chunk, offset, nudge)| {
-                let mut w: Vec<f64> = (0..len).map(|i| ratio.powi(i as i32)).collect();
-                // The probed chunk must exist: fall back to the second.
-                let start = if chunk * SKIP_CHUNK < len {
-                    chunk * SKIP_CHUNK
-                } else {
-                    SKIP_CHUNK
-                };
-                let before: f64 = w[..start].iter().sum();
-                let half_gap = (before - before.next_down()) / 2.0;
-                let at = (start + offset).min(len - 1);
-                w[at] = match nudge {
-                    0 => half_gap.next_down(),
-                    1 => half_gap,
-                    _ => half_gap.next_up(),
-                };
-                w
-            })
-            .boxed()
+    fn threshold_probe(rng: &mut DetRng) -> Vec<f64> {
+        let len = within(rng, SKIP_CHUNK + 1, 4 * SKIP_CHUNK);
+        let ratio = rng.range_f64(0.05, 0.5);
+        let chunk = within(rng, 1, 3);
+        let offset = rng.index(SKIP_CHUNK);
+        let mut w: Vec<f64> = (0..len).map(|i| ratio.powi(i as i32)).collect();
+        // The probed chunk must exist: fall back to the second.
+        let start = if chunk * SKIP_CHUNK < len {
+            chunk * SKIP_CHUNK
+        } else {
+            SKIP_CHUNK
+        };
+        let before: f64 = w[..start].iter().sum();
+        let half_gap = (before - before.next_down()) / 2.0;
+        let at = (start + offset).min(len - 1);
+        w[at] = match rng.below(3) {
+            0 => half_gap.next_down(),
+            1 => half_gap,
+            _ => half_gap.next_up(),
+        };
+        w
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(1024))]
-
-        /// The chunked total is the plain fold bit for bit, so every draw
-        /// picks the oracle's index and leaves the generator in the
-        /// oracle's state.
-        #[test]
-        fn chunked_draws_match_the_two_pass_oracle(
-            weights in prop_oneof![
-                collection::vec(pooled_weight(), 1..4 * SKIP_CHUNK),
-                geometric_tail(),
-                threshold_probe(),
-            ],
-            seed in 0u64..u64::MAX,
-        ) {
+    /// The chunked total is the plain fold bit for bit, so every draw picks
+    /// the oracle's index and leaves the generator in the oracle's state.
+    #[test]
+    fn chunked_draws_match_the_two_pass_oracle() {
+        check_cases("chunked_draws_match_the_two_pass_oracle", 1024, |rng| {
+            let weights = match rng.below(3) {
+                0 => {
+                    let len = within(rng, 1, 4 * SKIP_CHUNK);
+                    (0..len).map(|_| pooled_weight(rng)).collect()
+                }
+                1 => geometric_tail(rng),
+                _ => threshold_probe(rng),
+            };
+            let seed = rng.next_u64();
             let (_, total) = reference_draw(&mut DetRng::new(seed), &weights);
-            prop_assert_eq!(clean_total(&weights).to_bits(), total.to_bits(), "{:?}", weights);
+            assert_eq!(
+                clean_total(&weights).to_bits(),
+                total.to_bits(),
+                "{weights:?}"
+            );
             let mut fast = DetRng::new(seed);
             let mut oracle = fast.clone();
             for _ in 0..8 {
                 let (expected, _) = reference_draw(&mut oracle, &weights);
-                prop_assert_eq!(fast.weighted_index(&weights), expected, "{:?}", weights);
-                prop_assert_eq!(fast.s, oracle.s);
+                assert_eq!(fast.weighted_index(&weights), expected, "{weights:?}");
+                assert_eq!(fast.s, oracle.s);
             }
-        }
+        });
     }
 
     /// Zero weights with `head` leading the first chunk and `probe` inside

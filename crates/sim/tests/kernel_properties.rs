@@ -1,15 +1,20 @@
 //! Property tests of the simulation kernel.
 
 use plasma_sim::metrics::{BucketedSeries, Histogram};
-use plasma_sim::rng::Zipf;
+use plasma_sim::rng::{check_cases, Zipf};
 use plasma_sim::{DetRng, EventQueue, SimDuration, SimTime};
-use proptest::prelude::*;
 
-proptest! {
-    /// Events always pop in non-decreasing time order, and same-time events
-    /// pop in insertion order.
-    #[test]
-    fn event_queue_is_a_stable_priority_queue(times in proptest::collection::vec(0u64..1_000, 1..200)) {
+/// A uniform draw from `lo..hi`.
+fn within(rng: &mut DetRng, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo)
+}
+
+/// Events always pop in non-decreasing time order, and same-time events
+/// pop in insertion order.
+#[test]
+fn event_queue_is_a_stable_priority_queue() {
+    check_cases("event_queue_is_a_stable_priority_queue", 64, |rng| {
+        let times: Vec<u64> = (0..within(rng, 1, 200)).map(|_| rng.below(1_000)).collect();
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.push(SimTime::from_micros(t), i);
@@ -19,19 +24,24 @@ proptest! {
         while let Some((t, i)) = q.pop() {
             popped += 1;
             if let Some((lt, li)) = last {
-                prop_assert!(t >= lt);
+                assert!(t >= lt);
                 if t == lt {
-                    prop_assert!(i > li, "FIFO within a timestamp");
+                    assert!(i > li, "FIFO within a timestamp");
                 }
             }
             last = Some((t, i));
         }
-        prop_assert_eq!(popped, times.len());
-    }
+        assert_eq!(popped, times.len());
+    });
+}
 
-    /// The histogram's quantiles are actual sample values and ordered.
-    #[test]
-    fn histogram_quantiles_are_monotone_samples(values in proptest::collection::vec(0.0f64..1e6, 1..300)) {
+/// The histogram's quantiles are actual sample values and ordered.
+#[test]
+fn histogram_quantiles_are_monotone_samples() {
+    check_cases("histogram_quantiles_are_monotone_samples", 64, |rng| {
+        let values: Vec<f64> = (0..within(rng, 1, 300))
+            .map(|_| rng.range_f64(0.0, 1e6))
+            .collect();
         let mut h = Histogram::new();
         for &v in &values {
             h.record(v);
@@ -39,19 +49,22 @@ proptest! {
         let mut prev = f64::NEG_INFINITY;
         for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
             let x = h.quantile(q);
-            prop_assert!(values.contains(&x), "quantile must be a sample");
-            prop_assert!(x >= prev);
+            assert!(values.contains(&x), "quantile must be a sample");
+            assert!(x >= prev);
             prev = x;
         }
-        prop_assert!(h.min() <= h.mean() && h.mean() <= h.max());
-    }
+        assert!(h.min() <= h.mean() && h.mean() <= h.max());
+    });
+}
 
-    /// Bucketed means always lie within the range of raw observations.
-    #[test]
-    fn bucketed_series_means_bounded(
-        obs in proptest::collection::vec((0u64..100_000, 0.0f64..1e4), 1..200),
-        width_ms in 1u64..5_000,
-    ) {
+/// Bucketed means always lie within the range of raw observations.
+#[test]
+fn bucketed_series_means_bounded() {
+    check_cases("bucketed_series_means_bounded", 64, |rng| {
+        let obs: Vec<(u64, f64)> = (0..within(rng, 1, 200))
+            .map(|_| (rng.below(100_000), rng.range_f64(0.0, 1e4)))
+            .collect();
+        let width_ms = within(rng, 1, 5_000);
         let mut s = BucketedSeries::new(SimDuration::from_millis(width_ms));
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for &(t, v) in &obs {
@@ -59,35 +72,43 @@ proptest! {
             lo = lo.min(v);
             hi = hi.max(v);
         }
-        prop_assert_eq!(s.count(), obs.len() as u64);
+        assert_eq!(s.count(), obs.len() as u64);
         for (_, mean) in s.buckets() {
-            prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9);
+            assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9);
         }
-    }
+    });
+}
 
-    /// Uniform draws stay in range for arbitrary bounds.
-    #[test]
-    fn rng_below_in_range(seed in 0u64..u64::MAX, n in 1u64..1_000_000) {
-        let mut rng = DetRng::new(seed);
+/// Uniform draws stay in range for arbitrary bounds.
+#[test]
+fn rng_below_in_range() {
+    check_cases("rng_below_in_range", 64, |rng| {
+        let mut drawn = DetRng::new(rng.next_u64());
+        let n = within(rng, 1, 1_000_000);
         for _ in 0..64 {
-            prop_assert!(rng.below(n) < n);
+            assert!(drawn.below(n) < n);
         }
-    }
+    });
+}
 
-    /// Zipf ranks stay in range for any skew.
-    #[test]
-    fn zipf_in_range(seed in 0u64..u64::MAX, n in 1usize..500, exp in 0.0f64..3.0) {
-        let zipf = Zipf::new(n, exp);
-        let mut rng = DetRng::new(seed);
+/// Zipf ranks stay in range for any skew.
+#[test]
+fn zipf_in_range() {
+    check_cases("zipf_in_range", 64, |rng| {
+        let mut drawn = DetRng::new(rng.next_u64());
+        let n = within(rng, 1, 500) as usize;
+        let zipf = Zipf::new(n, rng.range_f64(0.0, 3.0));
         for _ in 0..64 {
-            prop_assert!(zipf.sample(&mut rng) < n);
+            assert!(zipf.sample(&mut drawn) < n);
         }
-    }
+    });
+}
 
-    /// Forked streams never equal the parent stream over a prefix.
-    #[test]
-    fn forked_rng_diverges(seed in 0u64..u64::MAX) {
-        let mut parent = DetRng::new(seed);
+/// Forked streams never equal the parent stream over a prefix.
+#[test]
+fn forked_rng_diverges() {
+    check_cases("forked_rng_diverges", 64, |rng| {
+        let mut parent = DetRng::new(rng.next_u64());
         let mut child = parent.fork(1);
         let mut same = 0;
         for _ in 0..32 {
@@ -95,6 +116,6 @@ proptest! {
                 same += 1;
             }
         }
-        prop_assert!(same < 4);
-    }
+        assert!(same < 4);
+    });
 }
