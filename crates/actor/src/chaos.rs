@@ -57,7 +57,8 @@ pub(crate) struct ChaosState {
     pub schedule: Vec<FaultEvent>,
     /// Detection and repair parameters.
     pub policy: RecoveryPolicy,
-    /// Accumulated fault / recovery counters, exported as `chaos.*`.
+    /// Accumulated fault / recovery counters; see
+    /// [`Runtime::chaos_stats`](crate::Runtime::chaos_stats).
     pub stats: ChaosStats,
     /// Crashed servers the failure detector has not yet declared dead.
     pub crashed: BTreeMap<ServerId, CrashRecord>,

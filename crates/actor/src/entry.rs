@@ -245,7 +245,7 @@ mod tests {
             bytes: 0,
             corr: None,
             payload: None,
-            dest_server_at_send: None,
+            dest_server_at_send: ServerId(0),
             forwarded: false,
             was_remote: false,
             trace: None,

@@ -54,7 +54,7 @@ pub struct Message {
     /// Destination server observed at send time; a mismatch at delivery
     /// means the actor migrated mid-flight and the message pays one
     /// forwarding hop.
-    pub(crate) dest_server_at_send: Option<ServerId>,
+    pub(crate) dest_server_at_send: ServerId,
     /// Whether this message already paid its forwarding hop.
     pub(crate) forwarded: bool,
     /// Whether the message crossed servers (for NIC accounting on delivery).
@@ -108,7 +108,7 @@ mod tests {
             bytes: 128,
             corr: None,
             payload,
-            dest_server_at_send: None,
+            dest_server_at_send: ServerId(0),
             forwarded: false,
             was_remote: false,
             trace: None,

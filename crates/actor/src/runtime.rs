@@ -18,7 +18,7 @@
 //! - **Elasticity (EER)**: periodic controller ticks and deferred control
 //!   callbacks for modeling LEM/GEM round-trips.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use plasma_backend::{
@@ -26,7 +26,7 @@ use plasma_backend::{
     ExecutionBackend, ServerReport, SimBackend,
 };
 use plasma_chaos::fault::FaultKind;
-use plasma_chaos::{FaultPlan, RecoveryPolicy};
+use plasma_chaos::{ChaosStats, FaultPlan, RecoveryPolicy};
 use plasma_cluster::topology::ClusterLimits;
 use plasma_cluster::{Cluster, InstanceType, NetworkModel, ServerId};
 use plasma_sim::{DetRng, EventQueue, SimDuration, SimTime};
@@ -94,8 +94,8 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Buffered output of an in-service message handler.
-#[derive(Default)]
+/// Buffered output of an in-service message handler, carried by its
+/// [`Event::ServiceDone`] and released when the service completes.
 struct ServiceEffects {
     sends: Vec<PendingSend>,
     replies: Vec<(Correlation, u64, Option<Payload>)>,
@@ -117,8 +117,10 @@ enum Event {
         server: ServerId,
         actor: ActorId,
         /// Crash epoch of the server at dispatch; a crash in between
-        /// invalidates the service (the CPU it ran on is gone).
+        /// invalidates the service (the CPU it ran on is gone) and its
+        /// effects are dropped with the event.
         epoch: u64,
+        effects: ServiceEffects,
     },
     MigrationArrive {
         actor: ActorId,
@@ -182,7 +184,6 @@ pub struct Runtime {
     actors_by_server: Vec<BTreeSet<ActorId>>,
     free_lanes: Vec<u32>,
     runq: Vec<VecDeque<ActorId>>,
-    in_service: BTreeMap<ActorId, ServiceEffects>,
     clients: Vec<ClientEntry>,
     controller: Option<Box<dyn ElasticityController>>,
     rng: DetRng,
@@ -199,7 +200,6 @@ pub struct Runtime {
     rows_built: u64,
     report: RunReport,
     next_request: u64,
-    orphan_replies: u64,
     /// Per-server crash epoch; bumped on crash to cancel stale services.
     server_epoch: Vec<u64>,
     /// Per-server count of migrations currently targeting the server.
@@ -228,15 +228,15 @@ impl Runtime {
         // Both real carriers are `plasma-net`'s worker loop: one
         // `plasma-server` process per group under net, one thread per
         // group under live.
+        let net = plasma_net::NetConfig::default();
         let backend: Box<dyn ExecutionBackend> = match cfg.backend {
             BackendKind::Sim => Box::new(SimBackend::new()),
             kind => Box::new(
-                plasma_net::NetConfig::from_env()
-                    .and_then(|c| match kind {
-                        BackendKind::Live => plasma_net::NetBackend::launch_threads(c.groups),
-                        _ => plasma_net::NetBackend::launch(c),
-                    })
-                    .unwrap_or_else(|e| panic!("launching {} backend workers: {e}", kind.name())),
+                match kind {
+                    BackendKind::Live => plasma_net::NetBackend::launch_threads(net.groups),
+                    _ => plasma_net::NetBackend::launch(net),
+                }
+                .unwrap_or_else(|e| panic!("launching {} backend workers: {e}", kind.name())),
             ),
         };
         Runtime {
@@ -249,7 +249,6 @@ impl Runtime {
             actors_by_server: Vec::new(),
             free_lanes: Vec::new(),
             runq: Vec::new(),
-            in_service: BTreeMap::new(),
             clients: Vec::new(),
             controller: None,
             rng,
@@ -260,7 +259,6 @@ impl Runtime {
             rows_built: 0,
             report,
             next_request: 0,
-            orphan_replies: 0,
             server_epoch: Vec::new(),
             inbound_migrations: Vec::new(),
             chaos: None,
@@ -671,7 +669,7 @@ impl Runtime {
     }
 
     pub(crate) fn count_orphan_reply(&mut self) {
-        self.orphan_replies += 1;
+        self.report.orphan_replies += 1;
     }
 
     /// Requests the event loop to stop at the current instant.
@@ -789,7 +787,7 @@ impl Runtime {
             bytes,
             corr: Some(corr),
             payload,
-            dest_server_at_send: Some(dest_server),
+            dest_server_at_send: dest_server,
             forwarded: false,
             was_remote: true,
             trace,
@@ -825,7 +823,7 @@ impl Runtime {
             bytes,
             corr: None,
             payload,
-            dest_server_at_send: Some(dest_server),
+            dest_server_at_send: dest_server,
             forwarded: false,
             was_remote: false,
             trace,
@@ -864,12 +862,11 @@ impl Runtime {
         if !self.stopped && self.now < end {
             self.now = end;
         }
-        self.finalize_report();
     }
 
     fn handle(&mut self, event: Event) {
         match event {
-            Event::DeliverActor(msg) => self.on_deliver_batch(msg),
+            Event::DeliverActor(msg) => self.on_deliver(msg),
             Event::DeliverReply {
                 client,
                 request,
@@ -880,7 +877,8 @@ impl Runtime {
                 server,
                 actor,
                 epoch,
-            } => self.on_service_done(server, actor, epoch),
+                effects,
+            } => self.on_service_done(server, actor, epoch, effects),
             Event::MigrationArrive {
                 actor,
                 dst,
@@ -930,67 +928,9 @@ impl Runtime {
         }
     }
 
-    /// Returns whether `event` is a delivery that will take the plain
-    /// enqueue path (live destination, no forwarding hop) on `server` —
-    /// i.e. its bookkeeping pushes no events and touches only that
-    /// server's queues, so it can join a coalesced same-tick batch.
-    fn simple_delivery_to(actors: &[Option<ActorEntry>], event: &Event, server: ServerId) -> bool {
-        let Event::DeliverActor(msg) = event else {
-            return false;
-        };
-        let Some(entry) = actors.get(msg.to.0 as usize).and_then(|e| e.as_ref()) else {
-            return false;
-        };
-        entry.server == server && Self::plain_delivery(msg, entry.server)
-    }
-
-    /// Returns whether `msg` takes the plain enqueue path when its
-    /// destination actor lives on `host`: either the send-time destination
-    /// still matches, or the message already took its one forwarding hop —
-    /// so delivering it pushes no re-route events.
-    fn plain_delivery(msg: &Message, host: ServerId) -> bool {
-        msg.forwarded || msg.dest_server_at_send.is_none_or(|s| s == host)
-    }
-
-    /// Delivers `msg` and coalesces the run of same-tick deliveries bound
-    /// for the same server behind it into a single dispatch pass.
-    ///
-    /// This is behavior-preserving: a plain delivery's bookkeeping pushes
-    /// no events, so deferring `try_dispatch` to the end of the run
-    /// schedules the exact same `ServiceDone` events with the exact same
-    /// sequence numbers the one-dispatch-per-delivery path would — the run
-    /// queue is FIFO and lanes are claimed in delivery order either way.
-    /// The batch stops at the first same-tick event that is not a plain
-    /// delivery to this server (forwarding hops and orphan drops re-route
-    /// or count events, so they keep their positions in the global order).
-    fn on_deliver_batch(&mut self, msg: Message) {
-        let simple = self
-            .actors
-            .get(msg.to.0 as usize)
-            .and_then(|e| e.as_ref())
-            .map(|entry| (entry.server, Self::plain_delivery(&msg, entry.server)));
-        let Some((server, true)) = simple else {
-            self.on_deliver(msg);
-            return;
-        };
-        let mut queued = self.deliver_enqueue(msg);
-        loop {
-            let next = {
-                let actors = &self.actors;
-                self.events
-                    .pop_at_if(self.now, |e| Self::simple_delivery_to(actors, e, server))
-            };
-            match next {
-                Some(Event::DeliverActor(m)) => queued |= self.deliver_enqueue(m),
-                Some(_) => unreachable!("predicate admits deliveries only"),
-                None => break,
-            }
-        }
-        if queued {
-            self.try_dispatch(server);
-        }
-    }
-
+    /// Delivers `msg`: drops it if its actor is gone, sends it one
+    /// forwarding hop on if the actor moved since the send, and otherwise
+    /// queues it and dispatches the actor's server.
     fn on_deliver(&mut self, mut msg: Message) {
         let Some(entry) = self.actors.get(msg.to.0 as usize).and_then(|e| e.as_ref()) else {
             // Arrivals addressed to an orphaned actor (crashed, not yet
@@ -1006,26 +946,14 @@ impl Runtime {
         let here = entry.server;
         // The actor migrated while the message was in flight: pay one
         // forwarding hop to its new home, once.
-        if msg.dest_server_at_send.is_some_and(|s| s != here) && !msg.forwarded {
+        if msg.dest_server_at_send != here && !msg.forwarded {
             msg.forwarded = true;
-            msg.dest_server_at_send = Some(here);
+            msg.dest_server_at_send = here;
             self.report.forwarded_messages += 1;
             let delay = self.cfg.network.remote_latency;
             self.events.push(self.now + delay, Event::DeliverActor(msg));
             return;
         }
-        if self.deliver_enqueue(msg) {
-            self.try_dispatch(here);
-        }
-    }
-
-    /// The plain delivery path: byte accounting, tracing, carriage, and
-    /// mailbox/run-queue bookkeeping — everything `on_deliver` does short
-    /// of dispatching. Returns whether the destination joined the run
-    /// queue. The caller has already ruled out the orphan and forwarding
-    /// branches.
-    fn deliver_enqueue(&mut self, msg: Message) -> bool {
-        let here = self.entry(msg.to).server;
         if msg.was_remote {
             self.cluster.server_mut(here).add_net_bytes(msg.bytes);
             self.report.remote_messages += 1;
@@ -1049,13 +977,11 @@ impl Runtime {
         });
         let entry = self.entry_mut(msg.to);
         entry.mailbox.push_back(msg);
-        let id = entry.id;
         if entry.runnable() {
             entry.in_runq = true;
+            let id = entry.id;
             self.runq[here.0 as usize].push_back(id);
-            true
-        } else {
-            false
+            self.try_dispatch(here);
         }
     }
 
@@ -1120,27 +1046,31 @@ impl Runtime {
             });
             self.cluster.server_mut(server).add_cpu_busy(service);
             self.free_lanes[sidx] -= 1;
-            self.in_service
-                .insert(actor, ServiceEffects { sends, replies });
             self.events.push(
                 self.now + service,
                 Event::ServiceDone {
                     server,
                     actor,
                     epoch: self.server_epoch[sidx],
+                    effects: ServiceEffects { sends, replies },
                 },
             );
         }
     }
 
-    fn on_service_done(&mut self, server: ServerId, actor: ActorId, epoch: u64) {
+    fn on_service_done(
+        &mut self,
+        server: ServerId,
+        actor: ActorId,
+        epoch: u64,
+        effects: ServiceEffects,
+    ) {
         // The server crashed after this service was dispatched: the lane it
         // occupied no longer exists and its effects died with the server.
         if epoch != self.server_epoch[server.0 as usize] {
             return;
         }
         self.free_lanes[server.0 as usize] += 1;
-        let effects = self.in_service.remove(&actor).unwrap_or_default();
         let entry = self.entry_mut(actor);
         entry.servicing = false;
         let from_type = entry.type_id;
@@ -1241,7 +1171,7 @@ impl Runtime {
             bytes: send.bytes,
             corr: send.corr,
             payload: send.payload,
-            dest_server_at_send: Some(dest_server),
+            dest_server_at_send: dest_server,
             forwarded: false,
             was_remote: !same,
             trace,
@@ -1755,7 +1685,6 @@ impl Runtime {
                 continue;
             };
             self.actors_by_server[sidx].remove(&aid);
-            self.in_service.remove(&aid);
             if let Some(MigrationState::Pending { dst } | MigrationState::InTransit { dst }) =
                 entry.migration
             {
@@ -2120,69 +2049,6 @@ impl Runtime {
         self.free_lanes[idx] = self.cluster.server(id).instance().vcpus;
     }
 
-    fn finalize_report(&mut self) {
-        self.report.orphan_replies = self.orphan_replies;
-        // Chaos scalars exist only when a fault plan is installed, so
-        // fault-free reports stay byte-identical.
-        if let Some(s) = self.chaos.as_ref().map(|c| c.stats) {
-            let scalars = &mut self.report.scalars;
-            let mut put = |k: &str, v: f64| {
-                scalars.insert(format!("chaos.{k}"), v);
-            };
-            put("faults_injected", s.faults_injected as f64);
-            put("servers_crashed", s.servers_crashed as f64);
-            put("servers_restarted", s.servers_restarted as f64);
-            put("actors_lost", s.actors_lost as f64);
-            put("actors_recovered", s.actors_recovered as f64);
-            put("state_bytes_lost", s.state_bytes_lost as f64);
-            put("messages_lost_crash", s.messages_lost_crash as f64);
-            put("messages_lost_partition", s.messages_lost_partition as f64);
-            put("messages_dropped_link", s.messages_dropped_link as f64);
-            put("migrations_aborted", s.migrations_aborted as f64);
-            put("migration_retries", s.migration_retries as f64);
-            put("snapshot_skews", s.snapshot_skews as f64);
-            put("detections", s.detections as f64);
-            put("detect_latency_mean_s", s.detect_latency_mean_s());
-            put("detect_latency_max_s", s.detect_latency_max_s);
-            put("unavailability_sum_s", s.unavailability_sum_s);
-            put("unavailability_max_s", s.unavailability_max_s);
-            if let Some(t) = s.first_crash_at_s {
-                put("first_crash_at_s", t);
-            }
-        }
-        // Backend scalars exist only for live/net runs, so sim reports
-        // stay byte-identical to builds predating the backend layer. All
-        // wall-clock values here are measurement side-channels (excluded
-        // from decision digests and benchmark baselines).
-        if self.backend.kind() != BackendKind::Sim {
-            let s = self.backend.stats();
-            let scalars = &mut self.report.scalars;
-            let mut put = |k: &str, v: f64| {
-                scalars.insert(format!("backend.{k}"), v);
-            };
-            put("deliveries", s.deliveries as f64);
-            put("executions", s.executions as f64);
-            put("windows_closed", s.windows_closed as f64);
-            put("window_mismatches", s.window_mismatches as f64);
-            put("rounds", s.rounds as f64);
-            put("workers_spawned", s.workers_spawned as f64);
-            put("wall_ms", s.wall_ns as f64 / 1e6);
-            put("worker_busy_ms", s.worker_busy_ns as f64 / 1e6);
-            put("channel_latency_us_mean", s.channel_latency_us_mean());
-            put("channel_latency_us_max", s.channel_ns_max as f64 / 1e3);
-            put("control_reports", s.control_reports as f64);
-            put("control_queries", s.control_queries as f64);
-            put("control_replies", s.control_replies as f64);
-            put("control_decisions", s.control_decisions as f64);
-            put("control_wire_bytes", s.control_wire_bytes as f64);
-            put("frames_sent", s.frames_sent as f64);
-            put("frames_received", s.frames_received as f64);
-            put("wire_bytes_sent", s.wire_bytes_sent as f64);
-            put("wire_bytes_received", s.wire_bytes_received as f64);
-            put("max_inflight_frames", s.max_inflight_frames as f64);
-        }
-    }
-
     /// Returns the run report.
     pub fn report(&self) -> &RunReport {
         &self.report
@@ -2191,6 +2057,12 @@ impl Runtime {
     /// Snapshot of the backend's cumulative carriage counters.
     pub fn backend_stats(&self) -> BackendStats {
         self.backend.stats()
+    }
+
+    /// Snapshot of the fault and recovery counters: all zero when no fault
+    /// plan is installed.
+    pub fn chaos_stats(&self) -> ChaosStats {
+        self.chaos.as_ref().map(|c| c.stats).unwrap_or_default()
     }
 
     fn entry(&self, actor: ActorId) -> &ActorEntry {
@@ -2251,3 +2123,16 @@ fn assert_same_rows(paged: &[Option<Arc<Page>>], fresh: &[Option<Arc<Page>>], ge
 
 #[cfg(test)]
 mod churn_props;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A service's sends and replies ride in its `ServiceDone`, so they
+    /// must not widen the heap entry past the message a delivery carries.
+    #[test]
+    fn service_effects_do_not_widen_the_event() {
+        let (event, msg) = (size_of::<Event>(), size_of::<Message>());
+        assert!(event <= msg + 8, "Event is {event} bytes, Message {msg}");
+    }
+}

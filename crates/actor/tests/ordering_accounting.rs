@@ -249,3 +249,68 @@ impl ClientLogic for Steady2 {
         ctx.set_timer(SimDuration::from_millis(1000), 0);
     }
 }
+
+/// Sends one message to each of `to`, in order, from a single service.
+struct FanOut {
+    to: Vec<ActorId>,
+}
+
+impl ActorLogic for FanOut {
+    fn on_message(&mut self, ctx: &mut ActorCtx<'_>, _msg: &mut Message) {
+        for &a in &self.to {
+            ctx.send_detached(a, "go", 64);
+        }
+    }
+}
+
+/// Records when each of its services starts, and which actor ran it.
+struct StartLog {
+    log: std::sync::Arc<std::sync::Mutex<Vec<(SimTime, ActorId)>>>,
+}
+
+impl ActorLogic for StartLog {
+    fn on_message(&mut self, ctx: &mut ActorCtx<'_>, _msg: &mut Message) {
+        ctx.work(0.01);
+        self.log.lock().unwrap().push((ctx.now(), ctx.me()));
+    }
+}
+
+#[test]
+fn same_tick_deliveries_start_in_send_order_one_per_free_lane() {
+    const K: usize = 7;
+    let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut rt = Runtime::new(RuntimeConfig {
+        seed: 3,
+        ..RuntimeConfig::default()
+    });
+    let s = rt.add_server(InstanceType::m5_large());
+    let receivers: Vec<ActorId> = (0..K)
+        .map(|_| rt.spawn_actor("StartLog", Box::new(StartLog { log: log.clone() }), 64, s))
+        .collect();
+    let fan = rt.spawn_actor(
+        "FanOut",
+        Box::new(FanOut {
+            to: receivers.clone(),
+        }),
+        64,
+        s,
+    );
+    rt.inject(fan, "go", 64, None);
+    rt.run_until(SimTime::from_secs(10));
+    let log = log.lock().unwrap();
+    // All K local deliveries land on one tick; the receivers start in the
+    // order they were sent ...
+    let order: Vec<ActorId> = log.iter().map(|&(_, a)| a).collect();
+    assert_eq!(order, receivers, "receivers start in send order");
+    // ... two at a time on the m5.large's two lanes: receivers 2k and
+    // 2k+1 start together, one service after the pair before them.
+    let (first, service) = (log[0].0, log[2].0.saturating_since(log[0].0));
+    assert!(service > SimDuration::ZERO);
+    for (i, &(started, actor)) in log.iter().enumerate() {
+        assert_eq!(
+            started,
+            first + service * (i / 2) as u64,
+            "receiver {i} ({actor:?}) started off its lane slot"
+        );
+    }
+}

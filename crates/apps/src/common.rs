@@ -214,10 +214,10 @@ impl ElasticityEval {
 
 /// Recovery measurements of one finished chaos run.
 ///
-/// Collected from the `chaos.*` report scalars the runtime exports when a
-/// fault plan is installed. All values derive from simulated time and
-/// deterministic counters, so same-seed runs produce bit-identical stats.
-/// Collecting from a fault-free run yields all zeros.
+/// Collected from [`Runtime::chaos_stats`] and the report's migrations.
+/// All values derive from simulated time and deterministic counters, so
+/// same-seed runs produce bit-identical stats. Collecting from a
+/// fault-free run yields all zeros.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ChaosEval {
     /// Faults injected from the plan.
@@ -259,13 +259,10 @@ pub struct ChaosEval {
 impl ChaosEval {
     /// Collects the stats from a finished runtime.
     pub fn collect(rt: &Runtime) -> Self {
-        let report = rt.report();
-        let scalar = |k: &str| report.scalar(k).unwrap_or(0.0);
-        let count = |k: &str| scalar(k) as u64;
-        let first_crash_at_s = scalar("chaos.first_crash_at_s");
-        let crashed = count("chaos.servers_crashed") > 0;
-        let rebalance = if crashed {
-            report
+        let s = rt.chaos_stats();
+        let first_crash_at_s = s.first_crash_at_s.unwrap_or(0.0);
+        let rebalance = if s.servers_crashed > 0 {
+            rt.report()
                 .migrations
                 .iter()
                 .map(|m| m.at.as_secs_f64() - first_crash_at_s)
@@ -275,22 +272,22 @@ impl ChaosEval {
             0.0
         };
         ChaosEval {
-            faults_injected: count("chaos.faults_injected"),
-            servers_crashed: count("chaos.servers_crashed"),
-            servers_restarted: count("chaos.servers_restarted"),
-            actors_lost: count("chaos.actors_lost"),
-            actors_recovered: count("chaos.actors_recovered"),
-            state_bytes_lost: count("chaos.state_bytes_lost"),
-            messages_lost: count("chaos.messages_lost_crash")
-                + count("chaos.messages_lost_partition")
-                + count("chaos.messages_dropped_link"),
-            migrations_aborted: count("chaos.migrations_aborted"),
-            migration_retries: count("chaos.migration_retries"),
-            detections: count("chaos.detections"),
-            time_to_detect_s_mean: scalar("chaos.detect_latency_mean_s"),
-            time_to_detect_s_max: scalar("chaos.detect_latency_max_s"),
-            unavailability_s_sum: scalar("chaos.unavailability_sum_s"),
-            unavailability_s_max: scalar("chaos.unavailability_max_s"),
+            faults_injected: s.faults_injected,
+            servers_crashed: s.servers_crashed,
+            servers_restarted: s.servers_restarted,
+            actors_lost: s.actors_lost,
+            actors_recovered: s.actors_recovered,
+            state_bytes_lost: s.state_bytes_lost,
+            messages_lost: s.messages_lost_crash
+                + s.messages_lost_partition
+                + s.messages_dropped_link,
+            migrations_aborted: s.migrations_aborted,
+            migration_retries: s.migration_retries,
+            detections: s.detections,
+            time_to_detect_s_mean: s.detect_latency_mean_s(),
+            time_to_detect_s_max: s.detect_latency_max_s,
+            unavailability_s_sum: s.unavailability_sum_s,
+            unavailability_s_max: s.unavailability_max_s,
             first_crash_at_s,
             time_to_rebalance_after_crash_s: rebalance,
         }

@@ -122,9 +122,7 @@ pub struct WindowReport {
     pub matched: bool,
 }
 
-/// Cumulative backend counters, exported as `backend.*` report scalars for
-/// live and net runs (sim runs export nothing, keeping their reports
-/// byte-stable).
+/// Cumulative backend counters, read through `Runtime::backend_stats`.
 ///
 /// All wall-clock fields are measurement side-channels: they never feed
 /// back into scheduling or decisions, and they are excluded from decision

@@ -39,9 +39,7 @@ impl ExecutionBackend for SimBackend {
         BackendKind::Sim
     }
 
-    fn server_up(&mut self, _server: u32, _vcpus: u32) {
-        self.stats.workers_spawned += 1;
-    }
+    fn server_up(&mut self, _server: u32, _vcpus: u32) {}
 
     fn server_down(&mut self, server: u32) {
         self.reports.remove(&server);
@@ -133,5 +131,6 @@ mod tests {
         assert_eq!(b.stats().deliveries, 3);
         assert_eq!(b.stats().worker_busy_ns, 500);
         assert_eq!(b.stats().windows_closed, 2);
+        assert_eq!(b.stats().workers_spawned, 0, "sim starts no workers");
     }
 }

@@ -21,9 +21,9 @@
 //!   (with state-loss accounting), and migration retry with exponential
 //!   backoff.
 //! - [`ChaosStats`]: counters every fault and recovery step increments,
-//!   exported as `chaos.*` scalars and folded into the recovery metrics the
-//!   chaos evaluation scenarios gate on (time-to-detect, unavailability
-//!   window, lost/retried messages).
+//!   read through `Runtime::chaos_stats` and folded into the recovery
+//!   metrics the chaos evaluation scenarios gate on (time-to-detect,
+//!   unavailability window, lost/retried messages).
 
 pub mod fault;
 pub mod recovery;

@@ -50,8 +50,8 @@ impl RecoveryPolicy {
 
 /// Counters incremented by every fault and recovery step.
 ///
-/// Exported by the runtime as `chaos.*` report scalars; the chaos
-/// evaluation scenarios fold them into their recovery metrics.
+/// Read through `Runtime::chaos_stats`; the chaos evaluation scenarios
+/// fold them into their recovery metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ChaosStats {
     /// Faults taken from the plan and injected.

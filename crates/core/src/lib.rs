@@ -142,7 +142,7 @@ impl PlasmaBuilder {
     /// the simulated event loop by default, or `plasma-net`'s worker loop
     /// on one OS thread per server group under [`BackendKind::Live`] and
     /// one `plasma-server` process per group under [`BackendKind::Net`]
-    /// (`PLASMA_NET_GROUPS` sizes both). Elasticity decisions are a pure
+    /// (two groups on both). Elasticity decisions are a pure
     /// function of logical state, so every backend produces the same
     /// decision sequence for the same seed.
     pub fn backend(mut self, kind: BackendKind) -> Self {

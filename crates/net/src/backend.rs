@@ -67,43 +67,11 @@ pub struct NetConfig {
 impl Default for NetConfig {
     /// Two groups — the smallest topology that actually crosses process
     /// boundaries between servers — with the worker binary auto-located.
-    /// Environment-free; use [`NetConfig::from_env`] to honor
-    /// `PLASMA_NET_GROUPS`.
     fn default() -> Self {
         NetConfig {
             groups: 2,
             worker_bin: None,
         }
-    }
-}
-
-impl NetConfig {
-    /// The default configuration with the group count taken from the
-    /// `PLASMA_NET_GROUPS` environment variable (carriage topology only;
-    /// it cannot affect logical results). The runtime sizes both the
-    /// process and the thread host from it.
-    ///
-    /// An unset variable keeps the default of 2. A set-but-invalid value —
-    /// not an integer, or below 1 — is rejected *here*, at parse time,
-    /// with an error naming the variable and the offending value, instead
-    /// of surfacing as a downstream launch assertion.
-    pub fn from_env() -> std::io::Result<Self> {
-        let mut cfg = NetConfig::default();
-        if let Ok(v) = std::env::var("PLASMA_NET_GROUPS") {
-            cfg.groups = match v.parse::<u32>() {
-                Ok(g) if g >= 1 => g,
-                _ => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        format!(
-                            "PLASMA_NET_GROUPS={v:?} is invalid: expected an integer >= 1 \
-                             (number of worker groups)"
-                        ),
-                    ));
-                }
-            };
-        }
-        Ok(cfg)
     }
 }
 
@@ -905,30 +873,6 @@ mod tests {
         let mut fb = FrameBuffer::new();
         let err = read_hello(&mut r, &mut fb).unwrap_err();
         assert!(err.to_string().contains("expected Hello"));
-    }
-
-    /// All `PLASMA_NET_GROUPS` cases in one test: the variable is process
-    /// global, so splitting these across tests would race under the
-    /// parallel test runner.
-    #[test]
-    fn net_groups_env_is_validated_at_parse_time() {
-        std::env::remove_var("PLASMA_NET_GROUPS");
-        assert_eq!(NetConfig::from_env().unwrap().groups, 2);
-
-        std::env::set_var("PLASMA_NET_GROUPS", "3");
-        assert_eq!(NetConfig::from_env().unwrap().groups, 3);
-
-        for bad in ["0", "-1", "two", ""] {
-            std::env::set_var("PLASMA_NET_GROUPS", bad);
-            let err = NetConfig::from_env().unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-            let msg = err.to_string();
-            assert!(
-                msg.contains("PLASMA_NET_GROUPS") && msg.contains(bad),
-                "error must name the variable and value: {msg}"
-            );
-        }
-        std::env::remove_var("PLASMA_NET_GROUPS");
     }
 
     #[test]

@@ -61,8 +61,6 @@ impl<E> Ord for Scheduled<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
-    pushed: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -77,8 +75,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            pushed: 0,
-            popped: 0,
         }
     }
 
@@ -86,41 +82,18 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pushed += 1;
         self.heap.push(Scheduled { at, seq, event });
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let s = self.heap.pop()?;
-        self.popped += 1;
         Some((s.at, s.event))
     }
 
     /// Returns the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.at)
-    }
-
-    /// Pops the earliest event only if it fires exactly at `at` and `accept`
-    /// approves it; otherwise leaves the queue untouched.
-    ///
-    /// This is the same-tick coalescing primitive: an event-loop handler
-    /// that can batch a run of homogeneous events (e.g. message deliveries
-    /// bound for one server) drains them with repeated `pop_at_if` calls
-    /// and performs the follow-up work once. FIFO tie order is preserved —
-    /// the candidate offered to `accept` is always the exact event `pop`
-    /// would return next.
-    pub fn pop_at_if<F>(&mut self, at: SimTime, accept: F) -> Option<E>
-    where
-        F: FnOnce(&E) -> bool,
-    {
-        let head = self.heap.peek()?;
-        if head.at != at || !accept(&head.event) {
-            return None;
-        }
-        self.popped += 1;
-        Some(self.heap.pop().expect("peeked event present").event)
     }
 
     /// Returns the number of pending events.
@@ -131,16 +104,6 @@ impl<E> EventQueue<E> {
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Returns the total number of events ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Returns the total number of events ever popped.
-    pub fn total_popped(&self) -> u64 {
-        self.popped
     }
 }
 
@@ -181,29 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_at_if_only_drains_matching_same_tick_events() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        q.push(t, 1);
-        q.push(t, 2);
-        q.push(t, 9);
-        q.push(SimTime::from_secs(2), 3);
-        // Wrong instant: untouched.
-        assert_eq!(q.pop_at_if(SimTime::from_secs(0), |_| true), None);
-        // Drains the accepted same-tick run in FIFO order, stopping at the
-        // first rejected event.
-        let mut run = Vec::new();
-        while let Some(e) = q.pop_at_if(t, |&e| e < 5) {
-            run.push(e);
-        }
-        assert_eq!(run, vec![1, 2]);
-        // The rejected event is still next, in order.
-        assert_eq!(q.pop(), Some((t, 9)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(2), 3)));
-        assert_eq!(q.total_popped(), 4);
-    }
-
-    #[test]
     fn counters_and_peek() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
@@ -213,7 +153,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
         q.pop();
-        assert_eq!(q.total_pushed(), 2);
-        assert_eq!(q.total_popped(), 1);
+        assert_eq!(q.len(), 1);
     }
 }

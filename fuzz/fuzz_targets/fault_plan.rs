@@ -200,11 +200,10 @@ fn run_one(bytes: &[u8]) {
     }
     rt.install_fault_plan(&plan, policy);
     rt.run_until(SimTime::from_secs(HORIZON_SECS));
-    // The report must stay internally consistent even after arbitrary
+    // The counters must stay internally consistent even after arbitrary
     // chaos: recovered actors can never exceed lost ones.
-    let report = rt.report();
-    let lost = report.scalar("chaos.actors_lost").unwrap_or(0.0);
-    let recovered = report.scalar("chaos.actors_recovered").unwrap_or(0.0);
+    let stats = rt.chaos_stats();
+    let (lost, recovered) = (stats.actors_lost, stats.actors_recovered);
     assert!(
         recovered <= lost,
         "recovered {recovered} > lost {lost} under plan {plan:?}"

@@ -2,6 +2,8 @@
 //! through the public `Plasma` builder, and recovery leaves no actor
 //! permanently unhosted.
 
+use std::sync::{Arc, Mutex};
+
 use plasma::prelude::*;
 use plasma_sim::SimTime;
 
@@ -53,10 +55,6 @@ impl ClientLogic for Pulse {
     }
 }
 
-fn scalar(rt: &Runtime, key: &str) -> f64 {
-    rt.report().scalar(key).unwrap_or(0.0)
-}
-
 #[test]
 fn crash_and_respawn_leaves_no_actor_unhosted() {
     let mut app = Plasma::builder()
@@ -89,10 +87,11 @@ fn crash_and_respawn_leaves_no_actor_unhosted() {
     }
     app.run_until(SimTime::from_secs(60));
     let rt = app.runtime();
-    assert_eq!(scalar(rt, "chaos.servers_crashed"), 1.0);
-    assert_eq!(scalar(rt, "chaos.detections"), 1.0, "heartbeat sweep fired");
-    assert_eq!(scalar(rt, "chaos.actors_lost"), 2.0);
-    assert_eq!(scalar(rt, "chaos.actors_recovered"), 2.0);
+    let stats = rt.chaos_stats();
+    assert_eq!(stats.servers_crashed, 1);
+    assert_eq!(stats.detections, 1, "heartbeat sweep fired");
+    assert_eq!(stats.actors_lost, 2);
+    assert_eq!(stats.actors_recovered, 2);
     let running = rt.cluster().running_ids();
     assert!(!running.contains(&ServerId(1)), "crashed server stays down");
     for &a in &actors {
@@ -104,8 +103,59 @@ fn crash_and_respawn_leaves_no_actor_unhosted() {
     }
     // Crash-to-declaration is the configured heartbeat timeout (sweep
     // granularity rounds it up to the next period boundary).
-    let detect = scalar(rt, "chaos.detect_latency_max_s");
+    let detect = stats.detect_latency_max_s;
     assert!((10.0..=15.0).contains(&detect), "detect latency {detect}");
+}
+
+/// Records when each message arrives.
+struct Sink {
+    seen: Arc<Mutex<Vec<SimTime>>>,
+}
+
+impl ActorLogic for Sink {
+    fn on_message(&mut self, ctx: &mut ActorCtx<'_>, _msg: &mut Message) {
+        self.seen.lock().unwrap().push(ctx.now());
+    }
+}
+
+#[test]
+fn crash_mid_service_drops_its_send_and_reply() {
+    let mut app = Plasma::builder()
+        .seed(18)
+        .faults(
+            FaultPlan::new().crash_server(SimTime::from_secs(1), ServerId(1), None),
+            RecoveryPolicy::default(),
+        )
+        .build()
+        .unwrap();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let rt = app.runtime_mut();
+    let s0 = rt.add_server(InstanceType::m1_small());
+    // The relay's 0.0005-unit service takes 5 s on s1, so the request at
+    // 0 s is in service when s1 crashes at 1 s; the one at 29 s reaches
+    // the actor respawned on s0 at 15 s.
+    let s1 = rt.add_server(InstanceType {
+        speed: 1e-4,
+        ..InstanceType::m1_small()
+    });
+    let sink = rt.spawn_actor("Sink", Box::new(Sink { seen: seen.clone() }), 1 << 10, s0);
+    let relay = rt.spawn_actor("Relay", Box::new(Relay { peer: sink }), 1 << 10, s1);
+    rt.add_client(Box::new(Pulse {
+        target: relay,
+        period: SimDuration::from_secs(29),
+    }));
+    app.run_until(SimTime::from_secs(40));
+    let rt = app.runtime();
+    let stats = rt.chaos_stats();
+    assert_eq!((stats.servers_crashed, stats.actors_recovered), (1, 1));
+    assert_eq!(rt.actor_server(relay), s0, "respawned on the survivor");
+    // The cut service's send and reply died with s1; the respawned
+    // actor's service flushed both.
+    let report = rt.report();
+    assert_eq!((report.requests, report.replies), (2, 1));
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 1, "the sink hears from the second service only");
+    assert!(seen[0] > SimTime::from_secs(29), "sent at {:?}", seen[0]);
 }
 
 #[test]
@@ -135,13 +185,10 @@ fn restart_before_detection_recovers_in_place() {
     }
     app.run_until(SimTime::from_secs(120));
     let rt = app.runtime();
-    assert_eq!(scalar(rt, "chaos.servers_restarted"), 1.0);
-    assert_eq!(
-        scalar(rt, "chaos.detections"),
-        0.0,
-        "reboot beat the failure detector"
-    );
-    assert_eq!(scalar(rt, "chaos.actors_recovered"), 1.0);
+    let stats = rt.chaos_stats();
+    assert_eq!(stats.servers_restarted, 1);
+    assert_eq!(stats.detections, 0, "reboot beat the failure detector");
+    assert_eq!(stats.actors_recovered, 1);
     assert!(rt.cluster().running_ids().contains(&s1), "server rebooted");
     assert!(rt.actor_alive(a1));
     assert_eq!(rt.actor_server(a1), s1, "in-place recovery keeps placement");
@@ -172,11 +219,11 @@ fn partition_severs_traffic_until_heal() {
     }));
     app.run_until(SimTime::from_secs(30));
     let rt = app.runtime();
-    let lost = scalar(rt, "chaos.messages_lost_partition");
-    assert!(lost > 0.0, "cross-partition messages were dropped");
+    let lost = rt.chaos_stats().messages_lost_partition;
+    assert!(lost > 0, "cross-partition messages were dropped");
     // Roughly 10 s of a 100 ms pulse crosses the cut; everything outside
     // the window flows, so losses stay well below the total sent.
-    assert!(lost < 150.0, "partition healed: lost only {lost}");
+    assert!(lost < 150, "partition healed: lost only {lost}");
     assert!(rt.report().replies > 100, "relay kept replying locally");
 }
 
@@ -201,8 +248,8 @@ fn aborted_migration_retries_until_it_lands() {
     rt.migrate(big, s1).unwrap();
     app.run_until(SimTime::from_secs(120));
     let rt = app.runtime();
-    assert_eq!(scalar(rt, "chaos.migrations_aborted"), 1.0);
-    assert_eq!(scalar(rt, "chaos.migration_retries"), 1.0);
+    assert_eq!(rt.chaos_stats().migrations_aborted, 1);
+    assert_eq!(rt.chaos_stats().migration_retries, 1);
     assert!(rt.actor_alive(big));
     assert_eq!(
         rt.actor_server(big),
@@ -258,12 +305,12 @@ fn link_degradation_inflates_latency_and_drops() {
         }));
         app.run_until(SimTime::from_secs(30));
         (
-            scalar(app.runtime(), "chaos.messages_dropped_link"),
+            app.runtime().chaos_stats().messages_dropped_link,
             app.report().remote_messages,
         )
     };
-    // A plan whose only entry lies beyond the horizon is effectively
-    // fault-free but still exports chaos scalars for the comparison.
+    // A plan whose only entry lies beyond the horizon arms the chaos
+    // runtime but injects nothing, so it must drop nothing.
     let (clean_drops, clean_remote) =
         run(FaultPlan::new()
             .stall_provisioner(SimTime::from_secs(3_600), SimDuration::from_secs(1)));
@@ -277,8 +324,8 @@ fn link_degradation_inflates_latency_and_drops() {
         Some(SimDuration::from_secs(15)),
     );
     let (dropped, degraded_remote) = run(degraded);
-    assert_eq!(clean_drops, 0.0);
-    assert!(dropped > 0.0, "10% drop over 15 s must lose messages");
+    assert_eq!(clean_drops, 0);
+    assert!(dropped > 0, "10% drop over 15 s must lose messages");
     assert!(
         degraded_remote < clean_remote,
         "dropped messages never arrive: {degraded_remote} vs {clean_remote}"
@@ -317,7 +364,7 @@ fn gem_crash_leaves_policy_running_on_survivor() {
     }
     app.run_until(SimTime::from_secs(120));
     let rt = app.runtime();
-    assert_eq!(scalar(rt, "chaos.faults_injected"), 1.0);
+    assert_eq!(rt.chaos_stats().faults_injected, 1);
     assert!(
         rt.report().replies > 500,
         "data plane unaffected by the GEM loss"

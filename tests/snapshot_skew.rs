@@ -52,8 +52,8 @@ impl ClientLogic for Pulse {
 
 /// An unbalanced 4-server cluster under a balance policy, profiled on a
 /// 7-second window so windows never coincide with elasticity ticks.
-/// Returns `(rounds_applied, snapshot_skew_rounds, chaos_snapshot_skews)`.
-fn run(faults: Option<FaultPlan>) -> (f64, Option<f64>, Option<f64>) {
+/// Returns `(rounds_applied, snapshot_skew_rounds, chaos snapshot_skews)`.
+fn run(faults: Option<FaultPlan>) -> (f64, Option<f64>, u64) {
     let mut schema = ActorSchema::new();
     schema.actor_type("Worker").func("run");
     let mut builder = Plasma::builder()
@@ -87,7 +87,7 @@ fn run(faults: Option<FaultPlan>) -> (f64, Option<f64>, Option<f64>) {
     (
         report.scalar("emr.rounds_applied").unwrap_or(0.0),
         report.scalar("emr.snapshot_skew_rounds"),
-        report.scalar("chaos.snapshot_skews"),
+        rt.chaos_stats().snapshot_skews,
     )
 }
 
@@ -113,8 +113,7 @@ fn injected_window_close_between_plan_and_apply_skews_the_round() {
     let plan = FaultPlan::new().skew_snapshot(SimTime::from_micros(60_000_500));
     let (rounds, skews, chaos_skews) = run(Some(plan));
     assert_eq!(
-        chaos_skews,
-        Some(1.0),
+        chaos_skews, 1,
         "the chaos engine must record the forced window close"
     );
     let skews = skews.expect("skew scalar exported");
