@@ -1,17 +1,17 @@
 //! Measurement record of one simulation run.
 //!
 //! Every experiment harness reads its figure data from here: end-to-end
-//! latency (global, bucketed, and per-client), per-server CPU and actor
-//! count series, migration events, message locality counters, and free-form
-//! application series (e.g., PageRank iteration times).
+//! latency (the run's mean and its bucketed series), per-server CPU and
+//! actor count series, migration events, message locality counters, and
+//! free-form application series (e.g., PageRank iteration times).
 
 use std::collections::BTreeMap;
 
 use plasma_cluster::ServerId;
-use plasma_sim::metrics::{BucketedSeries, Histogram, TimeSeries};
+use plasma_sim::metrics::{BucketedSeries, TimeSeries};
 use plasma_sim::{SimDuration, SimTime};
 
-use crate::ids::{ActorId, ClientId};
+use crate::ids::ActorId;
 
 /// One completed actor migration.
 #[derive(Clone, Copy, Debug)]
@@ -83,12 +83,11 @@ impl DecisionRecord {
 /// Aggregated measurements of one run.
 #[derive(Debug)]
 pub struct RunReport {
-    /// End-to-end request latency distribution (milliseconds).
-    pub latency: Histogram,
+    /// Sum of every end-to-end reply latency (milliseconds), added in
+    /// reply order; [`RunReport::mean_latency_ms`] divides it by `replies`.
+    pub latency_sum_ms: f64,
     /// Mean latency per time bucket (milliseconds) — the paper's latency plots.
     pub latency_series: BucketedSeries,
-    /// Per-client mean latency per bucket (Fig. 11b).
-    pub client_latency: BTreeMap<ClientId, BucketedSeries>,
     /// Per-server CPU utilization over time (Figs. 7b, 8b).
     pub server_cpu: BTreeMap<ServerId, TimeSeries>,
     /// Per-server resident actor count over time (Figs. 7c, 8c).
@@ -101,9 +100,6 @@ pub struct RunReport {
     pub local_messages: u64,
     /// Messages delivered across servers.
     pub remote_messages: u64,
-    /// Messages that paid a forwarding hop because the target migrated
-    /// mid-flight.
-    pub forwarded_messages: u64,
     /// Messages addressed to unknown actors (should stay 0 in our apps).
     pub dropped_messages: u64,
     /// Replies issued without a client correlation (app bug indicator).
@@ -122,16 +118,14 @@ impl RunReport {
     /// Creates an empty report with the given latency bucket width.
     pub fn new(latency_bucket: SimDuration) -> Self {
         RunReport {
-            latency: Histogram::new(),
+            latency_sum_ms: 0.0,
             latency_series: BucketedSeries::new(latency_bucket),
-            client_latency: BTreeMap::new(),
             server_cpu: BTreeMap::new(),
             server_actors: BTreeMap::new(),
             migrations: Vec::new(),
             decisions: Vec::new(),
             local_messages: 0,
             remote_messages: 0,
-            forwarded_messages: 0,
             dropped_messages: 0,
             orphan_replies: 0,
             requests: 0,
@@ -141,9 +135,14 @@ impl RunReport {
         }
     }
 
-    /// Returns the mean end-to-end latency in milliseconds.
+    /// Returns the mean end-to-end latency in milliseconds, or 0 before
+    /// the first reply.
     pub fn mean_latency_ms(&self) -> f64 {
-        self.latency.mean()
+        if self.replies == 0 {
+            0.0
+        } else {
+            self.latency_sum_ms / self.replies as f64
+        }
     }
 
     /// Returns the named custom series, if recorded.

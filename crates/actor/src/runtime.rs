@@ -297,7 +297,7 @@ impl Runtime {
     pub fn add_server(&mut self, itype: InstanceType) -> ServerId {
         let id = self.cluster.add_running_server(itype, self.now);
         self.ensure_server_slots(id);
-        self.sync_backend_lifecycle();
+        self.backend_server_up(id);
         id
     }
 
@@ -341,7 +341,7 @@ impl Runtime {
                 at: self.now,
                 kind: DecisionKind::Shrink { server: id },
             });
-            self.sync_backend_lifecycle();
+            self.backend.server_down(id.0);
             Ok(())
         } else {
             Err(DecommissionError::MinServers)
@@ -853,11 +853,6 @@ impl Runtime {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.handle(event);
-            // Forward any server lifecycle transitions this event caused to
-            // the carrier, so worker threads track cluster membership.
-            if self.cluster.has_lifecycle_events() {
-                self.sync_backend_lifecycle();
-            }
         }
         if !self.stopped && self.now < end {
             self.now = end;
@@ -949,7 +944,6 @@ impl Runtime {
         if msg.dest_server_at_send != here && !msg.forwarded {
             msg.forwarded = true;
             msg.dest_server_at_send = here;
-            self.report.forwarded_messages += 1;
             let delay = self.cfg.network.remote_latency;
             self.events.push(self.now + delay, Event::DeliverActor(msg));
             return;
@@ -1302,17 +1296,11 @@ impl Runtime {
         sent_at: SimTime,
         payload: Option<Payload>,
     ) {
-        let latency_ms = self.now.saturating_since(sent_at).as_millis_f64();
-        self.report.replies += 1;
-        self.report.latency.record(latency_ms);
-        self.report.latency_series.record(self.now, latency_ms);
-        let bucket = self.cfg.latency_bucket;
-        self.report
-            .client_latency
-            .entry(client)
-            .or_insert_with(|| plasma_sim::metrics::BucketedSeries::new(bucket))
-            .record(self.now, latency_ms);
         let latency = self.now.saturating_since(sent_at);
+        let latency_ms = latency.as_millis_f64();
+        self.report.replies += 1;
+        self.report.latency_sum_ms += latency_ms;
+        self.report.latency_series.record(self.now, latency_ms);
         self.with_client(client, |logic, ctx| {
             logic.on_reply(ctx, request, latency, payload)
         });
@@ -1321,6 +1309,7 @@ impl Runtime {
     fn on_server_ready(&mut self, id: ServerId) {
         self.cluster.mark_running(id, self.now);
         self.free_lanes[id.0 as usize] = self.cluster.server(id).instance().vcpus;
+        self.backend_server_up(id);
         // A rebooted server recovers its own orphans in place when it comes
         // back before the failure detector reassigned them elsewhere.
         if let Some(mut chaos) = self.chaos.take() {
@@ -1655,6 +1644,7 @@ impl Runtime {
         if !self.cluster.crash(server, self.now) {
             return; // Not running: nothing to kill.
         }
+        self.backend.server_down(server.0);
         let sidx = server.0 as usize;
         self.server_epoch[sidx] += 1;
         self.free_lanes[sidx] = 0;
@@ -1962,26 +1952,16 @@ impl Runtime {
         self.clients[id.0 as usize].logic = Some(logic);
     }
 
-    /// Drains the cluster's lifecycle journal into the execution backend,
-    /// opening and closing per-server carriers as servers come and go.
-    fn sync_backend_lifecycle(&mut self) {
-        if !self.cluster.has_lifecycle_events() {
-            return;
-        }
-        for ev in self.cluster.drain_lifecycle() {
-            if ev.up {
-                self.backend.server_up(ev.server.0, ev.vcpus);
-                // A server booted mid-window has no usage row in the
-                // current snapshot; publish its zero-usage row so a query
-                // between boot and the next window roll sees the same
-                // candidates as the EMR's frame.
-                let report = self.server_report(ev.server);
-                self.backend
-                    .publish_report(self.snapshot.generation, &report);
-            } else {
-                self.backend.server_down(ev.server.0);
-            }
-        }
+    /// Opens the carrier of a server that just became running. A server
+    /// booted mid-window has no usage row in the current snapshot; its
+    /// zero-usage row is published with it, so a query between boot and
+    /// the next window roll sees the same candidates as the EMR's frame.
+    fn backend_server_up(&mut self, id: ServerId) {
+        let vcpus = self.cluster.server(id).instance().vcpus;
+        self.backend.server_up(id.0, vcpus);
+        let report = self.server_report(id);
+        self.backend
+            .publish_report(self.snapshot.generation, &report);
     }
 
     /// The LEM report row for `sid` against the current snapshot: usage
@@ -2024,10 +2004,8 @@ impl Runtime {
     }
 
     /// Sends a GEM policy query over the control carriage and returns the
-    /// per-carrier replies. Lifecycle events are synced first so the
-    /// carrier and the logical cluster agree on which servers are up.
+    /// per-carrier replies.
     pub fn control_query(&mut self, query: ControlQuery) -> Vec<ControlReply> {
-        self.sync_backend_lifecycle();
         self.backend.query(&query)
     }
 

@@ -376,8 +376,8 @@ impl ProfileSnapshot {
 /// apart.
 ///
 /// Derived from the paged actor rows and the per-window server lists (which
-/// mirror the cluster lifecycle journal: a server enters when it starts
-/// running and leaves when it stops, crashes, or is decommissioned), and
+/// track cluster membership: a server enters when it starts running and
+/// leaves when it stops, crashes, or is decommissioned), and
 /// only from the two endpoints: an actor added and removed again in
 /// between is not listed, nor is one that moved away and back. Consumers
 /// use deltas to patch retained indexes in place instead of rebuilding them —

@@ -1,10 +1,12 @@
 //! End-to-end behavioral tests of the actor runtime.
 
+use std::sync::{Arc, Mutex};
+
 use plasma_actor::logic::{ActorCtx, ClientCtx};
 use plasma_actor::message::Payload;
 use plasma_actor::runtime::{Runtime, RuntimeConfig};
 use plasma_actor::stats::{ProfileSnapshot, SnapshotDelta};
-use plasma_actor::{ActorId, ActorLogic, ClientLogic, ElasticityController, Message};
+use plasma_actor::{ActorId, ActorLogic, ClientId, ClientLogic, ElasticityController, Message};
 use plasma_cluster::{InstanceType, ServerId};
 use plasma_sim::{SimDuration, SimTime};
 
@@ -59,6 +61,38 @@ impl ClientLogic for ClosedLoop {
     }
 }
 
+/// A closed-loop client that adds each reply's latency, and its own id,
+/// to a tally shared with other clients.
+struct Tally {
+    target: ActorId,
+    left: u32,
+    tally: Arc<Mutex<(f64, u64, Vec<ClientId>)>>,
+}
+
+impl ClientLogic for Tally {
+    fn on_start(&mut self, ctx: &mut ClientCtx<'_>) {
+        ctx.request(self.target, "handle", 256);
+    }
+
+    fn on_reply(
+        &mut self,
+        ctx: &mut ClientCtx<'_>,
+        _request: u64,
+        latency: SimDuration,
+        _payload: Option<Payload>,
+    ) {
+        let mut tally = self.tally.lock().unwrap();
+        tally.0 += latency.as_millis_f64();
+        tally.1 += 1;
+        tally.2.push(ctx.me());
+        drop(tally);
+        self.left -= 1;
+        if self.left > 0 {
+            ctx.request(self.target, "handle", 256);
+        }
+    }
+}
+
 fn small_config() -> RuntimeConfig {
     RuntimeConfig {
         seed: 7,
@@ -83,6 +117,36 @@ fn closed_loop_latency_includes_network_and_service() {
     // Latency = 2 x ~5ms client hops + 10ms service (+ profiling tax).
     let mean = report.mean_latency_ms();
     assert!(mean > 19.0 && mean < 23.0, "mean latency {mean}");
+}
+
+#[test]
+fn mean_latency_sums_replies_in_delivery_order() {
+    let tally = Arc::new(Mutex::new((0.0, 0, Vec::new())));
+    let mut rt = Runtime::new(small_config());
+    let s0 = rt.add_server(InstanceType::m1_small());
+    let s1 = rt.add_server(InstanceType::m1_small());
+    for (work, server) in [(0.003, s0), (0.007, s1), (0.005, s0)] {
+        let echo = rt.spawn_actor("Echo", Box::new(Echo { work }), 1024, server);
+        rt.add_client(Box::new(Tally {
+            target: echo,
+            left: 40,
+            tally: Arc::clone(&tally),
+        }));
+    }
+    rt.run_until(SimTime::from_secs(30));
+    let (sum, count, order) = &*tally.lock().unwrap();
+    assert_eq!(*count, 120);
+    let switches = order.windows(2).filter(|w| w[0] != w[1]).count();
+    assert!(
+        switches > 60,
+        "replies interleave across clients: {switches}"
+    );
+    let report = rt.report();
+    assert_eq!(report.replies, *count);
+    assert_eq!(
+        report.mean_latency_ms().to_bits(),
+        (sum / *count as f64).to_bits()
+    );
 }
 
 #[test]

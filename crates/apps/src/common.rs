@@ -1,7 +1,6 @@
 //! Shared building blocks for the application suite.
 
 use plasma::prelude::*;
-use plasma_sim::metrics::Summary;
 
 /// Workload scale preset for the evaluation harness.
 ///
@@ -74,10 +73,6 @@ pub struct ElasticityEval {
     pub scale_outs: u64,
     /// Cluster scale-in events.
     pub scale_ins: u64,
-    /// Mean simulated LEM→GEM→LEM decision latency, milliseconds.
-    pub decision_latency_ms_mean: f64,
-    /// Worst simulated decision latency, milliseconds.
-    pub decision_latency_ms_max: f64,
     /// Simulated time of the last completed migration, seconds (0 when the
     /// run never migrated). With hotspots present from the start of every
     /// scenario, this is the time-to-rebalance after hotspot onset.
@@ -99,12 +94,6 @@ pub struct ElasticityEval {
     /// Decision rounds whose retained evaluation frame was patched in place
     /// from snapshot deltas.
     pub frame_patches: u64,
-    /// Mean carrier transport latency per sampled delivery, ns: the
-    /// deterministic injected chaos delay under live and net, identically
-    /// 0 under sim.
-    pub backend_channel_mean_ns: f64,
-    /// Worst sampled carrier transport latency, ns.
-    pub backend_channel_max_ns: u64,
     /// Wire frames the coordinator wrote (live and net; 0 under sim).
     pub backend_frames_sent: u64,
     /// Wire frames the coordinator read back (live and net).
@@ -153,23 +142,22 @@ impl ElasticityEval {
         let run_secs = rt.now().as_secs_f64();
         let per_sec = |n: u64| per_sec(n, run_secs);
         let delivered = report.local_messages + report.remote_messages;
-        let decision = report
-            .series("emr.decision_latency_ms")
-            .map(|s| Summary::of(&s.points().iter().map(|&(_, v)| v).collect::<Vec<f64>>()))
-            .unwrap_or_default();
         // End-state CPU across servers still running: last sample of each
         // running server's utilization series.
         let running = rt.cluster().running_ids();
         let final_cpu: Vec<f64> = running
             .iter()
             .filter_map(|sid| report.server_cpu.get(sid).and_then(|ts| ts.last()))
+            .filter(|v| v.is_finite())
             .collect();
-        let cpu = Summary::of(&final_cpu);
-        let balance_score = if cpu.count == 0 || cpu.mean < 0.02 {
+        let cpu_mean = final_cpu.iter().fold(0.0, |sum, v| sum + v) / final_cpu.len() as f64;
+        let balance_score = if final_cpu.is_empty() || cpu_mean < 0.02 {
             // An idle (or unprofiled) cluster is trivially balanced.
             1.0
         } else {
-            (1.0 - cpu.relative_spread()).max(0.0)
+            let min = final_cpu.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = final_cpu.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            (1.0 - (max - min) / cpu_mean).max(0.0)
         };
         ElasticityEval {
             run_secs,
@@ -185,8 +173,6 @@ impl ElasticityEval {
             emr_ticks: report.scalar("emr.ticks").unwrap_or(0.0) as u64,
             scale_outs: report.scalar("emr.scale_outs").unwrap_or(0.0) as u64,
             scale_ins: report.scalar("emr.scale_ins").unwrap_or(0.0) as u64,
-            decision_latency_ms_mean: decision.mean,
-            decision_latency_ms_max: decision.max,
             time_to_rebalance_s: report
                 .migrations
                 .last()
@@ -198,8 +184,6 @@ impl ElasticityEval {
             snapshot_skew_rounds: report.scalar("emr.snapshot_skew_rounds").unwrap_or(0.0) as u64,
             frame_rebuilds: report.scalar("emr.frame_rebuilds").unwrap_or(0.0) as u64,
             frame_patches: report.scalar("emr.frame_patches").unwrap_or(0.0) as u64,
-            backend_channel_mean_ns: backend.channel_latency_us_mean() * 1e3,
-            backend_channel_max_ns: backend.channel_ns_max,
             backend_frames_sent: backend.frames_sent,
             backend_frames_received: backend.frames_received,
             backend_wire_bytes_sent: backend.wire_bytes_sent,

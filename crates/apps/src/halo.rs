@@ -17,6 +17,7 @@
 //!   1, 2 and 4 GEMs.
 
 use plasma::prelude::*;
+use plasma_sim::metrics::BucketedSeries;
 use plasma_sim::SimTime;
 
 use crate::common::{ChaosEval, ElasticityEval, EvalScale};
@@ -128,6 +129,13 @@ struct Console {
     player: Option<ActorId>,
     join_at: SimDuration,
     heartbeat_period: SimDuration,
+    /// The report series each reply's latency (ms) goes to, if any.
+    latency_series: Option<String>,
+}
+
+/// The report series of console `c`'s reply latencies (Fig. 11b).
+fn console_series(c: usize) -> String {
+    format!("halo.console{c}.latency_ms")
 }
 
 const TOKEN_JOIN: u64 = 1;
@@ -142,9 +150,12 @@ impl ClientLogic for Console {
         &mut self,
         ctx: &mut ClientCtx<'_>,
         _request: u64,
-        _latency: SimDuration,
+        latency: SimDuration,
         payload: Option<Payload>,
     ) {
+        if let Some(series) = &self.latency_series {
+            ctx.record(series, latency.as_millis_f64());
+        }
         if let Some(joined) = payload.and_then(|p| p.downcast::<Joined>().ok()) {
             self.player = Some(joined.player);
             ctx.set_timer(self.heartbeat_period, TOKEN_BEAT);
@@ -309,13 +320,14 @@ fn halo_network() -> NetworkModel {
 
 /// Runs the Fig. 11a/b interaction-rule experiment.
 pub fn run(cfg: &HaloConfig) -> HaloReport {
+    let bucket = SimDuration::from_secs(5);
     let runtime_cfg = RuntimeConfig {
         seed: cfg.seed,
         elasticity_period: cfg.period,
         min_residency: cfg.period,
         network: halo_network(),
         profile_window: SimDuration::from_secs(5),
-        latency_bucket: SimDuration::from_secs(5),
+        latency_bucket: bucket,
         backend: cfg.backend,
         ..RuntimeConfig::default()
     };
@@ -375,6 +387,7 @@ pub fn run(cfg: &HaloConfig) -> HaloReport {
             player: None,
             join_at,
             heartbeat_period: SimDuration::from_millis(500),
+            latency_series: Some(console_series(c)),
         }));
     }
     let end = SimTime::ZERO + cfg.round_len * (cfg.rounds as u64 + 1);
@@ -403,18 +416,17 @@ pub fn run(cfg: &HaloConfig) -> HaloReport {
         colocated,
         eval: ElasticityEval::collect(app.runtime()),
         chaos: ChaosEval::collect(app.runtime()),
-        client_latency: report
-            .client_latency
-            .iter()
-            .map(|(&c, series)| {
-                (
-                    c.0,
-                    series
-                        .buckets()
-                        .into_iter()
-                        .map(|(t, v)| (t.as_secs_f64(), v))
-                        .collect(),
-                )
+        client_latency: (0..cfg.clients)
+            .filter_map(|c| {
+                let mut series = BucketedSeries::new(bucket);
+                for &(t, v) in report.series(&console_series(c))?.points() {
+                    series.record(t, v);
+                }
+                let buckets = series
+                    .buckets()
+                    .into_iter()
+                    .map(|(t, v)| (t.as_secs_f64(), v));
+                Some((c as u32, buckets.collect()))
             })
             .collect(),
         latency_series,
@@ -533,6 +545,7 @@ pub fn run_scale(cfg: &HaloScaleConfig) -> HaloScaleReport {
             player: None,
             join_at,
             heartbeat_period: SimDuration::from_millis(400),
+            latency_series: None,
         }));
     }
     let end = SimTime::ZERO + cfg.run_for;
@@ -643,6 +656,15 @@ mod tests {
             max > min * 1.15,
             "expected placement-dependent spread, got {min}..{max}"
         );
+    }
+
+    #[test]
+    fn every_console_reports_its_own_latency_series() {
+        let cfg = HaloConfig::preset(EvalScale::Smoke);
+        let report = run(&cfg);
+        let clients: Vec<u32> = report.client_latency.iter().map(|&(c, _)| c).collect();
+        assert_eq!(clients, (0..cfg.clients as u32).collect::<Vec<_>>());
+        assert!(report.client_latency.iter().all(|(_, s)| !s.is_empty()));
     }
 
     #[test]

@@ -248,10 +248,9 @@ pub fn churn_world(base: &ProfileSnapshot, frac: f64, seed: u64) -> ProfileSnaps
 
 /// Runs a small live cluster under a balance policy with `num_gems` GEM
 /// scopes for `secs` simulated seconds and returns `(snapshot_builds,
-/// emr.snapshot_reuse, emr.ticks, emr.frame_rebuilds, emr.frame_patches)`
-/// — the deterministic counters pinning the shared-snapshot and
-/// incremental-frame behavior.
-pub fn sharing_probe(num_gems: usize, secs: u64, seed: u64) -> (u64, f64, f64, f64, f64) {
+/// emr.ticks, emr.frame_rebuilds, emr.frame_patches)` — the deterministic
+/// counters pinning the shared-snapshot and incremental-frame behavior.
+pub fn sharing_probe(num_gems: usize, secs: u64, seed: u64) -> (u64, f64, f64, f64) {
     struct Worker;
     impl ActorLogic for Worker {
         fn on_message(&mut self, ctx: &mut ActorCtx<'_>, _msg: &mut Message) {
@@ -310,7 +309,6 @@ pub fn sharing_probe(num_gems: usize, secs: u64, seed: u64) -> (u64, f64, f64, f
     let report = rt.report();
     (
         rt.snapshot_builds(),
-        report.scalar("emr.snapshot_reuse").unwrap_or(0.0),
         report.scalar("emr.ticks").unwrap_or(0.0),
         report.scalar("emr.frame_rebuilds").unwrap_or(0.0),
         report.scalar("emr.frame_patches").unwrap_or(0.0),

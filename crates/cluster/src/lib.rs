@@ -26,4 +26,4 @@ pub use netfault::{LinkDegradation, NetFaults};
 pub use network::NetworkModel;
 pub use resources::{ResourceKind, ResourceUsage};
 pub use server::{Server, ServerId, ServerState};
-pub use topology::{Cluster, LifecycleEvent};
+pub use topology::Cluster;

@@ -28,25 +28,6 @@ impl Default for ClusterLimits {
     }
 }
 
-/// One server lifecycle transition, journaled for the execution backend.
-///
-/// The runtime drains these (see [`Cluster::drain_lifecycle`]) and forwards
-/// them to the carrier so per-server carriers open and close exactly when
-/// servers do, regardless of which path (boot, reboot, crash, decommission)
-/// caused the transition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LifecycleEvent {
-    /// When the transition happened.
-    pub at: SimTime,
-    /// The server that transitioned.
-    pub server: ServerId,
-    /// `true` when the server became running, `false` when it stopped
-    /// (decommission or crash).
-    pub up: bool,
-    /// The server's vCPU count (carried so consumers need not re-look it up).
-    pub vcpus: u32,
-}
-
 /// The server registry: owns every [`Server`], handles provisioning and
 /// decommissioning, and records the running-server count over time
 /// (the series plotted in Fig. 10b).
@@ -57,7 +38,6 @@ pub struct Cluster {
     limits: ClusterLimits,
     net_faults: NetFaults,
     server_count_series: TimeSeries,
-    lifecycle: Vec<LifecycleEvent>,
     tracer: Tracer,
 }
 
@@ -70,7 +50,6 @@ impl Cluster {
             limits,
             net_faults: NetFaults::new(),
             server_count_series: TimeSeries::new(),
-            lifecycle: Vec::new(),
             tracer: Tracer::disabled(),
         }
     }
@@ -145,12 +124,6 @@ impl Cluster {
         self.servers[id.0 as usize].mark_running(now);
         let count = self.running_count();
         self.server_count_series.push(now, count as f64);
-        self.lifecycle.push(LifecycleEvent {
-            at: now,
-            server: id,
-            up: true,
-            vcpus: self.servers[id.0 as usize].instance().vcpus,
-        });
     }
 
     /// Stops a running server.
@@ -168,12 +141,6 @@ impl Cluster {
         self.servers[id.0 as usize].mark_stopped(now);
         let count = self.running_count();
         self.server_count_series.push(now, count as f64);
-        self.lifecycle.push(LifecycleEvent {
-            at: now,
-            server: id,
-            up: false,
-            vcpus: self.servers[id.0 as usize].instance().vcpus,
-        });
         self.tracer.emit(now, Component::Provisioner, None, || {
             TraceEventKind::ServerDrain { server: id.0 }
         });
@@ -194,12 +161,6 @@ impl Cluster {
         self.servers[id.0 as usize].mark_crashed(now);
         let count = self.running_count();
         self.server_count_series.push(now, count as f64);
-        self.lifecycle.push(LifecycleEvent {
-            at: now,
-            server: id,
-            up: false,
-            vcpus: self.servers[id.0 as usize].instance().vcpus,
-        });
         true
     }
 
@@ -269,16 +230,6 @@ impl Cluster {
     /// Returns the running-server-count series (Fig. 10b).
     pub fn server_count_series(&self) -> &TimeSeries {
         &self.server_count_series
-    }
-
-    /// Whether lifecycle transitions are waiting to be drained.
-    pub fn has_lifecycle_events(&self) -> bool {
-        !self.lifecycle.is_empty()
-    }
-
-    /// Takes the journaled lifecycle transitions, in occurrence order.
-    pub fn drain_lifecycle(&mut self) -> Vec<LifecycleEvent> {
-        std::mem::take(&mut self.lifecycle)
     }
 }
 
@@ -398,32 +349,6 @@ mod tests {
         let pts = c.server_count_series().points();
         let counts: Vec<f64> = pts.iter().map(|&(_, v)| v).collect();
         assert_eq!(counts, vec![1.0, 2.0, 1.0]);
-    }
-
-    #[test]
-    fn lifecycle_journal_covers_every_transition_path() {
-        let mut c = cluster();
-        let a = c.add_running_server(InstanceType::m1_small(), SimTime::ZERO);
-        let b = c.add_running_server(InstanceType::m1_small(), SimTime::ZERO);
-        c.decommission(b, SimTime::from_secs(1));
-        c.crash(a, SimTime::from_secs(2));
-        let ready = c.restart(a, SimTime::from_secs(3)).unwrap();
-        c.mark_running(a, ready);
-        assert!(c.has_lifecycle_events());
-        let journal = c.drain_lifecycle();
-        let ups: Vec<(u32, bool)> = journal.iter().map(|e| (e.server.0, e.up)).collect();
-        assert_eq!(
-            ups,
-            vec![
-                (a.0, true),
-                (b.0, true),
-                (b.0, false),
-                (a.0, false),
-                (a.0, true)
-            ]
-        );
-        assert!(journal.iter().all(|e| e.vcpus == 1));
-        assert!(!c.has_lifecycle_events(), "drain takes everything");
     }
 
     #[test]

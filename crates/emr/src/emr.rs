@@ -98,9 +98,6 @@ impl Default for EmrConfig {
 struct Round {
     /// The tick that planned the round (for trace correlation).
     number: u64,
-    /// When planning happened; the plan→apply gap is the LEM→GEM→LEM
-    /// decision latency the evaluation harness reports.
-    planned_at: plasma_sim::SimTime,
     /// Snapshot generation the plan was computed from. If a profiling
     /// window (or an injected snapshot-skew fault) rolls a new generation
     /// before the apply instant, the apply phase detects the skew.
@@ -125,16 +122,12 @@ pub struct EmrStats {
     pub scale_outs: u64,
     /// Scale-in (decommission) events.
     pub scale_ins: u64,
-    /// Plan→apply round-trips completed. Each one's decision latency is a
-    /// point of the `emr.decision_latency_ms` series.
+    /// Plan→apply round-trips completed.
     pub rounds_applied: u64,
     /// Rounds whose apply phase ran against a newer snapshot generation
     /// than the one it was planned from (a profiling window — or an
     /// injected snapshot-skew fault — closed mid-round).
     pub snapshot_skew_rounds: u64,
-    /// Evaluation consumers (GEM scopes, the LEM pass, the apply phase)
-    /// served by an already-built snapshot/frame instead of rebuilding one.
-    pub snapshot_reuse: u64,
     /// Rounds whose evaluation frame was rebuilt from scratch (first round,
     /// scope changes).
     pub frame_rebuilds: u64,
@@ -483,7 +476,6 @@ impl PlasmaEmr {
         self.frame = Some(frame);
         self.stats.lem_pairs_planned += lem_plan.pairs_planned;
         self.stats.lem_env_reuses += u64::from(lem_plan.reused_envs);
-        self.stats.snapshot_reuse += consumers.saturating_sub(1) as u64;
         Self::trace_rule_events(
             &tracer,
             trace_now,
@@ -561,7 +553,6 @@ impl PlasmaEmr {
         }
         self.pending = Some(Round {
             number: round_no,
-            planned_at: trace_now,
             planned_generation,
             grow,
             shrink,
@@ -637,7 +628,6 @@ impl PlasmaEmr {
         // profiling window may have elapsed since planning) and reused for
         // every per-action share lookup below.
         let snapshot = rt.snapshot_shared();
-        self.stats.snapshot_reuse += 1;
         // The plan was computed from an older generation: admission below
         // intentionally re-reads the *current* snapshot (fresher usage data
         // beats stale plans), and the round is counted as skewed.
@@ -789,9 +779,7 @@ impl PlasmaEmr {
                 migrations,
             }
         });
-        let decision_ms = trace_now.saturating_since(round.planned_at).as_secs_f64() * 1e3;
         self.stats.rounds_applied += 1;
-        rt.record_custom("emr.decision_latency_ms", decision_ms);
         self.export_stats(rt);
     }
 
@@ -805,7 +793,6 @@ impl PlasmaEmr {
         rt.record_scalar("emr.scale_outs", s.scale_outs as f64);
         rt.record_scalar("emr.scale_ins", s.scale_ins as f64);
         rt.record_scalar("emr.rounds_applied", s.rounds_applied as f64);
-        rt.record_scalar("emr.snapshot_reuse", s.snapshot_reuse as f64);
         rt.record_scalar("emr.snapshot_skew_rounds", s.snapshot_skew_rounds as f64);
         // Appended after every pre-existing scalar so reports stay
         // byte-comparable to older baselines apart from these lines.

@@ -375,3 +375,73 @@ fn gem_crash_leaves_policy_running_on_survivor() {
         "the survivor still rebalances the hot server"
     );
 }
+
+/// The live carrier hears of each server transition where the runtime
+/// makes it: boot, crash, reboot, scale-out and decommission. A carrier
+/// that missed a server coming back answers no query for it; the EMR's
+/// wire-candidate check (debug builds) and the decision digest catch that.
+#[test]
+fn live_carrier_follows_every_server_transition() {
+    let run = |backend| {
+        let mut schema = ActorSchema::new();
+        schema.actor_type("Worker").func("run");
+        let mut app = Plasma::builder()
+            .runtime_config(RuntimeConfig {
+                elasticity_period: SimDuration::from_secs(10),
+                min_residency: SimDuration::from_secs(10),
+                ..RuntimeConfig::default()
+            })
+            .seed(21)
+            .backend(backend)
+            .emr_config(EmrConfig {
+                auto_scale: true,
+                ..EmrConfig::default()
+            })
+            .policy(
+                "server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);",
+                &schema,
+            )
+            .faults(
+                FaultPlan::new().crash_server(
+                    SimTime::from_secs(12),
+                    ServerId(1),
+                    Some(SimDuration::from_secs(3)),
+                ),
+                RecoveryPolicy::default(),
+            )
+            .build()
+            .unwrap();
+        let rt = app.runtime_mut();
+        let s0 = rt.add_server(InstanceType::m1_small());
+        for _ in 0..2 {
+            rt.add_server(InstanceType::m1_small());
+        }
+        for _ in 0..6 {
+            let w = rt.spawn_actor("Worker", Box::new(Worker { work: 0.02 }), 1 << 10, s0);
+            rt.add_client(Box::new(Pulse {
+                target: w,
+                period: SimDuration::from_millis(100),
+            }));
+        }
+        app.run_until(SimTime::from_secs(30));
+        let grown = app.runtime_mut().request_server(InstanceType::m1_small());
+        assert!(grown.is_some(), "room to scale out");
+        app.run_until(SimTime::from_secs(300));
+        let rt = app.runtime();
+        let report = rt.report();
+        let lines = report.decision_lines();
+        (
+            report.decision_digest(),
+            lines,
+            rt.chaos_stats(),
+            rt.backend_stats(),
+        )
+    };
+    let (digest, lines, chaos, _) = run(BackendKind::Sim);
+    assert_eq!((chaos.servers_crashed, chaos.servers_restarted), (1, 1));
+    assert!(lines.iter().any(|l| l.starts_with("grow")), "{lines:?}");
+    assert!(lines.iter().any(|l| l.starts_with("shrink")), "{lines:?}");
+    let (live_digest, _, _, carrier) = run(BackendKind::Live);
+    assert_eq!(live_digest, digest, "live decisions diverged from sim");
+    assert_eq!(carrier.window_mismatches, 0);
+}
