@@ -297,7 +297,7 @@ impl Runtime {
     pub fn add_server(&mut self, itype: InstanceType) -> ServerId {
         let id = self.cluster.add_running_server(itype, self.now);
         self.ensure_server_slots(id);
-        self.backend_server_up(id);
+        self.publish_boot_report(id);
         id
     }
 
@@ -341,7 +341,6 @@ impl Runtime {
                 at: self.now,
                 kind: DecisionKind::Shrink { server: id },
             });
-            self.backend.server_down(id.0);
             Ok(())
         } else {
             Err(DecommissionError::MinServers)
@@ -654,18 +653,28 @@ impl Runtime {
         self.try_entry(actor).is_some()
     }
 
-    /// Records a point in a free-form application series.
+    /// Records a point in a free-form application series. The key is
+    /// allocated only when the series is new.
     pub fn record_custom(&mut self, series: &str, value: f64) {
-        self.report
-            .custom
-            .entry(series.to_string())
-            .or_default()
-            .push(self.now, value);
+        let custom = &mut self.report.custom;
+        match custom.get_mut(series) {
+            Some(s) => s.push(self.now, value),
+            None => custom
+                .entry(series.to_string())
+                .or_default()
+                .push(self.now, value),
+        }
     }
 
-    /// Records a named scalar result.
+    /// Records a named scalar result. The key is allocated only when the
+    /// scalar is new.
     pub fn record_scalar(&mut self, name: &str, value: f64) {
-        self.report.scalars.insert(name.to_string(), value);
+        match self.report.scalars.get_mut(name) {
+            Some(v) => *v = value,
+            None => {
+                self.report.scalars.insert(name.to_string(), value);
+            }
+        }
     }
 
     pub(crate) fn count_orphan_reply(&mut self) {
@@ -1309,7 +1318,7 @@ impl Runtime {
     fn on_server_ready(&mut self, id: ServerId) {
         self.cluster.mark_running(id, self.now);
         self.free_lanes[id.0 as usize] = self.cluster.server(id).instance().vcpus;
-        self.backend_server_up(id);
+        self.publish_boot_report(id);
         // A rebooted server recovers its own orphans in place when it comes
         // back before the failure detector reassigned them elsewhere.
         if let Some(mut chaos) = self.chaos.take() {
@@ -1413,8 +1422,9 @@ impl Runtime {
         }
         // Barrier the carrier on the freshly built generation; a real
         // carrier verifies exactly-once carriage of the window's events.
-        let closed = self.backend.window_close(self.snapshot.generation);
-        self.check_barrier("window generation", closed.generation, closed.matched);
+        let generation = self.snapshot.generation;
+        let matched = self.backend.window_close(generation);
+        self.check_barrier("window generation", generation, matched);
         if schedule_next {
             self.events.push(self.now + window, Event::ProfileWindow);
         }
@@ -1644,7 +1654,6 @@ impl Runtime {
         if !self.cluster.crash(server, self.now) {
             return; // Not running: nothing to kill.
         }
-        self.backend.server_down(server.0);
         let sidx = server.0 as usize;
         self.server_epoch[sidx] += 1;
         self.free_lanes[sidx] = 0;
@@ -1952,13 +1961,12 @@ impl Runtime {
         self.clients[id.0 as usize].logic = Some(logic);
     }
 
-    /// Opens the carrier of a server that just became running. A server
-    /// booted mid-window has no usage row in the current snapshot; its
-    /// zero-usage row is published with it, so a query between boot and
-    /// the next window roll sees the same candidates as the EMR's frame.
-    fn backend_server_up(&mut self, id: ServerId) {
-        let vcpus = self.cluster.server(id).instance().vcpus;
-        self.backend.server_up(id.0, vcpus);
+    /// Publishes the report row of a server that just became running. A
+    /// server booted mid-window has no usage row in the current snapshot;
+    /// its zero-usage row is published at boot, so a query between boot
+    /// and the next window roll sees the same candidates as the EMR's
+    /// frame.
+    fn publish_boot_report(&mut self, id: ServerId) {
         let report = self.server_report(id);
         self.backend
             .publish_report(self.snapshot.generation, &report);
@@ -2004,9 +2012,13 @@ impl Runtime {
     }
 
     /// Sends a GEM policy query over the control carriage and returns the
-    /// per-carrier replies.
+    /// per-carrier replies. A carrier that leaves the query unanswered
+    /// stops the run like an unbalanced barrier: the GEM would otherwise
+    /// plan over part of its scope.
     pub fn control_query(&mut self, query: ControlQuery) -> Vec<ControlReply> {
-        self.backend.query(&query)
+        let replies = self.backend.query(&query);
+        self.check_barrier("query round", query.round, replies.is_some());
+        replies.unwrap_or_default()
     }
 
     /// Broadcasts a GEM decision over the control carriage (audit/metrics

@@ -11,11 +11,9 @@
 //! carries the GEM/LEM control traffic. The [`ExecutionBackend`] trait
 //! abstracts exactly that carrier surface:
 //!
-//! - **transport** — [`ExecutionBackend::transmit`]: a counter under sim,
-//!   a wire frame to the server's worker under live and net.
-//! - **spawn surface** — [`ExecutionBackend::server_up`] /
-//!   [`ExecutionBackend::server_down`]: bookkeeping under sim, a per-server
-//!   accounting bucket in the server's worker under live and net.
+//! - **transport** — [`ExecutionBackend::transmit`] and
+//!   [`ExecutionBackend::execute`]: a counter under sim, a wire frame to
+//!   the server group's worker under live and net.
 //! - **windows and rounds** — [`ExecutionBackend::window_close`] /
 //!   [`ExecutionBackend::round_barrier`]: no-ops under sim, real barriers
 //!   under live and net that verify exactly-once carriage of every event.
@@ -108,25 +106,10 @@ pub struct Execution {
     pub service_ns: u64,
 }
 
-/// What one profiling-window barrier observed.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WindowReport {
-    /// The snapshot generation the window closed for.
-    pub generation: u64,
-    /// Deliveries the carrier confirmed for the window.
-    pub deliveries: u64,
-    /// Services the carrier confirmed for the window.
-    pub executions: u64,
-    /// Whether the carrier-side counts matched the coordinator's — the
-    /// exactly-once check. Always `true` under sim.
-    pub matched: bool,
-}
-
 /// Cumulative backend counters, read through `Runtime::backend_stats`.
 ///
-/// All wall-clock fields are measurement side-channels: they never feed
-/// back into scheduling or decisions, and they are excluded from decision
-/// digests and benchmark baselines.
+/// Every field is a measurement side-channel: none feeds back into
+/// scheduling or decisions.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BackendStats {
     /// Deliveries handed to the carrier.
@@ -143,8 +126,6 @@ pub struct BackendStats {
     /// Worker groups started: `plasma-server` processes under net, worker
     /// threads under live.
     pub workers_spawned: u64,
-    /// Wall-clock nanoseconds since the backend was created (0 under sim).
-    pub wall_ns: u64,
     /// Simulated service time carried by workers, in nanoseconds.
     pub worker_busy_ns: u64,
     /// Total transport latency over sampled deliveries, ns: the
@@ -200,27 +181,19 @@ impl BackendStats {
 ///
 /// The caller (the runtime's single-threaded coordinator) promises:
 ///
-/// - [`ExecutionBackend::server_up`] precedes any [`Delivery`] or
-///   [`Execution`] naming that server; [`ExecutionBackend::server_down`]
-///   ends the server's stream (a later `server_up` re-opens it — reboots).
 /// - [`ExecutionBackend::window_close`] is called once per profiling
 ///   window, after the window's last delivery and before the next window's
 ///   first; `generation` strictly increases.
-/// - Nothing the backend returns may alter logical scheduling: window
-///   reports and stats feed measurements only, never decisions. This is
+/// - Nothing the backend returns may alter logical scheduling: barrier
+///   outcomes and stats feed measurements only, never decisions. This is
 ///   what makes sim/live decision sequences comparable at all.
 ///
 /// The backend promises in return: `window_close` confirms every event of
-/// the window reached its carrier exactly once (`matched`).
+/// the window reached its carrier exactly once, and `query` answers from
+/// every carrier it asked.
 pub trait ExecutionBackend {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
-
-    /// Opens (or re-opens, after a crash/reboot) a server's carrier.
-    fn server_up(&mut self, server: u32, vcpus: u32);
-
-    /// Closes a server's carrier, draining its in-flight accounting.
-    fn server_down(&mut self, server: u32);
 
     /// Carries one message delivery.
     fn transmit(&mut self, delivery: Delivery);
@@ -228,9 +201,10 @@ pub trait ExecutionBackend {
     /// Carries one message service.
     fn execute(&mut self, execution: Execution);
 
-    /// Closes a profiling window: barriers all carriers and verifies the
-    /// window's event counts arrived exactly once.
-    fn window_close(&mut self, generation: u64) -> WindowReport;
+    /// Closes a profiling window: barriers all carriers and returns
+    /// whether the window's carriage arrived exactly once (always `true`
+    /// under sim).
+    fn window_close(&mut self, generation: u64) -> bool;
 
     /// Barriers all carriers at an elasticity-round boundary. Returns
     /// whether every carrier acknowledged it (always `true` under sim).
@@ -247,7 +221,9 @@ pub trait ExecutionBackend {
     /// Carries one GEM query synchronously: the carrier routes it to every
     /// LEM holding in-scope reports and returns their replies in a
     /// deterministic order (ascending group order under live and net, one
-    /// merged reply under sim).
+    /// merged reply under sim). Returns `None` when a carrier it asked
+    /// sent back no reply echoing the query's gem, round and generation
+    /// (a lost worker): planning over part of the scope is not an answer.
     ///
     /// This is the one deliberate relaxation of the "nothing the backend
     /// returns may alter logical scheduling" rule: replies *do* feed the
@@ -255,7 +231,7 @@ pub trait ExecutionBackend {
     /// snapshot state the coordinator itself published, so the decision
     /// sequence remains a pure function of logical state (the N-way parity
     /// gate holds the carriages to that).
-    fn query(&mut self, query: &ControlQuery) -> Vec<ControlReply>;
+    fn query(&mut self, query: &ControlQuery) -> Option<Vec<ControlReply>>;
 
     /// Broadcasts a round's published decision to every carrier. Audit
     /// traffic: carriers count it, nothing comes back.

@@ -12,15 +12,17 @@
 //! line: the only fork is [`Host`], which checks for a worker that died
 //! during launch and reaps workers at shutdown.
 //!
-//! Data frames (`ServerUp`/`ServerDown`/`Deliver`/`Execute`) are written
-//! through a buffered writer and only flushed at barriers, so carriage
-//! costs one syscall per ~64 KiB rather than one per message. Barriers are
-//! synchronous request/response: the coordinator flushes, writes the mark,
-//! then blocks (with a timeout) for each worker's ack, folds the returned
-//! window counters together with any partial windows drained from retired
-//! servers, and compares the total against its own send tally — any loss
-//! or duplication is a `window_mismatches` increment, and the runtime
-//! stops the run on it.
+//! Data frames (`Deliver`/`Execute`) are written through a buffered writer
+//! and only flushed at barriers, so carriage costs one syscall per ~64 KiB
+//! rather than one per message. The coordinator tallies every frame it
+//! writes in one [`WindowCounters`], as each worker does for what its
+//! connection reads. Barriers are synchronous request/response: the
+//! coordinator flushes, writes the mark, then blocks (with a timeout) for
+//! each worker's ack, sums the returned counters, and compares the sum
+//! with its tally field by field — any loss or duplication is a
+//! `window_mismatches` increment, and the runtime stops the run on it. A
+//! query that some asked group leaves unanswered stops the run the same
+//! way.
 //!
 //! Nothing a worker returns feeds back into logical scheduling: the wire is
 //! a carrier and a measurement side-channel, which is why a same-seed run
@@ -36,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use plasma_backend::{
     BackendKind, BackendStats, ControlDecision, ControlQuery, ControlReply, Delivery, Execution,
-    ExecutionBackend, ServerReport, WindowReport,
+    ExecutionBackend, ServerReport,
 };
 
 use crate::frame::{Frame, FrameBuffer, WindowCounters, WIRE_VERSION};
@@ -298,8 +300,8 @@ struct Conn {
     writer: BufWriter<TcpStream>,
     rbuf: FrameBuffer,
     rchunk: Box<[u8; 16 * 1024]>,
-    /// Cleared when a write/read fails; a dead conn fails barriers
-    /// (`matched = false`) instead of wedging them.
+    /// Cleared when a write/read fails; a dead conn fails barriers and
+    /// queries instead of wedging them.
     alive: bool,
 }
 
@@ -336,21 +338,11 @@ impl Conn {
 /// walkthrough.
 pub struct NetBackend {
     kind: BackendKind,
-    epoch: Instant,
     conns: Vec<Conn>,
-    /// Servers currently up, coordinator-side; frames for servers outside
-    /// this set are dropped and excluded from the send tally.
-    up: BTreeSet<u32>,
     stats: BackendStats,
-    sent_deliveries: u64,
-    sent_executions: u64,
-    sent_reports: u64,
-    sent_queries: u64,
-    recv_qreplies: u64,
-    sent_decisions: u64,
-    /// Partial windows drained from servers retired mid-window; folded
-    /// into the next window barrier so it still balances.
-    retired: WindowCounters,
+    /// What this window wrote to every connection, plus the query replies
+    /// read back: the tally the workers' acks must sum to.
+    sent: WindowCounters,
     /// Injected chaos transport delay stamped onto remote deliveries, ns.
     link_delay_ns: u64,
     /// Frames written since the last fully-acked barrier.
@@ -450,17 +442,9 @@ impl NetBackend {
         };
         Ok(NetBackend {
             kind,
-            epoch: Instant::now(),
             conns,
-            up: BTreeSet::new(),
             stats,
-            sent_deliveries: 0,
-            sent_executions: 0,
-            sent_reports: 0,
-            sent_queries: 0,
-            recv_qreplies: 0,
-            sent_decisions: 0,
-            retired: WindowCounters::default(),
+            sent: WindowCounters::default(),
             link_delay_ns: 0,
             inflight: 0,
             scratch: Vec::with_capacity(64),
@@ -478,12 +462,9 @@ impl NetBackend {
         (server as usize) % self.conns.len()
     }
 
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Writes one frame to `group`'s buffered stream. Returns whether the
-    /// frame was accepted (the conn was alive and the write succeeded).
+    /// Writes one frame to `group`'s buffered stream and tallies it.
+    /// Returns whether the frame was accepted (the conn was alive and the
+    /// write succeeded).
     fn send(&mut self, group: usize, frame: &Frame) -> bool {
         let conn = &mut self.conns[group];
         if !conn.alive {
@@ -495,6 +476,7 @@ impl NetBackend {
             conn.alive = false;
             return false;
         }
+        self.sent.count(frame);
         self.stats.frames_sent += 1;
         self.stats.wire_bytes_sent += self.scratch.len() as u64;
         if matches!(
@@ -537,29 +519,22 @@ impl NetBackend {
         }
     }
 
-    /// Sends a window mark to every live worker and folds the acks.
-    /// Returns the summed counters and whether every ack arrived intact.
-    fn collect_windows(&mut self, generation: u64) -> (WindowCounters, bool) {
+    /// Writes `mark` to every worker and reads one ack from each, which
+    /// `ack` accepts or rejects. Returns whether every worker acked.
+    fn barrier(&mut self, mark: &Frame, mut ack: impl FnMut(Frame) -> bool) -> bool {
         self.flush_all();
-        let mut marked: Vec<usize> = Vec::with_capacity(self.conns.len());
+        let mut complete = true;
         for g in 0..self.conns.len() {
-            if self.send(g, &Frame::WindowMark { generation }) {
-                marked.push(g);
-            }
+            complete &= self.send(g, mark);
         }
         self.flush_all();
-        let mut sum = WindowCounters::default();
-        let mut complete = marked.len() == self.conns.len();
-        for g in marked {
-            match self.recv(g) {
-                Some(Frame::WindowAck {
-                    generation: echoed,
-                    counters,
-                }) if echoed == generation => sum.fold(&counters),
-                _ => complete = false,
-            }
+        for g in 0..self.conns.len() {
+            complete &= self.recv(g).is_some_and(&mut ack);
         }
-        (sum, complete)
+        if complete {
+            self.inflight = 0;
+        }
+        complete
     }
 }
 
@@ -568,89 +543,43 @@ impl ExecutionBackend for NetBackend {
         self.kind
     }
 
-    fn server_up(&mut self, server: u32, vcpus: u32) {
-        // Re-announcing a live server must not reset its carrier (boot
-        // paths overlap with reboot paths upstream).
-        if !self.up.insert(server) {
-            return;
-        }
-        let group = self.group_of(server);
-        self.send(group, &Frame::ServerUp { server, vcpus });
-    }
-
-    fn server_down(&mut self, server: u32) {
-        if !self.up.remove(&server) {
-            return;
-        }
-        let group = self.group_of(server);
-        // Drain the server's partial window synchronously so the next
-        // window barrier still balances (a crashed server's delivered
-        // messages were delivered even though the server is gone by
-        // window close).
-        if self.send(group, &Frame::ServerDown { server }) {
-            if self.conns[group].alive && self.conns[group].writer.flush().is_err() {
-                self.conns[group].alive = false;
-            }
-            if let Some(Frame::ServerRetired {
-                server: echoed,
-                counters,
-            }) = self.recv(group)
-            {
-                if echoed == server {
-                    self.retired.fold(&counters);
-                }
-            }
-        }
-    }
-
     fn transmit(&mut self, d: Delivery) {
-        if self.up.contains(&d.server) {
-            let delay_ns = if d.remote { self.link_delay_ns } else { 0 };
-            let group = self.group_of(d.server);
-            if self.send(
-                group,
-                &Frame::Deliver {
-                    delivery: d,
-                    delay_ns,
-                },
-            ) {
-                self.sent_deliveries += 1;
-            }
-        }
+        let delay_ns = if d.remote { self.link_delay_ns } else { 0 };
+        let group = self.group_of(d.server);
+        self.send(
+            group,
+            &Frame::Deliver {
+                delivery: d,
+                delay_ns,
+            },
+        );
         self.stats.deliveries += 1;
     }
 
     fn execute(&mut self, e: Execution) {
-        if self.up.contains(&e.server) {
-            let group = self.group_of(e.server);
-            if self.send(group, &Frame::Execute { execution: e }) {
-                self.sent_executions += 1;
-            }
-        }
+        let group = self.group_of(e.server);
+        self.send(group, &Frame::Execute { execution: e });
         self.stats.executions += 1;
     }
 
-    fn window_close(&mut self, generation: u64) -> WindowReport {
-        let (mut sum, complete) = self.collect_windows(generation);
-        sum.fold(&self.retired.clone());
-        self.retired = WindowCounters::default();
-        let matched = complete
-            && sum.deliveries == self.sent_deliveries
-            && sum.executions == self.sent_executions
-            && sum.reports == self.sent_reports
-            && sum.queries == self.sent_queries
-            && sum.replies == self.recv_qreplies
-            && sum.decisions == self.sent_decisions;
-        let report = WindowReport {
-            generation,
-            deliveries: sum.deliveries,
-            executions: sum.executions,
-            matched,
-        };
-        self.stats.windows_closed += 1;
+    fn window_close(&mut self, generation: u64) -> bool {
+        let mut sum = WindowCounters::default();
+        let acked = self.barrier(&Frame::WindowMark { generation }, |ack| match ack {
+            Frame::WindowAck {
+                generation: echoed,
+                counters,
+            } if echoed == generation => {
+                sum.fold(&counters);
+                true
+            }
+            _ => false,
+        });
+        let sent = std::mem::take(&mut self.sent);
+        let matched = acked && sum == sent;
         if !matched {
             self.stats.window_mismatches += 1;
         }
+        self.stats.windows_closed += 1;
         self.stats.worker_busy_ns += sum.busy_ns;
         // Injected chaos delay is the net transport's deterministic
         // latency side-channel (there is no shared wall clock between
@@ -658,41 +587,19 @@ impl ExecutionBackend for NetBackend {
         self.stats.channel_ns_total += sum.delay_ns_total;
         self.stats.channel_ns_max = self.stats.channel_ns_max.max(sum.delay_ns_max);
         self.stats.channel_samples += sum.delayed;
-        self.sent_deliveries = 0;
-        self.sent_executions = 0;
-        self.sent_reports = 0;
-        self.sent_queries = 0;
-        self.recv_qreplies = 0;
-        self.sent_decisions = 0;
-        if matched {
-            self.inflight = 0;
-        }
-        report
+        matched
     }
 
     fn round_barrier(&mut self, round: u64) -> bool {
-        self.flush_all();
-        let mut marked: Vec<usize> = Vec::with_capacity(self.conns.len());
-        for g in 0..self.conns.len() {
-            if self.send(g, &Frame::RoundMark { round }) {
-                marked.push(g);
-            }
-        }
-        self.flush_all();
-        let mut complete = marked.len() == self.conns.len();
-        for g in marked {
-            match self.recv(g) {
-                Some(Frame::RoundAck { round: echoed }) if echoed == round => {}
-                _ => complete = false,
-            }
-        }
-        if !complete {
+        let acked = self.barrier(
+            &Frame::RoundMark { round },
+            |ack| matches!(ack, Frame::RoundAck { round: echoed } if echoed == round),
+        );
+        if !acked {
             self.stats.window_mismatches += 1;
-        } else {
-            self.inflight = 0;
         }
         self.stats.rounds += 1;
-        complete
+        acked
     }
 
     fn link_delay(&mut self, extra_ns: u64) {
@@ -700,86 +607,73 @@ impl ExecutionBackend for NetBackend {
     }
 
     fn publish_report(&mut self, generation: u64, report: &ServerReport) {
-        if self.up.contains(&report.server) {
-            let group = self.group_of(report.server);
-            if self.send(
-                group,
-                &Frame::Report {
-                    generation,
-                    report: *report,
-                },
-            ) {
-                self.sent_reports += 1;
-            }
-        }
+        let group = self.group_of(report.server);
+        self.send(
+            group,
+            &Frame::Report {
+                generation,
+                report: *report,
+            },
+        );
         self.stats.control_reports += 1;
     }
 
-    fn query(&mut self, query: &ControlQuery) -> Vec<ControlReply> {
+    fn query(&mut self, query: &ControlQuery) -> Option<Vec<ControlReply>> {
         self.stats.control_queries += 1;
-        // One copy of the query per group owning an in-scope live server,
-        // in ascending group order; QReplies are read back synchronously in
+        // One copy of the query per group owning a scope server, in
+        // ascending group order; QReplies are read back synchronously in
         // the same order. TCP FIFO plus one-reply-per-query makes the
         // pairing deterministic, so reply order never depends on worker
         // scheduling.
-        let mut groups: BTreeSet<usize> = BTreeSet::new();
-        for s in &query.scope {
-            if self.up.contains(s) {
-                groups.insert(self.group_of(*s));
-            }
-        }
-        let mut sent: Vec<usize> = Vec::with_capacity(groups.len());
+        let groups: BTreeSet<usize> = query.scope.iter().map(|&s| self.group_of(s)).collect();
+        let frame = Frame::Query {
+            query: query.clone(),
+        };
         for &g in &groups {
-            if self.send(
-                g,
-                &Frame::Query {
-                    query: query.clone(),
-                },
-            ) {
-                self.sent_queries += 1;
-                sent.push(g);
-            }
+            self.send(g, &frame);
         }
         self.flush_all();
-        let mut replies = Vec::with_capacity(sent.len());
-        for g in sent {
-            if let Some(Frame::QReply { reply }) = self.recv(g) {
-                // Count the reply's exact wire footprint (recv's byte tally
-                // is per-read, not per-frame).
-                self.scratch.clear();
-                Frame::QReply {
-                    reply: reply.clone(),
+        let mut replies = Vec::with_capacity(groups.len());
+        let mut answered = true;
+        for g in groups {
+            // A group whose send failed is dead, so `recv` reads nothing.
+            match self.recv(g) {
+                Some(Frame::QReply { reply })
+                    if (reply.gem, reply.round, reply.generation)
+                        == (query.gem, query.round, query.generation) =>
+                {
+                    // Count the reply's exact wire footprint (recv's byte
+                    // tally is per-read, not per-frame).
+                    self.scratch.clear();
+                    Frame::QReply {
+                        reply: reply.clone(),
+                    }
+                    .encode(&mut self.scratch);
+                    self.stats.control_wire_bytes += self.scratch.len() as u64;
+                    self.sent.replies += 1;
+                    self.stats.control_replies += 1;
+                    replies.push(reply);
                 }
-                .encode(&mut self.scratch);
-                self.stats.control_wire_bytes += self.scratch.len() as u64;
-                self.recv_qreplies += 1;
-                self.stats.control_replies += 1;
-                replies.push(reply);
+                _ => answered = false,
             }
         }
-        replies
+        answered.then_some(replies)
     }
 
     fn decision(&mut self, decision: &ControlDecision) {
         self.stats.control_decisions += 1;
         // Decisions are broadcast: every group learns the round's outcome
         // even if none of its servers moved.
+        let frame = Frame::Decision {
+            decision: decision.clone(),
+        };
         for g in 0..self.conns.len() {
-            if self.send(
-                g,
-                &Frame::Decision {
-                    decision: decision.clone(),
-                },
-            ) {
-                self.sent_decisions += 1;
-            }
+            self.send(g, &frame);
         }
     }
 
     fn stats(&self) -> BackendStats {
-        let mut s = self.stats;
-        s.wall_ns = self.now_ns();
-        s
+        self.stats
     }
 
     fn shutdown(&mut self) {
@@ -826,14 +720,15 @@ mod tests {
     #[test]
     fn read_hello_rejects_old_header_version() {
         // A v1 worker's Hello: header version 1, payload just the group
-        // (v1 had no version field). A v2 worker's Hello, byte for byte
-        // what a v2 `plasma-server` sends: header version 2, group 9, and
-        // its own version field. Both must fail as a named version
+        // (v1 had no version field). v2 and v3 workers' Hellos, byte for
+        // byte what those `plasma-server`s send: header version, group 9,
+        // and their own version field. All must fail as a named version
         // mismatch before any payload parsing.
         let mut v1 = vec![0, 0, 0, 6, 1, 0x01];
         v1.extend(9u32.to_be_bytes());
         let v2 = vec![0, 0, 0, 7, 2, 0x01, 0, 0, 0, 9, 2];
-        for (bytes, old) in [(v1, "v1"), (v2, "v2")] {
+        let v3 = vec![0, 0, 0, 7, 3, 0x01, 0, 0, 0, 9, 3];
+        for (bytes, old) in [(v1, "v1"), (v2, "v2"), (v3, "v3")] {
             let mut r = Cursor::new(bytes);
             let mut fb = FrameBuffer::new();
             let err = read_hello(&mut r, &mut fb).unwrap_err();

@@ -33,7 +33,9 @@ use plasma_backend::{ControlDecision, ControlQuery, ControlReply, Delivery, Exec
 /// [`WindowCounters`], and the Hello version field itself. Version 3
 /// dropped the scale thresholds from QUERY and the scale votes from
 /// QREPLY: the GEM computes its vote from the merged candidate rows.
-pub const WIRE_VERSION: u8 = 3;
+/// Version 4 dropped the server-membership frames and their synchronous
+/// retire round trip: a worker counts what its connection carries.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Upper bound on a frame body. Control-plane frames scale with cluster
 /// size (a query reply carries one 64-byte candidate row per in-scope
@@ -41,8 +43,9 @@ pub const WIRE_VERSION: u8 = 3;
 /// bound allocation on garbage, not to constrain real traffic.
 pub const MAX_FRAME_LEN: usize = 64 * 1024;
 
-/// One worker-side accounting bucket: what a worker carried for one server
-/// within the current profiling window.
+/// What one connection carried within the current profiling window: a
+/// worker counts what it received, the coordinator what it sent, and a
+/// window balances when the two agree field by field.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WindowCounters {
     /// Deliveries carried.
@@ -68,7 +71,32 @@ pub struct WindowCounters {
 }
 
 impl WindowCounters {
-    /// Folds another bucket into this one.
+    /// Counts one coordinator → worker frame: both ends of a connection
+    /// call this on the same frames, the coordinator as it writes them and
+    /// the worker as it reads them. Marks and shutdown count nothing;
+    /// replies are counted where a query is answered.
+    pub(crate) fn count(&mut self, frame: &Frame) {
+        match frame {
+            Frame::Deliver { delay_ns, .. } => {
+                self.deliveries += 1;
+                if *delay_ns > 0 {
+                    self.delayed += 1;
+                    self.delay_ns_total += delay_ns;
+                    self.delay_ns_max = self.delay_ns_max.max(*delay_ns);
+                }
+            }
+            Frame::Execute { execution } => {
+                self.executions += 1;
+                self.busy_ns += execution.service_ns;
+            }
+            Frame::Report { .. } => self.reports += 1,
+            Frame::Query { .. } => self.queries += 1,
+            Frame::Decision { .. } => self.decisions += 1,
+            _ => {}
+        }
+    }
+
+    /// Folds another connection's counters into this one.
     pub fn fold(&mut self, w: &WindowCounters) {
         self.deliveries += w.deliveries;
         self.executions += w.executions;
@@ -116,8 +144,6 @@ impl WindowCounters {
 /// as request/response pairs.
 mod kind {
     pub const HELLO: u8 = 0x01;
-    pub const SERVER_UP: u8 = 0x02;
-    pub const SERVER_DOWN: u8 = 0x03;
     pub const DELIVER: u8 = 0x04;
     pub const EXECUTE: u8 = 0x05;
     pub const WINDOW_MARK: u8 = 0x06;
@@ -126,7 +152,6 @@ mod kind {
     pub const REPORT: u8 = 0x09;
     pub const QUERY: u8 = 0x0A;
     pub const DECISION: u8 = 0x0B;
-    pub const SERVER_RETIRED: u8 = 0x83;
     pub const WINDOW_ACK: u8 = 0x86;
     pub const ROUND_ACK: u8 = 0x87;
     pub const QREPLY: u8 = 0x8A;
@@ -144,19 +169,6 @@ pub enum Frame {
         group: u32,
         /// The worker's [`WIRE_VERSION`].
         wire_version: u8,
-    },
-    /// Coordinator → worker: open (or re-open) a server's carrier.
-    ServerUp {
-        /// Server id.
-        server: u32,
-        /// The server's vCPU count (informational on the worker side).
-        vcpus: u32,
-    },
-    /// Coordinator → worker: retire a server; the worker replies
-    /// [`Frame::ServerRetired`] with the server's partial window.
-    ServerDown {
-        /// Server id.
-        server: u32,
     },
     /// Coordinator → worker: carry one message delivery. `delay_ns` is the
     /// injected chaos transport delay active when the frame was written
@@ -206,19 +218,12 @@ pub enum Frame {
         /// The decision.
         decision: ControlDecision,
     },
-    /// Worker → coordinator: a retired server's partial-window counters.
-    ServerRetired {
-        /// Server id.
-        server: u32,
-        /// The server's counters since the last window mark.
-        counters: WindowCounters,
-    },
-    /// Worker → coordinator: the summed window counters of every hosted
-    /// server, echoing the mark's generation.
+    /// Worker → coordinator: what the connection carried since the last
+    /// mark, echoing the mark's generation.
     WindowAck {
         /// Echoed snapshot generation.
         generation: u64,
-        /// Summed counters for the window.
+        /// The window's counters.
         counters: WindowCounters,
     },
     /// Worker → coordinator: round-barrier liveness ack.
@@ -247,15 +252,6 @@ impl Frame {
                 out.push(kind::HELLO);
                 put_u32(out, *group);
                 out.push(*wire_version);
-            }
-            Frame::ServerUp { server, vcpus } => {
-                out.push(kind::SERVER_UP);
-                put_u32(out, *server);
-                put_u32(out, *vcpus);
-            }
-            Frame::ServerDown { server } => {
-                out.push(kind::SERVER_DOWN);
-                put_u32(out, *server);
             }
             Frame::Deliver { delivery, delay_ns } => {
                 out.push(kind::DELIVER);
@@ -287,11 +283,6 @@ impl Frame {
             Frame::Decision { decision } => {
                 out.push(kind::DECISION);
                 decision.wire_encode(out);
-            }
-            Frame::ServerRetired { server, counters } => {
-                out.push(kind::SERVER_RETIRED);
-                put_u32(out, *server);
-                counters.encode(out);
             }
             Frame::WindowAck {
                 generation,
@@ -354,11 +345,6 @@ impl Frame {
                 group: c.u32()?,
                 wire_version: c.u8()?,
             },
-            kind::SERVER_UP => Frame::ServerUp {
-                server: c.u32()?,
-                vcpus: c.u32()?,
-            },
-            kind::SERVER_DOWN => Frame::ServerDown { server: c.u32()? },
             kind::DELIVER => Frame::Deliver {
                 delivery: Delivery::wire_decode(&mut c)?,
                 delay_ns: c.u64()?,
@@ -380,10 +366,6 @@ impl Frame {
             },
             kind::DECISION => Frame::Decision {
                 decision: ControlDecision::wire_decode(&mut c)?,
-            },
-            kind::SERVER_RETIRED => Frame::ServerRetired {
-                server: c.u32()?,
-                counters: WindowCounters::decode(&mut c)?,
             },
             kind::WINDOW_ACK => Frame::WindowAck {
                 generation: c.u64()?,
@@ -467,10 +449,6 @@ mod tests {
             Frame::Hello {
                 group: 1,
                 wire_version: WIRE_VERSION,
-            },
-            Frame::ServerUp {
-                server: 4,
-                vcpus: 2,
             },
             Frame::Deliver {
                 delivery: Delivery {
@@ -558,11 +536,6 @@ mod tests {
             },
             Frame::RoundMark { round: 3 },
             Frame::RoundAck { round: 3 },
-            Frame::ServerDown { server: 4 },
-            Frame::ServerRetired {
-                server: 4,
-                counters: WindowCounters::default(),
-            },
             Frame::Shutdown,
         ]
     }
@@ -602,7 +575,7 @@ mod tests {
     /// the reader waiting for bytes, not panicking or misframing.
     #[test]
     fn short_writes_leave_the_buffer_pending() {
-        let bytes = samples()[2].encode_vec();
+        let bytes = samples()[1].encode_vec();
         for cut in 0..bytes.len() {
             let mut fb = FrameBuffer::new();
             fb.extend(&bytes[..cut]);

@@ -30,13 +30,13 @@
 //!   message kinds, strict decode, and [`FrameBuffer`] reassembly over
 //!   torn reads. Field-level codecs for the carriage types live in
 //!   `plasma_backend::wire` so the types and their encoding stay together.
-//! - [`worker`] — the worker loop: per-server accounting buckets, held
-//!   report rows, and barrier and query replies. The `plasma-server`
-//!   binary is a thin wrapper over [`worker::run`].
+//! - [`worker`] — the worker loop: one per-connection [`WindowCounters`]
+//!   tally, held report rows, and barrier and query replies. The
+//!   `plasma-server` binary is a thin wrapper over [`worker::run`].
 //! - [`NetBackend`] — the coordinator side: starts and addresses workers,
-//!   multiplexes frames over per-group connections, drains retired
-//!   carriers, and verifies exactly-once carriage at window and round
-//!   barriers.
+//!   multiplexes frames over per-group connections, verifies exactly-once
+//!   carriage at window and round barriers, and fails a query that a
+//!   group leaves unanswered.
 
 pub mod frame;
 pub mod worker;

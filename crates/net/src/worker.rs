@@ -3,9 +3,9 @@
 //!
 //! A worker connects back to the coordinator, announces its group with a
 //! [`Frame::Hello`], then services the coordinator's frame stream —
-//! opening per-server accounting buckets on `ServerUp`, tallying
-//! `Deliver`/`Execute` carriage, holding LEM report rows, and answering
-//! window/round barriers and GEM queries over the same TCP connection.
+//! counting what the connection carries in one [`WindowCounters`],
+//! holding LEM report rows, and answering window/round barriers and GEM
+//! queries over the same TCP connection.
 //! Because TCP is FIFO, a barrier ack proves every frame written before
 //! the mark was received before it — the exactly-once argument both hosts
 //! rely on. This loop is the only code that answers `WindowMark`,
@@ -68,14 +68,11 @@ pub fn run(addr: &str, group: u32) -> std::io::Result<WorkerExit> {
 
     let mut fb = FrameBuffer::new();
     let mut chunk = [0u8; 16 * 1024];
-    // Per-server window buckets. BTreeMap so sums fold in a deterministic
-    // order (the sums are commutative anyway, but determinism is the house
-    // style).
-    let mut servers: BTreeMap<u32, WindowCounters> = BTreeMap::new();
-    // Group-level control accounting (queries are per-group, not
-    // per-server), folded into every window ack alongside the buckets.
-    let mut ctrl = WindowCounters::default();
-    // Held LEM report rows for `held_generation`, answered on Query.
+    // What this connection carried since the last window mark.
+    let mut window = WindowCounters::default();
+    // Held LEM report rows for `held_generation`, answered on Query. A
+    // row of a server that went down stays until the next generation's
+    // first Report: queries only name running servers.
     let mut held: BTreeMap<u32, ServerReport> = BTreeMap::new();
     let mut held_generation = 0u64;
     let mut reply = Vec::with_capacity(64);
@@ -83,41 +80,13 @@ pub fn run(addr: &str, group: u32) -> std::io::Result<WorkerExit> {
     loop {
         while let Some(frame) = fb.next().map_err(decode_failure)? {
             reply.clear();
+            window.count(&frame);
             match frame {
-                Frame::ServerUp { server, vcpus } => {
-                    let _ = vcpus;
-                    servers.entry(server).or_default();
-                }
-                Frame::ServerDown { server } => {
-                    let counters = servers.remove(&server).unwrap_or_default();
-                    held.remove(&server);
-                    Frame::ServerRetired { server, counters }.encode(&mut reply);
-                }
-                Frame::Deliver { delivery, delay_ns } => {
-                    let w = servers.entry(delivery.server).or_default();
-                    w.deliveries += 1;
-                    if delay_ns > 0 {
-                        w.delayed += 1;
-                        w.delay_ns_total += delay_ns;
-                        w.delay_ns_max = w.delay_ns_max.max(delay_ns);
-                    }
-                }
-                Frame::Execute { execution } => {
-                    let w = servers.entry(execution.server).or_default();
-                    w.executions += 1;
-                    w.busy_ns += execution.service_ns;
-                }
+                Frame::Deliver { .. } | Frame::Execute { .. } | Frame::Decision { .. } => {}
                 Frame::WindowMark { generation } => {
-                    let mut sum = WindowCounters::default();
-                    for w in servers.values_mut() {
-                        sum.fold(w);
-                        *w = WindowCounters::default();
-                    }
-                    sum.fold(&ctrl);
-                    ctrl = WindowCounters::default();
                     Frame::WindowAck {
                         generation,
-                        counters: sum,
+                        counters: std::mem::take(&mut window),
                     }
                     .encode(&mut reply);
                 }
@@ -129,26 +98,19 @@ pub fn run(addr: &str, group: u32) -> std::io::Result<WorkerExit> {
                         held.clear();
                         held_generation = generation;
                     }
-                    servers.entry(report.server).or_default().reports += 1;
                     held.insert(report.server, report);
                 }
                 Frame::Query { query } => {
-                    ctrl.queries += 1;
-                    ctrl.replies += 1;
+                    window.replies += 1;
                     Frame::QReply {
                         reply: answer_query(held_generation, &held, &query),
                     }
                     .encode(&mut reply);
                 }
-                Frame::Decision { decision } => {
-                    let _ = decision;
-                    ctrl.decisions += 1;
-                }
                 Frame::Shutdown => return Ok(WorkerExit::Shutdown),
                 // Coordinator never sends worker->coordinator kinds or a
                 // second Hello; receiving one means the peer is confused.
                 Frame::Hello { .. }
-                | Frame::ServerRetired { .. }
                 | Frame::WindowAck { .. }
                 | Frame::RoundAck { .. }
                 | Frame::QReply { .. } => {

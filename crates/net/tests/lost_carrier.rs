@@ -11,7 +11,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use plasma_actor::runtime::{Runtime, RuntimeConfig};
 use plasma_actor::BackendKind;
 use plasma_cluster::InstanceType;
-use plasma_sim::SimTime;
+use plasma_sim::{SimDuration, SimTime};
 
 /// PIDs of this process's live child processes, from `/proc`.
 fn children() -> Vec<u32> {
@@ -43,15 +43,16 @@ fn children() -> Vec<u32> {
     pids
 }
 
-#[test]
-fn killed_workers_stop_the_run_with_a_named_panic() {
-    std::env::set_var("PLASMA_SERVER_BIN", env!("CARGO_BIN_EXE_plasma-server"));
+/// Kills every worker of a net runtime after `run_until(kill_at)` and
+/// returns the panic the rest of a 5 s run stops with.
+fn lost_carrier_panic(cfg: RuntimeConfig, kill_at: SimTime) -> String {
     let mut rt = Runtime::new(RuntimeConfig {
         backend: BackendKind::Net,
-        ..RuntimeConfig::default()
+        ..cfg
     });
     rt.add_server(InstanceType::m1_small());
     rt.add_server(InstanceType::m1_small());
+    rt.run_until(kill_at);
     let workers = children();
     assert!(!workers.is_empty(), "the net runtime spawned no workers");
     for pid in workers {
@@ -59,11 +60,36 @@ fn killed_workers_stop_the_run_with_a_named_panic() {
     }
     let err = catch_unwind(AssertUnwindSafe(|| rt.run_until(SimTime::from_secs(5))))
         .expect_err("a run without its carrier must not finish");
-    let msg = err
-        .downcast_ref::<String>()
-        .expect("formatted panic message");
-    assert_eq!(
-        msg,
-        "net carrier lost: window generation 1 did not balance (last matched barrier: none)"
-    );
+    err.downcast_ref::<String>()
+        .expect("formatted panic message")
+        .clone()
+}
+
+/// Workers killed before the first window fail that window; workers killed
+/// between the first window and the first round fail the round, naming the
+/// window as the last barrier that balanced.
+#[test]
+fn killed_workers_stop_the_run_with_a_named_panic() {
+    std::env::set_var("PLASMA_SERVER_BIN", env!("CARGO_BIN_EXE_plasma-server"));
+    let cases = [
+        (
+            RuntimeConfig::default(),
+            SimTime::ZERO,
+            "net carrier lost: window generation 1 did not balance (last matched barrier: none)",
+        ),
+        (
+            RuntimeConfig {
+                profile_window: SimDuration::from_secs(2),
+                elasticity_period: SimDuration::from_secs(3),
+                ..RuntimeConfig::default()
+            },
+            SimTime::from_millis(2_500),
+            "net carrier lost: round 1 did not balance (last matched barrier: window generation 1)",
+        ),
+    ];
+    for (cfg, kill_at, expected) in cases {
+        // Each case's runtime is dropped inside the call, so the next case
+        // counts only its own workers as children.
+        assert_eq!(lost_carrier_panic(cfg, kill_at), expected);
+    }
 }

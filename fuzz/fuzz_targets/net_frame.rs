@@ -129,14 +129,6 @@ fn gen_corpus(dir: &Path) {
             group: 1,
             wire_version: WIRE_VERSION,
         },
-        Frame::ServerUp {
-            server: 0,
-            vcpus: 2,
-        },
-        Frame::ServerUp {
-            server: 1,
-            vcpus: 4,
-        },
         Frame::Deliver {
             delivery: Delivery {
                 server: 0,
@@ -199,11 +191,6 @@ fn gen_corpus(dir: &Path) {
                 }],
             },
         },
-        Frame::ServerDown { server: 1 },
-        Frame::ServerRetired {
-            server: 1,
-            counters,
-        },
         Frame::RoundMark { round: 2 },
         Frame::RoundAck { round: 2 },
         Frame::Shutdown,
@@ -215,13 +202,13 @@ fn gen_corpus(dir: &Path) {
     std::fs::write(dir.join("conversation.bin"), &stream).expect("write seed");
 
     // A truncated frame (torn mid-payload).
-    let deliver = conversation[3].encode_vec();
+    let deliver = conversation[1].encode_vec();
     std::fs::write(dir.join("torn.bin"), &deliver[..deliver.len() - 3]).expect("write seed");
 
     // A bad version byte, then a valid frame that must never be reached.
-    let mut bad_version = conversation[7].encode_vec();
+    let mut bad_version = conversation[5].encode_vec();
     bad_version[4] = 0x7F;
-    bad_version.extend_from_slice(&conversation[16].encode_vec());
+    bad_version.extend_from_slice(&conversation[12].encode_vec());
     std::fs::write(dir.join("bad-version.bin"), &bad_version).expect("write seed");
 
     // An oversize length prefix.
@@ -231,7 +218,7 @@ fn gen_corpus(dir: &Path) {
     std::fs::write(dir.join("oversize.bin"), &oversize).expect("write seed");
 
     // A length prefix announcing more payload than the kind carries.
-    let mut trailing = conversation[16].encode_vec(); // Shutdown: len=2
+    let mut trailing = conversation[12].encode_vec(); // Shutdown: len=2
     trailing[3] = 6; // claim 4 extra payload bytes
     trailing.extend_from_slice(&[0, 0, 0, 0]);
     std::fs::write(dir.join("trailing.bin"), &trailing).expect("write seed");

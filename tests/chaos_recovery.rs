@@ -376,10 +376,12 @@ fn gem_crash_leaves_policy_running_on_survivor() {
     );
 }
 
-/// The live carrier hears of each server transition where the runtime
-/// makes it: boot, crash, reboot, scale-out and decommission. A carrier
-/// that missed a server coming back answers no query for it; the EMR's
-/// wire-candidate check (debug builds) and the decision digest catch that.
+/// The live carrier follows every server transition the runtime makes:
+/// boot, crash, reboot, scale-out and decommission. It holds the report
+/// row published when a server comes up, and its windows balance across
+/// the crash and the decommission. A carrier that missed a booted server's
+/// row answers no query for it; the EMR's wire-candidate check (debug
+/// builds) and the decision digest catch that.
 #[test]
 fn live_carrier_follows_every_server_transition() {
     let run = |backend| {
