@@ -653,28 +653,18 @@ impl Runtime {
         self.try_entry(actor).is_some()
     }
 
-    /// Records a point in a free-form application series. The key is
-    /// allocated only when the series is new.
+    /// Records a point in a free-form application series.
     pub fn record_custom(&mut self, series: &str, value: f64) {
-        let custom = &mut self.report.custom;
-        match custom.get_mut(series) {
-            Some(s) => s.push(self.now, value),
-            None => custom
-                .entry(series.to_string())
-                .or_default()
-                .push(self.now, value),
-        }
+        self.report
+            .custom
+            .entry(series.to_string())
+            .or_default()
+            .push(self.now, value);
     }
 
-    /// Records a named scalar result. The key is allocated only when the
-    /// scalar is new.
+    /// Records a named scalar result.
     pub fn record_scalar(&mut self, name: &str, value: f64) {
-        match self.report.scalars.get_mut(name) {
-            Some(v) => *v = value,
-            None => {
-                self.report.scalars.insert(name.to_string(), value);
-            }
-        }
+        self.report.scalars.insert(name.to_string(), value);
     }
 
     pub(crate) fn count_orphan_reply(&mut self) {

@@ -340,8 +340,8 @@ pub struct NetBackend {
     kind: BackendKind,
     conns: Vec<Conn>,
     stats: BackendStats,
-    /// What this window wrote to every connection, plus the query replies
-    /// read back: the tally the workers' acks must sum to.
+    /// What this window wrote to every connection: the tally the workers'
+    /// acks must sum to.
     sent: WindowCounters,
     /// Injected chaos transport delay stamped onto remote deliveries, ns.
     link_delay_ns: u64,
@@ -650,7 +650,6 @@ impl ExecutionBackend for NetBackend {
                     }
                     .encode(&mut self.scratch);
                     self.stats.control_wire_bytes += self.scratch.len() as u64;
-                    self.sent.replies += 1;
                     self.stats.control_replies += 1;
                     replies.push(reply);
                 }

@@ -34,7 +34,8 @@ use plasma_backend::{ControlDecision, ControlQuery, ControlReply, Delivery, Exec
 /// dropped the scale thresholds from QUERY and the scale votes from
 /// QREPLY: the GEM computes its vote from the merged candidate rows.
 /// Version 4 dropped the server-membership frames and their synchronous
-/// retire round trip: a worker counts what its connection carries.
+/// retire round trip, and the reply counter from [`Frame::WindowAck`]: a
+/// worker counts what its connection carries.
 pub const WIRE_VERSION: u8 = 4;
 
 /// Upper bound on a frame body. Control-plane frames scale with cluster
@@ -62,10 +63,8 @@ pub struct WindowCounters {
     pub delayed: u64,
     /// LEM report rows carried.
     pub reports: u64,
-    /// Control queries answered.
+    /// Control queries carried.
     pub queries: u64,
-    /// Query replies returned.
-    pub replies: u64,
     /// Round decisions received.
     pub decisions: u64,
 }
@@ -73,8 +72,7 @@ pub struct WindowCounters {
 impl WindowCounters {
     /// Counts one coordinator → worker frame: both ends of a connection
     /// call this on the same frames, the coordinator as it writes them and
-    /// the worker as it reads them. Marks and shutdown count nothing;
-    /// replies are counted where a query is answered.
+    /// the worker as it reads them. Marks and shutdown count nothing.
     pub(crate) fn count(&mut self, frame: &Frame) {
         match frame {
             Frame::Deliver { delay_ns, .. } => {
@@ -106,7 +104,6 @@ impl WindowCounters {
         self.delayed += w.delayed;
         self.reports += w.reports;
         self.queries += w.queries;
-        self.replies += w.replies;
         self.decisions += w.decisions;
     }
 
@@ -119,7 +116,6 @@ impl WindowCounters {
         put_u64(out, self.delayed);
         put_u64(out, self.reports);
         put_u64(out, self.queries);
-        put_u64(out, self.replies);
         put_u64(out, self.decisions);
     }
 
@@ -133,7 +129,6 @@ impl WindowCounters {
             delayed: c.u64()?,
             reports: c.u64()?,
             queries: c.u64()?,
-            replies: c.u64()?,
             decisions: c.u64()?,
         })
     }
@@ -530,7 +525,6 @@ mod tests {
                     delayed: 1,
                     reports: 1,
                     queries: 1,
-                    replies: 1,
                     decisions: 1,
                 },
             },
@@ -538,6 +532,43 @@ mod tests {
             Frame::RoundAck { round: 3 },
             Frame::Shutdown,
         ]
+    }
+
+    /// Both ends of a connection count with [`WindowCounters::count`], so a
+    /// wrong rule would still balance every window; this pins what each
+    /// field tallies. Only coordinator-to-worker payload frames count.
+    #[test]
+    fn count_tallies_each_field() {
+        let mut frames = samples();
+        let execute = frames[2].clone();
+        let deliver = |delay_ns| Frame::Deliver {
+            delivery: Delivery {
+                server: 1,
+                actor: 2,
+                bytes: 64,
+                remote: delay_ns > 0,
+            },
+            delay_ns,
+        };
+        frames.extend([deliver(0), deliver(500_000), execute]);
+        let mut w = WindowCounters::default();
+        for f in &frames {
+            w.count(f);
+        }
+        assert_eq!(
+            w,
+            WindowCounters {
+                deliveries: 3,
+                executions: 2,
+                busy_ns: 84_000,
+                delay_ns_total: 2_000_000,
+                delay_ns_max: 1_500_000,
+                delayed: 2,
+                reports: 1,
+                queries: 1,
+                decisions: 1,
+            }
+        );
     }
 
     #[test]

@@ -101,7 +101,6 @@ pub fn run(addr: &str, group: u32) -> std::io::Result<WorkerExit> {
                     held.insert(report.server, report);
                 }
                 Frame::Query { query } => {
-                    window.replies += 1;
                     Frame::QReply {
                         reply: answer_query(held_generation, &held, &query),
                     }

@@ -9,7 +9,7 @@ mod common;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use plasma_actor::runtime::{Runtime, RuntimeConfig};
-use plasma_actor::BackendKind;
+use plasma_actor::{BackendKind, ControlQuery};
 use plasma_cluster::InstanceType;
 use plasma_sim::{SimDuration, SimTime};
 
@@ -44,8 +44,8 @@ fn children() -> Vec<u32> {
 }
 
 /// Kills every worker of a net runtime after `run_until(kill_at)` and
-/// returns the panic the rest of a 5 s run stops with.
-fn lost_carrier_panic(cfg: RuntimeConfig, kill_at: SimTime) -> String {
+/// returns the panic that `then` stops with.
+fn lost_carrier_panic(cfg: RuntimeConfig, kill_at: SimTime, then: fn(&mut Runtime)) -> String {
     let mut rt = Runtime::new(RuntimeConfig {
         backend: BackendKind::Net,
         ..cfg
@@ -58,8 +58,8 @@ fn lost_carrier_panic(cfg: RuntimeConfig, kill_at: SimTime) -> String {
     for pid in workers {
         common::sigkill(pid);
     }
-    let err = catch_unwind(AssertUnwindSafe(|| rt.run_until(SimTime::from_secs(5))))
-        .expect_err("a run without its carrier must not finish");
+    let err = catch_unwind(AssertUnwindSafe(|| then(&mut rt)))
+        .expect_err("a run without its carrier must not go on");
     err.downcast_ref::<String>()
         .expect("formatted panic message")
         .clone()
@@ -67,29 +67,48 @@ fn lost_carrier_panic(cfg: RuntimeConfig, kill_at: SimTime) -> String {
 
 /// Workers killed before the first window fail that window; workers killed
 /// between the first window and the first round fail the round, naming the
-/// window as the last barrier that balanced.
+/// window as the last barrier that balanced, and fail a GEM query sent
+/// before that round.
 #[test]
 fn killed_workers_stop_the_run_with_a_named_panic() {
     std::env::set_var("PLASMA_SERVER_BIN", env!("CARGO_BIN_EXE_plasma-server"));
+    let first_round = RuntimeConfig {
+        profile_window: SimDuration::from_secs(2),
+        elasticity_period: SimDuration::from_secs(3),
+        ..RuntimeConfig::default()
+    };
+    let finish: fn(&mut Runtime) = |rt| rt.run_until(SimTime::from_secs(5));
+    let query: fn(&mut Runtime) = |rt| {
+        rt.control_query(ControlQuery {
+            gem: 0,
+            round: 7,
+            generation: rt.snapshot().generation,
+            scope: vec![0, 1],
+        });
+    };
     let cases = [
         (
             RuntimeConfig::default(),
             SimTime::ZERO,
+            finish,
             "net carrier lost: window generation 1 did not balance (last matched barrier: none)",
         ),
         (
-            RuntimeConfig {
-                profile_window: SimDuration::from_secs(2),
-                elasticity_period: SimDuration::from_secs(3),
-                ..RuntimeConfig::default()
-            },
+            first_round.clone(),
             SimTime::from_millis(2_500),
+            finish,
             "net carrier lost: round 1 did not balance (last matched barrier: window generation 1)",
         ),
+        (
+            first_round,
+            SimTime::from_millis(2_500),
+            query,
+            "net carrier lost: query round 7 did not balance (last matched barrier: window generation 1)",
+        ),
     ];
-    for (cfg, kill_at, expected) in cases {
+    for (cfg, kill_at, then, expected) in cases {
         // Each case's runtime is dropped inside the call, so the next case
         // counts only its own workers as children.
-        assert_eq!(lost_carrier_panic(cfg, kill_at), expected);
+        assert_eq!(lost_carrier_panic(cfg, kill_at, then), expected);
     }
 }

@@ -110,7 +110,6 @@ fn gen_corpus(dir: &Path) {
         delayed: 2,
         reports: 2,
         queries: 1,
-        replies: 1,
         decisions: 1,
     };
     let report = ServerReport {
