@@ -37,9 +37,6 @@ pub use controller::{ControlFault, ElasticityController, NullController};
 pub use ids::{ActorId, ActorTypeId, ClientId, FnId};
 pub use logic::{ActorCtx, ActorLogic, ClientCtx, ClientLogic};
 pub use message::{CallerKind, Message};
-pub use plasma_backend::{
-    BackendKind, BackendStats, ControlDecision, ControlQuery, ControlReply, MigrationOrder,
-    ServerReport,
-};
+pub use plasma_backend::{BackendKind, BackendStats, ControlQuery, ControlReply, ServerReport};
 pub use report::{DecisionKind, DecisionRecord, RunReport};
 pub use runtime::{DecommissionError, Runtime, RuntimeConfig};

@@ -22,8 +22,8 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use plasma_backend::{
-    BackendKind, BackendStats, ControlDecision, ControlQuery, ControlReply, Delivery, Execution,
-    ExecutionBackend, ServerReport, SimBackend,
+    BackendKind, BackendStats, ControlQuery, ControlReply, Delivery, Execution, ExecutionBackend,
+    ServerReport, SimBackend,
 };
 use plasma_chaos::fault::FaultKind;
 use plasma_chaos::{ChaosStats, FaultPlan, RecoveryPolicy};
@@ -1845,7 +1845,7 @@ impl Runtime {
             .collect();
         for server in due {
             let running = self.cluster.running_ids();
-            if running.is_empty() && chaos.policy.respawn {
+            if running.is_empty() {
                 break; // Nowhere to respawn; retry next sweep.
             }
             let rec = chaos.crashed.remove(&server).expect("collected above");
@@ -1857,14 +1857,12 @@ impl Runtime {
                     detect_latency_us: latency.as_micros(),
                 }
             });
-            if chaos.policy.respawn {
-                if let Some(orphans) = chaos.orphans.remove(&server) {
-                    for (k, orphan) in orphans.into_iter().enumerate() {
-                        let dst = running[k % running.len()];
-                        self.respawn_orphan(&mut chaos, orphan, server, dst, dead_trace);
-                    }
-                    chaos.stats.record_unavailability(latency.as_secs_f64());
+            if let Some(orphans) = chaos.orphans.remove(&server) {
+                for (k, orphan) in orphans.into_iter().enumerate() {
+                    let dst = running[k % running.len()];
+                    self.respawn_orphan(&mut chaos, orphan, server, dst, dead_trace);
                 }
+                chaos.stats.record_unavailability(latency.as_secs_f64());
             }
         }
         self.events.push(
@@ -2009,12 +2007,6 @@ impl Runtime {
         let replies = self.backend.query(&query);
         self.check_barrier("query round", query.round, replies.is_some());
         replies.unwrap_or_default()
-    }
-
-    /// Broadcasts a GEM decision over the control carriage (audit/metrics
-    /// traffic: workers count it, nothing feeds back).
-    pub fn control_decision(&mut self, decision: ControlDecision) {
-        self.backend.decision(&decision);
     }
 
     fn ensure_server_slots(&mut self, id: ServerId) {

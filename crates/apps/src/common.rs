@@ -111,7 +111,7 @@ pub struct ElasticityEval {
     /// holding in-scope servers: 1 under sim, one per worker group under
     /// live and net).
     pub control_replies: u64,
-    /// Wire bytes of QUERY/QREPLY/DECISION control frames (live and net).
+    /// Wire bytes of REPORT/QUERY/QREPLY control frames (live and net).
     pub control_wire_bytes: u64,
 }
 

@@ -1,14 +1,15 @@
-//! Control-plane carriage types: the GEM↔LEM QUERY/QREPLY/DECISION traffic.
+//! Control-plane carriage types: the GEM↔LEM REPORT and QUERY/QREPLY
+//! traffic.
 //!
 //! PLASMA's elasticity protocol is a message-passing control plane: LEMs
-//! REPORT per-server load profiles, GEMs QUERY the LEMs in their scope,
-//! collect QREPLY candidate rows, and publish a DECISION (grow/shrink plus
-//! the migration list). This module defines those messages as carriage
-//! structs so [`ExecutionBackend::query`] and
-//! [`ExecutionBackend::decision`] can route them over whatever medium the
+//! REPORT per-server load profiles, GEMs QUERY the LEMs in their scope and
+//! collect QREPLY candidate rows. This module defines those messages as
+//! carriage structs so [`ExecutionBackend::publish_report`] and
+//! [`ExecutionBackend::query`] can route them over whatever medium the
 //! backend provides — in-process audit under sim, TCP frames to worker
 //! threads (live) or worker processes (net) — while the *decision logic*,
-//! the scale vote included, stays in the EMR.
+//! the scale vote included, stays in the EMR. The coordinator enacts each
+//! decision itself, so no decision message crosses the carrier.
 //!
 //! # Determinism contract
 //!
@@ -20,8 +21,8 @@
 //! is what keeps decision digests identical across sim, live, and net
 //! carriages (the N-way parity gate).
 //!
+//! [`ExecutionBackend::publish_report`]: crate::ExecutionBackend::publish_report
 //! [`ExecutionBackend::query`]: crate::ExecutionBackend::query
-//! [`ExecutionBackend::decision`]: crate::ExecutionBackend::decision
 
 use std::collections::BTreeMap;
 
@@ -82,32 +83,6 @@ pub struct ControlReply {
     pub generation: u64,
     /// Candidate rows held for the queried scope, in scope order.
     pub candidates: Vec<ServerReport>,
-}
-
-/// One migration order inside a [`ControlDecision`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MigrationOrder {
-    /// The migrating actor.
-    pub actor: u64,
-    /// The source server.
-    pub src: u32,
-    /// The destination server.
-    pub dst: u32,
-}
-
-/// The decision a round published: grow/shrink counts plus every admitted
-/// migration. Broadcast to all carriers so the decision sequence is
-/// reconstructable from message traffic alone.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ControlDecision {
-    /// The elasticity round the decision closes.
-    pub round: u64,
-    /// Servers requested up by this round.
-    pub grow: u32,
-    /// Servers chosen to drain by this round.
-    pub shrink: u32,
-    /// Admitted migrations, in admission order.
-    pub migrations: Vec<MigrationOrder>,
 }
 
 /// Answers a query from a held report set: the pure evaluation every

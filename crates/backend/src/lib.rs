@@ -17,29 +17,27 @@
 //! - **windows and rounds** — [`ExecutionBackend::window_close`] /
 //!   [`ExecutionBackend::round_barrier`]: no-ops under sim, real barriers
 //!   under live and net that verify exactly-once carriage of every event.
-//! - **control plane** — [`ExecutionBackend::publish_report`],
-//!   [`ExecutionBackend::query`] and [`ExecutionBackend::decision`]: the
-//!   REPORT, QUERY/QREPLY and DECISION steps, answered inline under sim
-//!   and by the server's worker under live and net.
+//! - **control plane** — [`ExecutionBackend::publish_report`] and
+//!   [`ExecutionBackend::query`]: the REPORT and QUERY/QREPLY steps,
+//!   answered inline under sim and by the server's worker under live and
+//!   net. The coordinator enacts each decision itself, so no DECISION step
+//!   crosses the carrier.
 //!
 //! This crate holds the trait, [`SimBackend`] (an adapter over the
 //! `plasma-sim` event loop: the queue itself already *is* the carrier, so
-//! the backend only audits), the [`control`] message grammar, and the
-//! [`wire`] field codecs. The real carrier lives one crate up:
-//! `plasma-net`'s `NetBackend` runs one worker loop per server group over
-//! localhost TCP, hosted either by `plasma-server` processes (net) or by
-//! threads of the coordinator's process (live). The logical schedule stays
-//! single-threaded and deterministic in the coordinator, so decision-relevant
-//! ordering is identical by construction — the three-way parity the
-//! `net-parity` CI job gates.
+//! the backend only audits) and the [`control`] message grammar. The real
+//! carrier lives one crate up: `plasma-net`'s `NetBackend` runs one worker
+//! loop per server group over localhost TCP, hosted either by
+//! `plasma-server` processes (net) or by threads of the coordinator's
+//! process (live), and owns the byte layout of every carriage type on its
+//! wire. The logical schedule stays single-threaded and deterministic in
+//! the coordinator, so decision-relevant ordering is identical by
+//! construction — the three-way parity the `net-parity` CI job gates.
 
 pub mod control;
 pub mod sim;
-pub mod wire;
 
-pub use control::{
-    answer_query, ControlDecision, ControlQuery, ControlReply, MigrationOrder, ServerReport,
-};
+pub use control::{answer_query, ControlQuery, ControlReply, ServerReport};
 pub use sim::SimBackend;
 
 /// Which execution backend carries a run.
@@ -116,18 +114,12 @@ pub struct BackendStats {
     pub deliveries: u64,
     /// Services handed to the carrier.
     pub executions: u64,
-    /// Profiling-window barriers completed.
-    pub windows_closed: u64,
     /// Window barriers whose carrier counts diverged from the
     /// coordinator's (lost or duplicated carriage; gated to 0 by parity).
     pub window_mismatches: u64,
-    /// Elasticity-round barriers completed.
-    pub rounds: u64,
     /// Worker groups started: `plasma-server` processes under net, worker
     /// threads under live.
     pub workers_spawned: u64,
-    /// Simulated service time carried by workers, in nanoseconds.
-    pub worker_busy_ns: u64,
     /// Total transport latency over sampled deliveries, ns: the
     /// deterministic *injected* (chaos link-degradation) delay stamped onto
     /// remote deliveries under live and net. There is no shared clock
@@ -148,16 +140,12 @@ pub struct BackendStats {
     /// Most frames ever outstanding between two carrier barriers (0 under
     /// sim): frames written since the last fully-acked barrier.
     pub max_inflight_frames: u64,
-    /// LEM report rows published to the carrier.
-    pub control_reports: u64,
     /// GEM control queries carried.
     pub control_queries: u64,
     /// Query replies carried back. Carrier-dependent fan-out: one merged
     /// reply under sim, one per worker group holding in-scope servers
     /// under live and net.
     pub control_replies: u64,
-    /// Round decisions broadcast.
-    pub control_decisions: u64,
     /// Wire bytes of control-plane traffic, both directions (0 under sim,
     /// where control is an in-process call).
     pub control_wire_bytes: u64,
@@ -233,10 +221,6 @@ pub trait ExecutionBackend {
     /// gate holds the carriages to that).
     fn query(&mut self, query: &ControlQuery) -> Option<Vec<ControlReply>>;
 
-    /// Broadcasts a round's published decision to every carrier. Audit
-    /// traffic: carriers count it, nothing comes back.
-    fn decision(&mut self, decision: &ControlDecision);
-
     /// Announces the currently injected cross-server transport delay in
     /// nanoseconds (`0` clears it). The chaos layer calls this when a
     /// link-degradation fault is applied or healed, so transport-level
@@ -249,9 +233,6 @@ pub trait ExecutionBackend {
 
     /// Snapshot of the cumulative counters.
     fn stats(&self) -> BackendStats;
-
-    /// Stops the carrier, reaping its workers. Idempotent.
-    fn shutdown(&mut self);
 }
 
 #[cfg(test)]

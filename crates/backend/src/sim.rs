@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::control::{answer_query, ControlDecision, ControlQuery, ControlReply, ServerReport};
+use crate::control::{answer_query, ControlQuery, ControlReply, ServerReport};
 use crate::{BackendKind, BackendStats, Delivery, Execution, ExecutionBackend};
 
 /// Adapter wrapping the discrete-event loop. See the [module docs](self).
@@ -41,19 +41,16 @@ impl ExecutionBackend for SimBackend {
         self.stats.deliveries += 1;
     }
 
-    fn execute(&mut self, e: Execution) {
+    fn execute(&mut self, _e: Execution) {
         self.stats.executions += 1;
-        self.stats.worker_busy_ns += e.service_ns;
     }
 
     fn window_close(&mut self, _generation: u64) -> bool {
         // The event queue delivers exactly once by construction.
-        self.stats.windows_closed += 1;
         true
     }
 
     fn round_barrier(&mut self, _round: u64) -> bool {
-        self.stats.rounds += 1;
         true
     }
 
@@ -63,7 +60,6 @@ impl ExecutionBackend for SimBackend {
             self.report_generation = generation;
         }
         self.reports.insert(report.server, *report);
-        self.stats.control_reports += 1;
     }
 
     fn query(&mut self, query: &ControlQuery) -> Option<Vec<ControlReply>> {
@@ -76,15 +72,9 @@ impl ExecutionBackend for SimBackend {
         )])
     }
 
-    fn decision(&mut self, _decision: &ControlDecision) {
-        self.stats.control_decisions += 1;
-    }
-
     fn stats(&self) -> BackendStats {
         self.stats
     }
-
-    fn shutdown(&mut self) {}
 }
 
 #[cfg(test)]
@@ -111,8 +101,6 @@ mod tests {
         assert!(b.window_close(2));
         assert_eq!(b.stats().deliveries, 3);
         assert_eq!(b.stats().executions, 1);
-        assert_eq!(b.stats().worker_busy_ns, 500);
-        assert_eq!(b.stats().windows_closed, 2);
         assert_eq!(b.stats().workers_spawned, 0, "sim starts no workers");
     }
 }

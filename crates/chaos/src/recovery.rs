@@ -16,8 +16,6 @@ pub struct RecoveryPolicy {
     pub heartbeat_period: SimDuration,
     /// Silence after which a crashed server is declared dead.
     pub heartbeat_timeout: SimDuration,
-    /// Whether orphaned actors respawn on surviving servers.
-    pub respawn: bool,
     /// How many times an aborted migration retries before giving up.
     pub migration_retry_limit: u32,
     /// Backoff before the first retry; doubles per attempt.
@@ -29,7 +27,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             heartbeat_period: SimDuration::from_secs(5),
             heartbeat_timeout: SimDuration::from_secs(10),
-            respawn: true,
             migration_retry_limit: 3,
             migration_retry_backoff: SimDuration::from_secs(2),
         }
@@ -130,7 +127,6 @@ mod tests {
     fn defaults_are_sane() {
         let p = RecoveryPolicy::default();
         assert!(p.heartbeat_timeout >= p.heartbeat_period);
-        assert!(p.respawn);
         assert!(p.migration_retry_limit > 0);
     }
 

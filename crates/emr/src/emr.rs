@@ -21,9 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use plasma_actor::ids::{ActorId, ActorTypeId};
-use plasma_actor::{
-    ControlDecision, ControlQuery, ElasticityController, MigrationOrder, Runtime, ServerReport,
-};
+use plasma_actor::{ControlQuery, ElasticityController, Runtime, ServerReport};
 use plasma_cluster::{InstanceType, ServerId};
 use plasma_epl::analyze::CompiledPolicy;
 use plasma_epl::ast::{ActorRef, Behavior, Cond, Feature};
@@ -102,9 +100,9 @@ struct Round {
     /// window (or an injected snapshot-skew fault) rolls a new generation
     /// before the apply instant, the apply phase detects the skew.
     planned_generation: u64,
-    /// Servers requested this round (for the decision broadcast).
+    /// Servers requested this round (for `ControlDecisionIssued`).
     grow: u32,
-    /// Servers put into draining this round (for the decision broadcast).
+    /// Servers put into draining this round (for `ControlDecisionIssued`).
     shrink: u32,
     actions: Vec<Action>,
 }
@@ -644,7 +642,7 @@ impl PlasmaEmr {
             })
             .collect();
         let (grow, shrink) = (round.grow, round.shrink);
-        let mut admitted_orders: Vec<MigrationOrder> = Vec::new();
+        let mut migrations = 0u32;
         let mut actions = round.actions;
         actions.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.rule.cmp(&b.rule)));
         for action in actions {
@@ -731,11 +729,7 @@ impl PlasmaEmr {
             match rt.migrate_traced(action.actor, dst, reply_id) {
                 Ok(()) => {
                     self.stats.admitted += 1;
-                    admitted_orders.push(MigrationOrder {
-                        actor: action.actor.0,
-                        src: action.src.0,
-                        dst: dst.0,
-                    });
+                    migrations += 1;
                     if action.kind == ActionKind::Reserve {
                         self.reserved_homes.insert(action.actor, dst);
                     }
@@ -761,16 +755,6 @@ impl PlasmaEmr {
                 }
             }
         }
-        // Broadcast the applied round's outcome over the control carriage
-        // (audit traffic: workers tally it, nothing feeds back) and mirror
-        // it into the trace.
-        let migrations = admitted_orders.len() as u32;
-        rt.control_decision(ControlDecision {
-            round: round_no,
-            grow,
-            shrink,
-            migrations: admitted_orders,
-        });
         tracer.emit(trace_now, Component::Gem, None, || {
             TraceEventKind::ControlDecisionIssued {
                 round: round_no,

@@ -37,8 +37,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use plasma_backend::{
-    BackendKind, BackendStats, ControlDecision, ControlQuery, ControlReply, Delivery, Execution,
-    ExecutionBackend, ServerReport,
+    BackendKind, BackendStats, ControlQuery, ControlReply, Delivery, Execution, ExecutionBackend,
+    ServerReport,
 };
 
 use crate::frame::{Frame, FrameBuffer, WindowCounters, WIRE_VERSION};
@@ -306,12 +306,13 @@ struct Conn {
 }
 
 impl Conn {
-    /// Reads one frame, blocking up to the stream's read timeout.
+    /// Reads one frame, blocking up to the stream's read timeout, and
+    /// returns it with its encoded length in bytes.
     fn read_frame(&mut self) -> std::io::Result<(Frame, u64)> {
-        let mut got = 0u64;
         loop {
+            let before = self.rbuf.pending();
             match self.rbuf.next() {
-                Ok(Some(f)) => return Ok((f, got)),
+                Ok(Some(f)) => return Ok((f, (before - self.rbuf.pending()) as u64)),
                 Ok(None) => {}
                 Err(e) => {
                     return Err(std::io::Error::new(
@@ -324,7 +325,6 @@ impl Conn {
             if n == 0 {
                 return Err(std::io::ErrorKind::UnexpectedEof.into());
             }
-            got += n as u64;
             self.rbuf.extend(&self.rchunk[..n]);
         }
     }
@@ -458,6 +458,26 @@ impl NetBackend {
         self.conns.iter().map(|c| c.host.pid()).collect()
     }
 
+    /// Stops the carrier: sends every worker a `Shutdown`, closes the
+    /// sockets and reaps the workers. Idempotent; dropping the backend
+    /// calls it.
+    pub fn shutdown(&mut self) {
+        if self.shut {
+            return;
+        }
+        self.shut = true;
+        for g in 0..self.conns.len() {
+            self.send(g, &Frame::Shutdown);
+        }
+        self.flush_all();
+        for conn in &mut self.conns {
+            // Closing our copies of the socket unblocks a worker stuck in
+            // read even if the Shutdown frame never made it out.
+            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+            conn.host.reap(EXIT_TIMEOUT);
+        }
+    }
+
     fn group_of(&self, server: u32) -> usize {
         (server as usize) % self.conns.len()
     }
@@ -479,10 +499,7 @@ impl NetBackend {
         self.sent.count(frame);
         self.stats.frames_sent += 1;
         self.stats.wire_bytes_sent += self.scratch.len() as u64;
-        if matches!(
-            frame,
-            Frame::Report { .. } | Frame::Query { .. } | Frame::Decision { .. }
-        ) {
+        if matches!(frame, Frame::Report { .. } | Frame::Query { .. }) {
             self.stats.control_wire_bytes += self.scratch.len() as u64;
         }
         self.inflight += 1;
@@ -499,9 +516,10 @@ impl NetBackend {
         }
     }
 
-    /// Reads one reply frame from `group`, accounting received bytes.
-    /// A failure (timeout, EOF, malformed frame) marks the conn dead.
-    fn recv(&mut self, group: usize) -> Option<Frame> {
+    /// Reads one reply frame from `group` and returns it with its encoded
+    /// length, accounting received bytes. A failure (timeout, EOF,
+    /// malformed frame) marks the conn dead.
+    fn recv(&mut self, group: usize) -> Option<(Frame, u64)> {
         let conn = &mut self.conns[group];
         if !conn.alive {
             return None;
@@ -510,7 +528,7 @@ impl NetBackend {
             Ok((frame, bytes)) => {
                 self.stats.frames_received += 1;
                 self.stats.wire_bytes_received += bytes;
-                Some(frame)
+                Some((frame, bytes))
             }
             Err(_) => {
                 conn.alive = false;
@@ -529,7 +547,7 @@ impl NetBackend {
         }
         self.flush_all();
         for g in 0..self.conns.len() {
-            complete &= self.recv(g).is_some_and(&mut ack);
+            complete &= self.recv(g).is_some_and(|(frame, _)| ack(frame));
         }
         if complete {
             self.inflight = 0;
@@ -579,8 +597,6 @@ impl ExecutionBackend for NetBackend {
         if !matched {
             self.stats.window_mismatches += 1;
         }
-        self.stats.windows_closed += 1;
-        self.stats.worker_busy_ns += sum.busy_ns;
         // Injected chaos delay is the net transport's deterministic
         // latency side-channel (there is no shared wall clock between
         // processes to measure real one-way latency against).
@@ -598,7 +614,6 @@ impl ExecutionBackend for NetBackend {
         if !acked {
             self.stats.window_mismatches += 1;
         }
-        self.stats.rounds += 1;
         acked
     }
 
@@ -615,7 +630,6 @@ impl ExecutionBackend for NetBackend {
                 report: *report,
             },
         );
-        self.stats.control_reports += 1;
     }
 
     fn query(&mut self, query: &ControlQuery) -> Option<Vec<ControlReply>> {
@@ -638,18 +652,11 @@ impl ExecutionBackend for NetBackend {
         for g in groups {
             // A group whose send failed is dead, so `recv` reads nothing.
             match self.recv(g) {
-                Some(Frame::QReply { reply })
+                Some((Frame::QReply { reply }, bytes))
                     if (reply.gem, reply.round, reply.generation)
                         == (query.gem, query.round, query.generation) =>
                 {
-                    // Count the reply's exact wire footprint (recv's byte
-                    // tally is per-read, not per-frame).
-                    self.scratch.clear();
-                    Frame::QReply {
-                        reply: reply.clone(),
-                    }
-                    .encode(&mut self.scratch);
-                    self.stats.control_wire_bytes += self.scratch.len() as u64;
+                    self.stats.control_wire_bytes += bytes;
                     self.stats.control_replies += 1;
                     replies.push(reply);
                 }
@@ -659,37 +666,8 @@ impl ExecutionBackend for NetBackend {
         answered.then_some(replies)
     }
 
-    fn decision(&mut self, decision: &ControlDecision) {
-        self.stats.control_decisions += 1;
-        // Decisions are broadcast: every group learns the round's outcome
-        // even if none of its servers moved.
-        let frame = Frame::Decision {
-            decision: decision.clone(),
-        };
-        for g in 0..self.conns.len() {
-            self.send(g, &frame);
-        }
-    }
-
     fn stats(&self) -> BackendStats {
         self.stats
-    }
-
-    fn shutdown(&mut self) {
-        if self.shut {
-            return;
-        }
-        self.shut = true;
-        for g in 0..self.conns.len() {
-            self.send(g, &Frame::Shutdown);
-        }
-        self.flush_all();
-        for conn in &mut self.conns {
-            // Closing our copies of the socket unblocks a worker stuck in
-            // read even if the Shutdown frame never made it out.
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            conn.host.reap(EXIT_TIMEOUT);
-        }
     }
 }
 
@@ -719,15 +697,16 @@ mod tests {
     #[test]
     fn read_hello_rejects_old_header_version() {
         // A v1 worker's Hello: header version 1, payload just the group
-        // (v1 had no version field). v2 and v3 workers' Hellos, byte for
-        // byte what those `plasma-server`s send: header version, group 9,
-        // and their own version field. All must fail as a named version
+        // (v1 had no version field). v2, v3 and v4 workers' Hellos, byte
+        // for byte what those `plasma-server`s send: header version, group
+        // 9, and their own version field. All must fail as a named version
         // mismatch before any payload parsing.
         let mut v1 = vec![0, 0, 0, 6, 1, 0x01];
         v1.extend(9u32.to_be_bytes());
         let v2 = vec![0, 0, 0, 7, 2, 0x01, 0, 0, 0, 9, 2];
         let v3 = vec![0, 0, 0, 7, 3, 0x01, 0, 0, 0, 9, 3];
-        for (bytes, old) in [(v1, "v1"), (v2, "v2"), (v3, "v3")] {
+        let v4 = vec![0, 0, 0, 7, 4, 0x01, 0, 0, 0, 9, 4];
+        for (bytes, old) in [(v1, "v1"), (v2, "v2"), (v3, "v3"), (v4, "v4")] {
             let mut r = Cursor::new(bytes);
             let mut fb = FrameBuffer::new();
             let err = read_hello(&mut r, &mut fb).unwrap_err();

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `len` counts the body (version byte included), big-endian like every
-//! other integer on this wire (see `plasma_backend::wire`). The version
+//! other integer on this wire (see the `wire` module). The version
 //! byte is [`WIRE_VERSION`]; a reader that sees any other value fails with
 //! `DecodeError::BadVersion` before touching the payload, which is what
 //! lets the protocol evolve without silent misparses. `len` is capped at
@@ -21,9 +21,9 @@
 //! Strictness buys the round-trip property the `net_frame` fuzz target
 //! checks — any byte string that decodes re-encodes to itself.
 
-use plasma_backend::wire::{put_u32, put_u64, DecodeError, WireCursor};
-use plasma_backend::ServerReport;
-use plasma_backend::{ControlDecision, ControlQuery, ControlReply, Delivery, Execution};
+use plasma_backend::{ControlQuery, ControlReply, Delivery, Execution, ServerReport};
+
+use crate::wire::{put_u32, put_u64, DecodeError, Wire, WireCursor};
 
 /// Protocol version stamped into (and required of) every frame, and
 /// carried explicitly in the [`Frame::Hello`] handshake so a version
@@ -35,8 +35,10 @@ use plasma_backend::{ControlDecision, ControlQuery, ControlReply, Delivery, Exec
 /// QREPLY: the GEM computes its vote from the merged candidate rows.
 /// Version 4 dropped the server-membership frames and their synchronous
 /// retire round trip, and the reply counter from [`Frame::WindowAck`]: a
-/// worker counts what its connection carries.
-pub const WIRE_VERSION: u8 = 4;
+/// worker counts what its connection carries. Version 5 dropped the
+/// DECISION frame and its counter in [`WindowCounters`]: the coordinator
+/// enacts its own decisions, and no worker could act on one.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Upper bound on a frame body. Control-plane frames scale with cluster
 /// size (a query reply carries one 64-byte candidate row per in-scope
@@ -65,8 +67,6 @@ pub struct WindowCounters {
     pub reports: u64,
     /// Control queries carried.
     pub queries: u64,
-    /// Round decisions received.
-    pub decisions: u64,
 }
 
 impl WindowCounters {
@@ -89,7 +89,6 @@ impl WindowCounters {
             }
             Frame::Report { .. } => self.reports += 1,
             Frame::Query { .. } => self.queries += 1,
-            Frame::Decision { .. } => self.decisions += 1,
             _ => {}
         }
     }
@@ -104,7 +103,6 @@ impl WindowCounters {
         self.delayed += w.delayed;
         self.reports += w.reports;
         self.queries += w.queries;
-        self.decisions += w.decisions;
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
@@ -116,7 +114,6 @@ impl WindowCounters {
         put_u64(out, self.delayed);
         put_u64(out, self.reports);
         put_u64(out, self.queries);
-        put_u64(out, self.decisions);
     }
 
     fn decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
@@ -129,7 +126,6 @@ impl WindowCounters {
             delayed: c.u64()?,
             reports: c.u64()?,
             queries: c.u64()?,
-            decisions: c.u64()?,
         })
     }
 }
@@ -146,7 +142,6 @@ mod kind {
     pub const SHUTDOWN: u8 = 0x08;
     pub const REPORT: u8 = 0x09;
     pub const QUERY: u8 = 0x0A;
-    pub const DECISION: u8 = 0x0B;
     pub const WINDOW_ACK: u8 = 0x86;
     pub const ROUND_ACK: u8 = 0x87;
     pub const QREPLY: u8 = 0x8A;
@@ -207,11 +202,6 @@ pub enum Frame {
     Query {
         /// The query.
         query: ControlQuery,
-    },
-    /// Coordinator → worker: a round's published decision (broadcast).
-    Decision {
-        /// The decision.
-        decision: ControlDecision,
     },
     /// Worker → coordinator: what the connection carried since the last
     /// mark, echoing the mark's generation.
@@ -274,10 +264,6 @@ impl Frame {
             Frame::Query { query } => {
                 out.push(kind::QUERY);
                 query.wire_encode(out);
-            }
-            Frame::Decision { decision } => {
-                out.push(kind::DECISION);
-                decision.wire_encode(out);
             }
             Frame::WindowAck {
                 generation,
@@ -358,9 +344,6 @@ impl Frame {
             },
             kind::QUERY => Frame::Query {
                 query: ControlQuery::wire_decode(&mut c)?,
-            },
-            kind::DECISION => Frame::Decision {
-                decision: ControlDecision::wire_decode(&mut c)?,
             },
             kind::WINDOW_ACK => Frame::WindowAck {
                 generation: c.u64()?,
@@ -501,18 +484,6 @@ mod tests {
                     }],
                 },
             },
-            Frame::Decision {
-                decision: ControlDecision {
-                    round: 3,
-                    grow: 1,
-                    shrink: 0,
-                    migrations: vec![plasma_backend::MigrationOrder {
-                        actor: 99,
-                        src: 4,
-                        dst: 6,
-                    }],
-                },
-            },
             Frame::WindowMark { generation: 7 },
             Frame::WindowAck {
                 generation: 7,
@@ -525,7 +496,6 @@ mod tests {
                     delayed: 1,
                     reports: 1,
                     queries: 1,
-                    decisions: 1,
                 },
             },
             Frame::RoundMark { round: 3 },
@@ -566,7 +536,6 @@ mod tests {
                 delayed: 2,
                 reports: 1,
                 queries: 1,
-                decisions: 1,
             }
         );
     }

@@ -28,8 +28,9 @@
 //!
 //! - [`frame`] — the wire format: `len:u32be` framing, version byte,
 //!   message kinds, strict decode, and [`FrameBuffer`] reassembly over
-//!   torn reads. Field-level codecs for the carriage types live in
-//!   `plasma_backend::wire` so the types and their encoding stay together.
+//!   torn reads. The field layouts of the carriage types sit beside it in
+//!   the private `wire` module, so this crate owns every byte of the wire;
+//!   a malformed one surfaces as a [`DecodeError`].
 //! - [`worker`] — the worker loop: one per-connection [`WindowCounters`]
 //!   tally, held report rows, and barrier and query replies. The
 //!   `plasma-server` binary is a thin wrapper over [`worker::run`].
@@ -42,6 +43,8 @@ pub mod frame;
 pub mod worker;
 
 mod backend;
+mod wire;
 
 pub use backend::{locate_worker, NetBackend, NetConfig};
 pub use frame::{Frame, FrameBuffer, WindowCounters, MAX_FRAME_LEN, WIRE_VERSION};
+pub use wire::DecodeError;

@@ -1,10 +1,10 @@
-//! Wire encoding for the carriage types.
+//! Field encoding for the carriage types.
 //!
-//! The multi-process TCP backend (`plasma-net`) serializes every
-//! [`Delivery`] and [`Execution`] onto a hand-rolled binary wire format.
-//! The codec lives here, next to the types themselves, so the carriage
-//! structs and their byte layout cannot drift apart; the frame layer on
-//! top (length prefix, version byte, message kinds) lives in `plasma-net`.
+//! Every [`Delivery`], [`Execution`] and control message crosses the wire
+//! in a hand-rolled binary layout. The types live in `plasma-backend`,
+//! below the actor runtime; their byte layout lives here, beside the frame
+//! layer (length prefix, version byte, message kinds) that wraps it, so one
+//! crate owns every byte of the wire.
 //!
 //! Layout rules, chosen once and applied everywhere:
 //!
@@ -20,8 +20,7 @@
 //!   protocol contract and must not change under us when a dependency
 //!   changes its derive output.
 
-use crate::control::{ControlDecision, ControlQuery, ControlReply, MigrationOrder, ServerReport};
-use crate::{Delivery, Execution};
+use plasma_backend::{ControlQuery, ControlReply, Delivery, Execution, ServerReport};
 
 /// Why a buffer failed to decode.
 ///
@@ -75,24 +74,24 @@ impl std::error::Error for DecodeError {}
 /// Reads advance a cursor and return [`DecodeError::Truncated`] instead of
 /// slicing past the end — torn TCP reads and fuzzed garbage both land here.
 #[derive(Debug)]
-pub struct WireCursor<'a> {
+pub(crate) struct WireCursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> WireCursor<'a> {
     /// Wraps a buffer with the cursor at the start.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         WireCursor { buf, pos: 0 }
     }
 
     /// Bytes consumed so far.
-    pub fn consumed(&self) -> usize {
+    pub(crate) fn consumed(&self) -> usize {
         self.pos
     }
 
     /// Bytes remaining.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -106,22 +105,22 @@ impl<'a> WireCursor<'a> {
     }
 
     /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a big-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, DecodeError> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Reads a big-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, DecodeError> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Reads a canonical boolean (`0` / `1` only).
-    pub fn bool(&mut self) -> Result<bool, DecodeError> {
+    fn bool(&mut self) -> Result<bool, DecodeError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -131,34 +130,34 @@ impl<'a> WireCursor<'a> {
 }
 
 /// Appends a big-endian `u32`.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
 /// Appends a big-endian `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
-/// Appends a canonical boolean byte.
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
+/// A carriage type's field layout on the wire.
+pub(crate) trait Wire: Sized {
+    /// Appends the wire encoding.
+    fn wire_encode(&self, out: &mut Vec<u8>);
+
+    /// Decodes one value from the cursor.
+    fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError>;
 }
 
-impl Delivery {
-    /// Wire size of an encoded delivery, in bytes.
-    pub const WIRE_LEN: usize = 4 + 8 + 8 + 1;
-
-    /// Appends the wire encoding: `server:u32 actor:u64 bytes:u64 remote:bool`.
-    pub fn wire_encode(&self, out: &mut Vec<u8>) {
+/// `server:u32 actor:u64 bytes:u64 remote:bool`.
+impl Wire for Delivery {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.server);
         put_u64(out, self.actor);
         put_u64(out, self.bytes);
-        put_bool(out, self.remote);
+        out.push(self.remote as u8);
     }
 
-    /// Decodes a delivery from the cursor.
-    pub fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
+    fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
         Ok(Delivery {
             server: c.u32()?,
             actor: c.u64()?,
@@ -168,19 +167,15 @@ impl Delivery {
     }
 }
 
-impl Execution {
-    /// Wire size of an encoded execution, in bytes.
-    pub const WIRE_LEN: usize = 4 + 8 + 8;
-
-    /// Appends the wire encoding: `server:u32 actor:u64 service_ns:u64`.
-    pub fn wire_encode(&self, out: &mut Vec<u8>) {
+/// `server:u32 actor:u64 service_ns:u64`.
+impl Wire for Execution {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.server);
         put_u64(out, self.actor);
         put_u64(out, self.service_ns);
     }
 
-    /// Decodes an execution from the cursor.
-    pub fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
+    fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
         Ok(Execution {
             server: c.u32()?,
             actor: c.u64()?,
@@ -200,14 +195,14 @@ fn counted(c: &mut WireCursor<'_>, item_len: usize) -> Result<usize, DecodeError
     Ok(n)
 }
 
-impl ServerReport {
-    /// Wire size of an encoded report, in bytes.
-    pub const WIRE_LEN: usize = 4 + 4 + 8 * 7;
+/// Wire size of an encoded [`ServerReport`], in bytes.
+const REPORT_LEN: usize = 4 + 4 + 8 * 7;
 
-    /// Appends the wire encoding: `server:u32 vcpus:u32 actor_count:u64
-    /// mem_bytes:u64 total_speed:u64 net_bps:u64 cpu:u64 mem:u64 net:u64`
-    /// (the trailing five are `f64` bit patterns).
-    pub fn wire_encode(&self, out: &mut Vec<u8>) {
+/// `server:u32 vcpus:u32 actor_count:u64 mem_bytes:u64 total_speed:u64
+/// net_bps:u64 cpu:u64 mem:u64 net:u64` (the trailing five are `f64` bit
+/// patterns).
+impl Wire for ServerReport {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.server);
         put_u32(out, self.vcpus);
         put_u64(out, self.actor_count);
@@ -219,8 +214,7 @@ impl ServerReport {
         put_u64(out, self.net_bits);
     }
 
-    /// Decodes a report from the cursor.
-    pub fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
+    fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
         Ok(ServerReport {
             server: c.u32()?,
             vcpus: c.u32()?,
@@ -235,10 +229,9 @@ impl ServerReport {
     }
 }
 
-impl ControlQuery {
-    /// Appends the wire encoding: `gem:u32 round:u64 generation:u64 n:u32
-    /// scope:[u32; n]`.
-    pub fn wire_encode(&self, out: &mut Vec<u8>) {
+/// `gem:u32 round:u64 generation:u64 n:u32 scope:[u32; n]`.
+impl Wire for ControlQuery {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.gem);
         put_u64(out, self.round);
         put_u64(out, self.generation);
@@ -248,8 +241,7 @@ impl ControlQuery {
         }
     }
 
-    /// Decodes a query from the cursor.
-    pub fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
+    fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
         let gem = c.u32()?;
         let round = c.u64()?;
         let generation = c.u64()?;
@@ -267,10 +259,9 @@ impl ControlQuery {
     }
 }
 
-impl ControlReply {
-    /// Appends the wire encoding: `gem:u32 round:u64 generation:u64 n:u32
-    /// candidates:[ServerReport; n]`.
-    pub fn wire_encode(&self, out: &mut Vec<u8>) {
+/// `gem:u32 round:u64 generation:u64 n:u32 candidates:[ServerReport; n]`.
+impl Wire for ControlReply {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.gem);
         put_u64(out, self.round);
         put_u64(out, self.generation);
@@ -280,12 +271,11 @@ impl ControlReply {
         }
     }
 
-    /// Decodes a reply from the cursor.
-    pub fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
+    fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
         let gem = c.u32()?;
         let round = c.u64()?;
         let generation = c.u64()?;
-        let n = counted(c, ServerReport::WIRE_LEN)?;
+        let n = counted(c, REPORT_LEN)?;
         let mut candidates = Vec::with_capacity(n);
         for _ in 0..n {
             candidates.push(ServerReport::wire_decode(c)?);
@@ -299,98 +289,9 @@ impl ControlReply {
     }
 }
 
-impl MigrationOrder {
-    /// Wire size of an encoded migration order, in bytes.
-    pub const WIRE_LEN: usize = 8 + 4 + 4;
-
-    /// Appends the wire encoding: `actor:u64 src:u32 dst:u32`.
-    pub fn wire_encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.actor);
-        put_u32(out, self.src);
-        put_u32(out, self.dst);
-    }
-
-    /// Decodes a migration order from the cursor.
-    pub fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
-        Ok(MigrationOrder {
-            actor: c.u64()?,
-            src: c.u32()?,
-            dst: c.u32()?,
-        })
-    }
-}
-
-impl ControlDecision {
-    /// Appends the wire encoding: `round:u64 grow:u32 shrink:u32 n:u32
-    /// migrations:[MigrationOrder; n]`.
-    pub fn wire_encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.round);
-        put_u32(out, self.grow);
-        put_u32(out, self.shrink);
-        put_u32(out, self.migrations.len() as u32);
-        for m in &self.migrations {
-            m.wire_encode(out);
-        }
-    }
-
-    /// Decodes a decision from the cursor.
-    pub fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError> {
-        let round = c.u64()?;
-        let grow = c.u32()?;
-        let shrink = c.u32()?;
-        let n = counted(c, MigrationOrder::WIRE_LEN)?;
-        let mut migrations = Vec::with_capacity(n);
-        for _ in 0..n {
-            migrations.push(MigrationOrder::wire_decode(c)?);
-        }
-        Ok(ControlDecision {
-            round,
-            grow,
-            shrink,
-            migrations,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delivery_round_trips_and_is_canonical() {
-        let d = Delivery {
-            server: 7,
-            actor: 0xDEAD_BEEF_0BAD_F00D,
-            bytes: 4096,
-            remote: true,
-        };
-        let mut buf = Vec::new();
-        d.wire_encode(&mut buf);
-        assert_eq!(buf.len(), Delivery::WIRE_LEN);
-        let mut c = WireCursor::new(&buf);
-        let back = Delivery::wire_decode(&mut c).unwrap();
-        assert_eq!(c.consumed(), buf.len());
-        let mut again = Vec::new();
-        back.wire_encode(&mut again);
-        assert_eq!(buf, again, "re-encoding must reproduce the bytes");
-    }
-
-    #[test]
-    fn execution_round_trips() {
-        let e = Execution {
-            server: 3,
-            actor: 42,
-            service_ns: 1_000_000,
-        };
-        let mut buf = Vec::new();
-        e.wire_encode(&mut buf);
-        assert_eq!(buf.len(), Execution::WIRE_LEN);
-        let back = Execution::wire_decode(&mut WireCursor::new(&buf)).unwrap();
-        assert_eq!(
-            (back.server, back.actor, back.service_ns),
-            (3, 42, 1_000_000)
-        );
-    }
 
     #[test]
     fn truncation_is_a_clean_error_at_every_split() {
@@ -440,7 +341,7 @@ mod tests {
         };
         let mut buf = Vec::new();
         r.wire_encode(&mut buf);
-        assert_eq!(buf.len(), ServerReport::WIRE_LEN);
+        assert_eq!(buf.len(), REPORT_LEN);
         assert_eq!(ServerReport::wire_decode(&mut WireCursor::new(&buf)), Ok(r));
     }
 
@@ -534,31 +435,6 @@ mod tests {
                 let back = ControlReply::wire_decode(&mut c).unwrap();
                 assert_eq!(c.consumed(), buf.len());
                 assert_eq!(&back, &r);
-                let mut again = Vec::new();
-                back.wire_encode(&mut again);
-                assert_eq!(again, buf);
-            });
-        }
-
-        #[test]
-        fn decision_round_trips() {
-            check_cases("decision_round_trips", 64, |rng| {
-                let d = ControlDecision {
-                    round: rng.next_u64(),
-                    grow: u32s(rng),
-                    shrink: u32s(rng),
-                    migrations: vec_of(rng, 64, |rng| MigrationOrder {
-                        actor: rng.next_u64(),
-                        src: u32s(rng),
-                        dst: u32s(rng),
-                    }),
-                };
-                let mut buf = Vec::new();
-                d.wire_encode(&mut buf);
-                let mut c = WireCursor::new(&buf);
-                let back = ControlDecision::wire_decode(&mut c).unwrap();
-                assert_eq!(c.consumed(), buf.len());
-                assert_eq!(&back, &d);
                 let mut again = Vec::new();
                 back.wire_encode(&mut again);
                 assert_eq!(again, buf);

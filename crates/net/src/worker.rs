@@ -22,9 +22,9 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use plasma_backend::control::{answer_query, ServerReport};
-use plasma_backend::wire::DecodeError;
 
 use crate::frame::{Frame, FrameBuffer, WindowCounters, WIRE_VERSION};
+use crate::wire::DecodeError;
 
 /// How the worker loop ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,7 +82,7 @@ pub fn run(addr: &str, group: u32) -> std::io::Result<WorkerExit> {
             reply.clear();
             window.count(&frame);
             match frame {
-                Frame::Deliver { .. } | Frame::Execute { .. } | Frame::Decision { .. } => {}
+                Frame::Deliver { .. } | Frame::Execute { .. } => {}
                 Frame::WindowMark { generation } => {
                     Frame::WindowAck {
                         generation,

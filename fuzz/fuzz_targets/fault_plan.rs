@@ -95,7 +95,8 @@ fn decode_fault(rec: &[u8]) -> (SimTime, FaultKind) {
 }
 
 /// Decodes the whole input: first record doubles as the recovery policy,
-/// the rest become the schedule.
+/// the rest become the schedule. The policy reads bytes 0, 1, 3 and 4 of
+/// its record; byte 2 is unused, so every record keeps its layout.
 fn decode(bytes: &[u8]) -> (FaultPlan, RecoveryPolicy) {
     let mut plan = FaultPlan::new();
     let mut policy = RecoveryPolicy::default();
@@ -104,7 +105,6 @@ fn decode(bytes: &[u8]) -> (FaultPlan, RecoveryPolicy) {
         policy = RecoveryPolicy {
             heartbeat_period: SimDuration::from_secs(1 + head[0] as u64 % 10),
             heartbeat_timeout: SimDuration::from_secs(1 + head[1] as u64 % 30),
-            respawn: head[2] % 2 == 0,
             migration_retry_limit: head[3] as u32 % 6,
             migration_retry_backoff: SimDuration::from_secs(head[4] as u64 % 8),
         };

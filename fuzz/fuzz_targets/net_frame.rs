@@ -26,9 +26,7 @@
 
 use std::path::Path;
 
-use plasma_backend::{
-    ControlDecision, ControlQuery, ControlReply, Delivery, Execution, MigrationOrder, ServerReport,
-};
+use plasma_backend::{ControlQuery, ControlReply, Delivery, Execution, ServerReport};
 use plasma_fuzz::{below, Target};
 use plasma_net::{Frame, FrameBuffer, WindowCounters, WIRE_VERSION};
 
@@ -110,7 +108,6 @@ fn gen_corpus(dir: &Path) {
         delayed: 2,
         reports: 2,
         queries: 1,
-        decisions: 1,
     };
     let report = ServerReport {
         server: 1,
@@ -178,18 +175,6 @@ fn gen_corpus(dir: &Path) {
                 candidates: vec![report],
             },
         },
-        Frame::Decision {
-            decision: ControlDecision {
-                round: 2,
-                grow: 1,
-                shrink: 0,
-                migrations: vec![MigrationOrder {
-                    actor: 7,
-                    src: 0,
-                    dst: 1,
-                }],
-            },
-        },
         Frame::RoundMark { round: 2 },
         Frame::RoundAck { round: 2 },
         Frame::Shutdown,
@@ -207,7 +192,7 @@ fn gen_corpus(dir: &Path) {
     // A bad version byte, then a valid frame that must never be reached.
     let mut bad_version = conversation[5].encode_vec();
     bad_version[4] = 0x7F;
-    bad_version.extend_from_slice(&conversation[12].encode_vec());
+    bad_version.extend_from_slice(&Frame::Shutdown.encode_vec());
     std::fs::write(dir.join("bad-version.bin"), &bad_version).expect("write seed");
 
     // An oversize length prefix.
@@ -217,7 +202,7 @@ fn gen_corpus(dir: &Path) {
     std::fs::write(dir.join("oversize.bin"), &oversize).expect("write seed");
 
     // A length prefix announcing more payload than the kind carries.
-    let mut trailing = conversation[12].encode_vec(); // Shutdown: len=2
+    let mut trailing = Frame::Shutdown.encode_vec(); // len=2
     trailing[3] = 6; // claim 4 extra payload bytes
     trailing.extend_from_slice(&[0, 0, 0, 0]);
     std::fs::write(dir.join("trailing.bin"), &trailing).expect("write seed");
