@@ -1,40 +1,9 @@
 //! A stable-order event queue: the heart of the discrete-event simulation.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// A timestamped event with a tie-breaking sequence number.
-struct Scheduled<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        // Ties break by insertion order (seq) for full determinism.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// A priority queue of timestamped events with deterministic FIFO
 /// tie-breaking.
@@ -42,6 +11,13 @@ impl<E> Ord for Scheduled<E> {
 /// Events scheduled for the same instant pop in the order they were pushed,
 /// which makes whole-simulation runs reproducible independent of hash-map
 /// iteration order or heap internals.
+///
+/// The heap holds only `(at, seq, slot)` keys, 24 bytes each, while the
+/// events sit in a slab whose freed slots a free list hands out again. A
+/// heap push or pop moves its entry once per level, so an event kept in the
+/// heap would be copied at every level; in the slab it is written once when
+/// pushed and read once when popped, whatever its width. `seq` is unique,
+/// so the slot never decides an order.
 ///
 /// # Examples
 ///
@@ -59,7 +35,12 @@ impl<E> Ord for Scheduled<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    /// Min-heap of `(at, seq, slot)`: the earliest time pops first, ties
+    /// in push order.
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    /// The pending events; `None` marks a slot on the free list.
+    slots: Vec<Option<E>>,
+    free: Vec<usize>,
     next_seq: u64,
 }
 
@@ -74,6 +55,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -82,18 +65,32 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slots.push(Some(event));
+                self.slots.len() - 1
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
-        Some((s.at, s.event))
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        let event = self.slots[slot]
+            .take()
+            .expect("a queued key's slot holds its event");
+        self.free.push(slot);
+        Some((at, event))
     }
 
     /// Returns the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
 
     /// Returns the number of pending events.
@@ -154,5 +151,37 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
         q.pop();
         assert_eq!(q.len(), 1);
+    }
+
+    /// The heap moves keys, never events: its entry stays 24 bytes however
+    /// wide the event is.
+    #[test]
+    fn heap_entry_is_a_key_whatever_the_event_width() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, [0u8; 256]);
+        assert_eq!(size_of_val(q.heap.peek().expect("one key")), 24);
+    }
+
+    /// Popped slots are reused: a queue that never holds more than `k`
+    /// events never grows its slab past `k` slots.
+    #[test]
+    fn slab_never_outgrows_the_pending_peak() {
+        let k = 8;
+        let mut q = EventQueue::new();
+        for i in 0..1_000u64 {
+            while q.len() < k {
+                q.push(SimTime::from_micros(i + (q.len() as u64 * 13) % 50), i);
+            }
+            q.pop();
+            if i % 3 == 0 {
+                q.pop();
+            }
+        }
+        assert!(
+            q.slots.len() <= k,
+            "slab has {} slots for {k} pending",
+            q.slots.len()
+        );
+        assert_eq!(q.slots.len() - q.free.len(), q.len());
     }
 }

@@ -6,11 +6,12 @@
 //! built on:
 //!
 //! - [`SimTime`] / [`SimDuration`] — a virtual clock in integer microseconds.
-//! - [`EventQueue`] — a stable-order priority queue of timestamped events.
+//! - [`EventQueue`] — a stable-order priority queue of timestamped events:
+//!   a heap of `(time, seq, slot)` keys over a slab that holds the events.
 //! - [`DetRng`] — a seedable xoshiro256** generator with the distributions
 //!   the workload generators need (uniform, normal, exponential, Zipf).
-//! - [`metrics`] — counters, histograms, windowed rates and time series used
-//!   by the profiling runtime and the benchmark harnesses.
+//! - [`metrics`] — time series, fixed-window bucketed series and a busy-time
+//!   meter, used by the profiling runtime and the benchmark harnesses.
 //!
 //! Nothing in this crate knows about actors or servers; it is a generic
 //! simulation substrate. Determinism is a hard requirement: given the same

@@ -9,29 +9,39 @@ fn within(rng: &mut DetRng, lo: u64, hi: u64) -> u64 {
     lo + rng.below(hi - lo)
 }
 
-/// Events always pop in non-decreasing time order, and same-time events
-/// pop in insertion order.
+/// Interleaved pushes and pops behave like a list kept sorted by (time,
+/// push index): every `pop`, `peek_time` and `len` agrees with it. Each
+/// push lands at or after the last popped time, as the runtime schedules;
+/// pops free slab slots that later pushes reuse, and timestamps collide
+/// often, so ties break on `seq` alone.
 #[test]
 fn event_queue_is_a_stable_priority_queue() {
     check_cases("event_queue_is_a_stable_priority_queue", 64, |rng| {
-        let times: Vec<u64> = (0..within(rng, 1, 200)).map(|_| rng.below(1_000)).collect();
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_micros(t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        let mut popped = 0;
-        while let Some((t, i)) = q.pop() {
-            popped += 1;
-            if let Some((lt, li)) = last {
-                assert!(t >= lt);
-                if t == lt {
-                    assert!(i > li, "FIFO within a timestamp");
+        let mut model: Vec<(SimTime, usize)> = Vec::new();
+        let (mut now, mut pushed) = (0, 0);
+        for _ in 0..within(rng, 1, 400) {
+            if rng.chance(0.55) {
+                let at = SimTime::from_micros(now + rng.below(20));
+                q.push(at, pushed);
+                // Every queued event was pushed earlier: it goes after
+                // those at or before `at`.
+                model.insert(model.partition_point(|&(t, _)| t <= at), (at, pushed));
+                pushed += 1;
+            } else {
+                let expected = (!model.is_empty()).then(|| model.remove(0));
+                assert_eq!(q.pop(), expected);
+                if let Some((t, _)) = expected {
+                    now = t.as_micros();
                 }
             }
-            last = Some((t, i));
+            assert_eq!(q.peek_time(), model.first().map(|&(t, _)| t));
+            assert_eq!((q.len(), q.is_empty()), (model.len(), model.is_empty()));
         }
-        assert_eq!(popped, times.len());
+        for expected in model {
+            assert_eq!(q.pop(), Some(expected));
+        }
+        assert_eq!(q.pop(), None);
     });
 }
 
