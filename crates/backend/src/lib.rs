@@ -152,8 +152,11 @@ pub struct BackendStats {
 }
 
 impl BackendStats {
-    /// Mean wall-clock transport latency in microseconds (0 when no
-    /// samples were taken, e.g. under sim).
+    /// Mean injected (chaos link-degradation) transport delay per sampled
+    /// delivery, in microseconds: [`BackendStats::channel_ns_total`] over
+    /// [`BackendStats::channel_samples`], not a measured wall-clock
+    /// latency. 0 when no samples were taken, e.g. under sim or on a
+    /// fault-free run.
     pub fn channel_latency_us_mean(&self) -> f64 {
         if self.channel_samples == 0 {
             0.0

@@ -12,12 +12,14 @@
 //! line: the only fork is [`Host`], which checks for a worker that died
 //! during launch and reaps workers at shutdown.
 //!
-//! Data frames (`Deliver`/`Execute`) are written through a buffered writer
-//! and only flushed at barriers, so carriage costs one syscall per ~64 KiB
-//! rather than one per message. The coordinator tallies every frame it
-//! writes in one [`WindowCounters`], as each worker does for what its
-//! connection reads. Barriers are synchronous request/response: the
-//! coordinator flushes, writes the mark, then blocks (with a timeout) for
+//! Every frame is encoded straight into its connection's output buffer,
+//! which goes to the socket in one write once it holds [`OUT_FLUSH`] bytes
+//! and at every barrier and query, so carriage costs one syscall per
+//! ~64 KiB rather than one per message, and one copy of each frame. The
+//! coordinator tallies every frame it writes in one [`WindowCounters`], as
+//! each worker does for what its connection reads. Barriers are
+//! synchronous request/response: the coordinator buffers the mark behind
+//! the window's frames, writes them out, then blocks (with a timeout) for
 //! each worker's ack, sums the returned counters, and compares the sum
 //! with its tally field by field — any loss or duplication is a
 //! `window_mismatches` increment, and the runtime stops the run on it. A
@@ -29,7 +31,7 @@
 //! serializes to byte-identical BENCH JSON under sim, live, and net.
 
 use std::collections::BTreeSet;
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -52,6 +54,8 @@ const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long shutdown waits for a worker process to exit before killing it.
 /// Worker threads cannot be killed; closing their socket ends them.
 const EXIT_TIMEOUT: Duration = Duration::from_secs(5);
+/// Bytes a connection buffers before it writes them to its socket.
+const OUT_FLUSH: usize = 64 * 1024;
 
 /// Configuration for [`NetBackend::launch`].
 #[derive(Clone, Debug)]
@@ -295,9 +299,11 @@ fn accept_hellos(
 /// One worker connection: its host plus its FIFO TCP stream.
 struct Conn {
     host: Host,
-    /// Read side (acks). `writer` owns a clone of the same socket.
+    /// The socket: frames go out and replies come back on it.
     stream: TcpStream,
-    writer: BufWriter<TcpStream>,
+    /// Encoded frames not yet written to `stream`.
+    out: Vec<u8>,
+    /// Reply bytes read from `stream` and not yet decoded.
     rbuf: FrameBuffer,
     rchunk: Box<[u8; 16 * 1024]>,
     /// Cleared when a write/read fails; a dead conn fails barriers and
@@ -306,6 +312,15 @@ struct Conn {
 }
 
 impl Conn {
+    /// Writes everything in `out` to the socket. A failed write marks the
+    /// conn dead; what it held is dropped either way.
+    fn write_out(&mut self) {
+        if self.alive && !self.out.is_empty() && self.stream.write_all(&self.out).is_err() {
+            self.alive = false;
+        }
+        self.out.clear();
+    }
+
     /// Reads one frame, blocking up to the stream's read timeout, and
     /// returns it with its encoded length in bytes.
     fn read_frame(&mut self) -> std::io::Result<(Frame, u64)> {
@@ -347,7 +362,6 @@ pub struct NetBackend {
     link_delay_ns: u64,
     /// Frames written since the last fully-acked barrier.
     inflight: u64,
-    scratch: Vec<u8>,
     shut: bool,
 }
 
@@ -426,11 +440,11 @@ impl NetBackend {
 
         let mut conns = Vec::with_capacity(hosts.len());
         for (host, (stream, rbuf)) in hosts.into_iter().zip(streams) {
-            let writer = BufWriter::with_capacity(64 * 1024, stream.try_clone()?);
             conns.push(Conn {
                 host,
                 stream,
-                writer,
+                // One data frame past the threshold never regrows it.
+                out: Vec::with_capacity(OUT_FLUSH + 64),
                 rbuf,
                 rchunk: Box::new([0u8; 16 * 1024]),
                 alive: true,
@@ -447,7 +461,6 @@ impl NetBackend {
             sent: WindowCounters::default(),
             link_delay_ns: 0,
             inflight: 0,
-            scratch: Vec::with_capacity(64),
             shut: false,
         })
     }
@@ -482,37 +495,39 @@ impl NetBackend {
         (server as usize) % self.conns.len()
     }
 
-    /// Writes one frame to `group`'s buffered stream and tallies it.
-    /// Returns whether the frame was accepted (the conn was alive and the
+    /// Encodes one frame into `group`'s output buffer, writing the buffer
+    /// to the socket once it holds [`OUT_FLUSH`] bytes, and tallies it.
+    /// Returns whether the frame was accepted (the conn was alive and any
     /// write succeeded).
     fn send(&mut self, group: usize, frame: &Frame) -> bool {
         let conn = &mut self.conns[group];
         if !conn.alive {
             return false;
         }
-        self.scratch.clear();
-        frame.encode(&mut self.scratch);
-        if conn.writer.write_all(&self.scratch).is_err() {
-            conn.alive = false;
-            return false;
+        let at = conn.out.len();
+        frame.encode(&mut conn.out);
+        let bytes = (conn.out.len() - at) as u64;
+        if conn.out.len() >= OUT_FLUSH {
+            conn.write_out();
+            if !conn.alive {
+                return false;
+            }
         }
         self.sent.count(frame);
         self.stats.frames_sent += 1;
-        self.stats.wire_bytes_sent += self.scratch.len() as u64;
+        self.stats.wire_bytes_sent += bytes;
         if matches!(frame, Frame::Report { .. } | Frame::Query { .. }) {
-            self.stats.control_wire_bytes += self.scratch.len() as u64;
+            self.stats.control_wire_bytes += bytes;
         }
         self.inflight += 1;
         self.stats.max_inflight_frames = self.stats.max_inflight_frames.max(self.inflight);
         true
     }
 
-    /// Flushes every live connection's write buffer.
+    /// Writes every connection's output buffer to its socket.
     fn flush_all(&mut self) {
         for conn in &mut self.conns {
-            if conn.alive && conn.writer.flush().is_err() {
-                conn.alive = false;
-            }
+            conn.write_out();
         }
     }
 
@@ -540,7 +555,6 @@ impl NetBackend {
     /// Writes `mark` to every worker and reads one ack from each, which
     /// `ack` accepts or rejects. Returns whether every worker acked.
     fn barrier(&mut self, mark: &Frame, mut ack: impl FnMut(Frame) -> bool) -> bool {
-        self.flush_all();
         let mut complete = true;
         for g in 0..self.conns.len() {
             complete &= self.send(g, mark);

@@ -20,6 +20,21 @@
 //! that do not consume exactly `len` bytes are all clean `DecodeError`s.
 //! Strictness buys the round-trip property the `net_frame` fuzz target
 //! checks — any byte string that decodes re-encodes to itself.
+//!
+//! The two data frames, nearly every frame a run writes, have one length
+//! each, so they are encoded as one block and decoded at fixed offsets
+//! (body offsets; the body starts after the length prefix):
+//!
+//! ```text
+//! Deliver (31-byte body): version kind server@2:u32 actor@6:u64
+//!                         bytes@14:u64 remote@22:bool delay_ns@23:u64
+//! Execute (22-byte body): version kind server@2:u32 actor@6:u64
+//!                         service_ns@14:u64
+//! ```
+//!
+//! The bytes, and the errors a malformed body decodes to, are those of a
+//! field-by-field cursor read, the way control frames are still read; a
+//! differential test holds the two to each other.
 
 use plasma_backend::{ControlQuery, ControlReply, Delivery, Execution, ServerReport};
 
@@ -147,6 +162,63 @@ mod kind {
     pub const QREPLY: u8 = 0x8A;
 }
 
+/// Body length of a [`Frame::Deliver`].
+const DELIVER_BODY: usize = 31;
+/// Body length of a [`Frame::Execute`].
+const EXECUTE_BODY: usize = 22;
+/// Body offset of a `Deliver`'s `remote` byte: a body this long or
+/// shorter ends before it.
+const REMOTE_AT: usize = 22;
+
+/// A data frame's bytes, length prefix included, with its header written
+/// and its fields zero.
+fn data_frame<const LEN: usize>(kind: u8) -> [u8; LEN] {
+    let mut f = [0u8; LEN];
+    f[..4].copy_from_slice(&((LEN - 4) as u32).to_be_bytes());
+    f[4] = WIRE_VERSION;
+    f[5] = kind;
+    f
+}
+
+/// The big-endian `u32` at `at`.
+fn u32_at<const N: usize>(b: &[u8; N], at: usize) -> u32 {
+    let mut v = [0u8; 4];
+    v.copy_from_slice(&b[at..at + 4]);
+    u32::from_be_bytes(v)
+}
+
+/// The big-endian `u64` at `at`.
+fn u64_at<const N: usize>(b: &[u8; N], at: usize) -> u64 {
+    let mut v = [0u8; 8];
+    v.copy_from_slice(&b[at..at + 8]);
+    u64::from_be_bytes(v)
+}
+
+/// Appends a control frame of kind `k` whose payload `fields` writes,
+/// backpatching its length.
+fn control(out: &mut Vec<u8>, k: u8, fields: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    put_u32(out, 0);
+    out.push(WIRE_VERSION);
+    out.push(k);
+    fields(out);
+    let body = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&body.to_be_bytes());
+}
+
+/// `body` as a data frame's fixed-length body: [`DecodeError::Truncated`]
+/// when shorter, [`DecodeError::Trailing`] when longer.
+fn fixed_body<const N: usize>(body: &[u8]) -> Result<&[u8; N], DecodeError> {
+    match body.first_chunk::<N>() {
+        None => Err(DecodeError::Truncated),
+        Some(_) if body.len() > N => Err(DecodeError::Trailing {
+            consumed: N,
+            announced: body.len(),
+        }),
+        Some(b) => Ok(b),
+    }
+}
+
 /// One wire message. See the [module docs](self) for the byte layout.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
@@ -224,66 +296,60 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// Appends the full length-prefixed encoding of this frame.
+    /// Appends the full length-prefixed encoding of this frame. A data
+    /// frame is built as one fixed-size block and appended with one copy;
+    /// a control frame is written field by field and its length
+    /// backpatched.
+    #[inline]
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let at = out.len();
-        put_u32(out, 0); // length backpatched below
-        out.push(WIRE_VERSION);
         match self {
+            Frame::Deliver { delivery, delay_ns } => {
+                let mut f = data_frame::<{ 4 + DELIVER_BODY }>(kind::DELIVER);
+                let body = &mut f[4..];
+                body[2..6].copy_from_slice(&delivery.server.to_be_bytes());
+                body[6..14].copy_from_slice(&delivery.actor.to_be_bytes());
+                body[14..22].copy_from_slice(&delivery.bytes.to_be_bytes());
+                body[REMOTE_AT] = u8::from(delivery.remote);
+                body[23..31].copy_from_slice(&delay_ns.to_be_bytes());
+                out.extend_from_slice(&f);
+            }
+            Frame::Execute { execution } => {
+                let mut f = data_frame::<{ 4 + EXECUTE_BODY }>(kind::EXECUTE);
+                let body = &mut f[4..];
+                body[2..6].copy_from_slice(&execution.server.to_be_bytes());
+                body[6..14].copy_from_slice(&execution.actor.to_be_bytes());
+                body[14..22].copy_from_slice(&execution.service_ns.to_be_bytes());
+                out.extend_from_slice(&f);
+            }
             Frame::Hello {
                 group,
                 wire_version,
-            } => {
-                out.push(kind::HELLO);
+            } => control(out, kind::HELLO, |out| {
                 put_u32(out, *group);
                 out.push(*wire_version);
-            }
-            Frame::Deliver { delivery, delay_ns } => {
-                out.push(kind::DELIVER);
-                delivery.wire_encode(out);
-                put_u64(out, *delay_ns);
-            }
-            Frame::Execute { execution } => {
-                out.push(kind::EXECUTE);
-                execution.wire_encode(out);
-            }
+            }),
             Frame::WindowMark { generation } => {
-                out.push(kind::WINDOW_MARK);
-                put_u64(out, *generation);
+                control(out, kind::WINDOW_MARK, |out| put_u64(out, *generation))
             }
             Frame::RoundMark { round } => {
-                out.push(kind::ROUND_MARK);
-                put_u64(out, *round);
+                control(out, kind::ROUND_MARK, |out| put_u64(out, *round))
             }
-            Frame::Shutdown => out.push(kind::SHUTDOWN),
-            Frame::Report { generation, report } => {
-                out.push(kind::REPORT);
+            Frame::Shutdown => control(out, kind::SHUTDOWN, |_| {}),
+            Frame::Report { generation, report } => control(out, kind::REPORT, |out| {
                 put_u64(out, *generation);
                 report.wire_encode(out);
-            }
-            Frame::Query { query } => {
-                out.push(kind::QUERY);
-                query.wire_encode(out);
-            }
+            }),
+            Frame::Query { query } => control(out, kind::QUERY, |out| query.wire_encode(out)),
             Frame::WindowAck {
                 generation,
                 counters,
-            } => {
-                out.push(kind::WINDOW_ACK);
+            } => control(out, kind::WINDOW_ACK, |out| {
                 put_u64(out, *generation);
                 counters.encode(out);
-            }
-            Frame::RoundAck { round } => {
-                out.push(kind::ROUND_ACK);
-                put_u64(out, *round);
-            }
-            Frame::QReply { reply } => {
-                out.push(kind::QREPLY);
-                reply.wire_encode(out);
-            }
+            }),
+            Frame::RoundAck { round } => control(out, kind::ROUND_ACK, |out| put_u64(out, *round)),
+            Frame::QReply { reply } => control(out, kind::QREPLY, |out| reply.wire_encode(out)),
         }
-        let body = (out.len() - at - 4) as u32;
-        out[at..at + 4].copy_from_slice(&body.to_be_bytes());
     }
 
     /// The full encoding as a fresh buffer.
@@ -299,11 +365,21 @@ impl Frame {
     /// bytes needed — the torn-read case), `Ok(Some((frame, consumed)))` on
     /// success, and a [`DecodeError`] on malformed input. Never panics and
     /// never reads past `buf`.
+    ///
+    /// The header is checked in a fixed order: a short length prefix is
+    /// `Ok(None)`, then `Oversize`, a body under two bytes `Truncated`, a
+    /// short body `Ok(None)`, then `BadVersion`, then `BadKind`. A data
+    /// frame's body is then read at fixed offsets and fails exactly as the
+    /// cursor would, field by field: a `Deliver` body that ends before its
+    /// `remote` byte is `Truncated`, a `remote` byte other than 0 or 1 is
+    /// `BadBool`, and only then is a short body `Truncated` or a long one
+    /// `Trailing`.
+    #[inline]
     pub fn decode_prefix(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
-        if buf.len() < 4 {
+        let Some((prefix, rest)) = buf.split_first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes(buf[..4].try_into().unwrap()) as usize;
+        };
+        let len = u32::from_be_bytes(*prefix) as usize;
         if len > MAX_FRAME_LEN {
             return Err(DecodeError::Oversize(len as u64));
         }
@@ -311,27 +387,53 @@ impl Frame {
         if len < 2 {
             return Err(DecodeError::Truncated);
         }
-        if buf.len() < 4 + len {
+        let Some(body) = rest.get(..len) else {
             return Ok(None);
+        };
+        if body[0] != WIRE_VERSION {
+            return Err(DecodeError::BadVersion(body[0]));
         }
-        let body = &buf[4..4 + len];
-        let mut c = WireCursor::new(body);
-        let version = c.u8()?;
-        if version != WIRE_VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let k = c.u8()?;
+        let frame = match body[1] {
+            kind::DELIVER => {
+                let remote = match body.get(REMOTE_AT) {
+                    None => return Err(DecodeError::Truncated),
+                    Some(0) => false,
+                    Some(1) => true,
+                    Some(&b) => return Err(DecodeError::BadBool(b)),
+                };
+                let b = fixed_body::<DELIVER_BODY>(body)?;
+                Frame::Deliver {
+                    delivery: Delivery {
+                        server: u32_at(b, 2),
+                        actor: u64_at(b, 6),
+                        bytes: u64_at(b, 14),
+                        remote,
+                    },
+                    delay_ns: u64_at(b, 23),
+                }
+            }
+            kind::EXECUTE => {
+                let b = fixed_body::<EXECUTE_BODY>(body)?;
+                Frame::Execute {
+                    execution: Execution {
+                        server: u32_at(b, 2),
+                        actor: u64_at(b, 6),
+                        service_ns: u64_at(b, 14),
+                    },
+                }
+            }
+            k => Frame::decode_control(k, body)?,
+        };
+        Ok(Some((frame, 4 + len)))
+    }
+
+    /// Decodes a control frame's `body` of kind `k` field by field.
+    fn decode_control(k: u8, body: &[u8]) -> Result<Frame, DecodeError> {
+        let mut c = WireCursor::new(&body[2..]);
         let frame = match k {
             kind::HELLO => Frame::Hello {
                 group: c.u32()?,
                 wire_version: c.u8()?,
-            },
-            kind::DELIVER => Frame::Deliver {
-                delivery: Delivery::wire_decode(&mut c)?,
-                delay_ns: c.u64()?,
-            },
-            kind::EXECUTE => Frame::Execute {
-                execution: Execution::wire_decode(&mut c)?,
             },
             kind::WINDOW_MARK => Frame::WindowMark {
                 generation: c.u64()?,
@@ -355,13 +457,15 @@ impl Frame {
             },
             other => return Err(DecodeError::BadKind(other)),
         };
-        if c.consumed() != body.len() {
+        // The version and kind bytes count as consumed.
+        let consumed = 2 + c.consumed();
+        if consumed != body.len() {
             return Err(DecodeError::Trailing {
-                consumed: c.consumed(),
+                consumed,
                 announced: body.len(),
             });
         }
-        Ok(Some((frame, 4 + len)))
+        Ok(frame)
     }
 }
 
@@ -402,6 +506,7 @@ impl FrameBuffer {
     /// shape) without implementing the trait, whose signature can't carry
     /// the tri-state result.
     #[allow(clippy::should_implement_trait)]
+    #[inline]
     pub fn next(&mut self) -> Result<Option<Frame>, DecodeError> {
         match Frame::decode_prefix(&self.buf[self.pos..])? {
             None => Ok(None),
@@ -681,5 +786,208 @@ mod tests {
         }
         assert_eq!(got, samples());
         assert_eq!(fb2.pending(), 0);
+    }
+
+    /// The fixed-offset data codec against the field-by-field cursor codec
+    /// it replaced: the same bytes out, and the same frame, length or
+    /// error back on every input.
+    mod fixed_offsets {
+        use super::*;
+        use plasma_sim::rng::check_cases;
+        use plasma_sim::DetRng;
+
+        /// How data frames were encoded through the cursor codec.
+        fn cursor_encode(frame: &Frame) -> Vec<u8> {
+            let mut body = vec![WIRE_VERSION];
+            match frame {
+                Frame::Deliver { delivery, delay_ns } => {
+                    body.push(kind::DELIVER);
+                    delivery.wire_encode(&mut body);
+                    put_u64(&mut body, *delay_ns);
+                }
+                Frame::Execute { execution } => {
+                    body.push(kind::EXECUTE);
+                    execution.wire_encode(&mut body);
+                }
+                other => unreachable!("{other:?} is not a data frame"),
+            }
+            let mut out = Vec::new();
+            put_u32(&mut out, body.len() as u32);
+            out.extend(body);
+            out
+        }
+
+        /// How every frame was decoded through the cursor codec. Control
+        /// kinds still are, so they go to `decode_control` directly.
+        fn cursor_decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
+            if buf.len() < 4 {
+                return Ok(None);
+            }
+            let len = u32::from_be_bytes(buf[..4].try_into().unwrap()) as usize;
+            if len > MAX_FRAME_LEN {
+                return Err(DecodeError::Oversize(len as u64));
+            }
+            if len < 2 {
+                return Err(DecodeError::Truncated);
+            }
+            if buf.len() < 4 + len {
+                return Ok(None);
+            }
+            let body = &buf[4..4 + len];
+            let mut c = WireCursor::new(body);
+            let version = c.u8()?;
+            if version != WIRE_VERSION {
+                return Err(DecodeError::BadVersion(version));
+            }
+            let frame = match c.u8()? {
+                kind::DELIVER => Frame::Deliver {
+                    delivery: Delivery::wire_decode(&mut c)?,
+                    delay_ns: c.u64()?,
+                },
+                kind::EXECUTE => Frame::Execute {
+                    execution: Execution::wire_decode(&mut c)?,
+                },
+                k => return Frame::decode_control(k, body).map(|f| Some((f, 4 + len))),
+            };
+            if c.consumed() != body.len() {
+                return Err(DecodeError::Trailing {
+                    consumed: c.consumed(),
+                    announced: body.len(),
+                });
+            }
+            Ok(Some((frame, 4 + len)))
+        }
+
+        /// `decode_prefix` and `FrameBuffer::next` return exactly what the
+        /// cursor codec returns on `buf`.
+        fn agrees(buf: &[u8]) {
+            let expected = cursor_decode(buf);
+            assert_eq!(Frame::decode_prefix(buf), expected, "{buf:02x?}");
+            let mut fb = FrameBuffer::new();
+            fb.extend(buf);
+            let popped = expected.clone().map(|o| o.map(|(frame, _)| frame));
+            assert_eq!(fb.next(), popped, "FrameBuffer on {buf:02x?}");
+            if let Ok(Some((_, consumed))) = expected {
+                assert_eq!(fb.pending(), buf.len() - consumed, "{buf:02x?}");
+            }
+        }
+
+        /// 0, 1, `MAX` or a uniform value.
+        fn edge_u64(rng: &mut DetRng) -> u64 {
+            match rng.below(4) {
+                0 => 0,
+                1 => 1,
+                2 => u64::MAX,
+                _ => rng.next_u64(),
+            }
+        }
+
+        /// 0, 1, `MAX` or a uniform value.
+        fn edge_u32(rng: &mut DetRng) -> u32 {
+            match rng.below(4) {
+                0 => 0,
+                1 => 1,
+                2 => u32::MAX,
+                _ => rng.next_u64() as u32,
+            }
+        }
+
+        /// A `Deliver` or an `Execute` with edge or uniform fields.
+        fn arb_data_frame(rng: &mut DetRng) -> Frame {
+            if rng.below(2) == 0 {
+                Frame::Deliver {
+                    delivery: Delivery {
+                        server: edge_u32(rng),
+                        actor: edge_u64(rng),
+                        bytes: edge_u64(rng),
+                        remote: rng.below(2) == 1,
+                    },
+                    delay_ns: edge_u64(rng),
+                }
+            } else {
+                Frame::Execute {
+                    execution: Execution {
+                        server: edge_u32(rng),
+                        actor: edge_u64(rng),
+                        service_ns: edge_u64(rng),
+                    },
+                }
+            }
+        }
+
+        /// `n` uniform bytes.
+        fn bytes(rng: &mut DetRng, n: usize) -> Vec<u8> {
+            (0..n).map(|_| rng.next_u64() as u8).collect()
+        }
+
+        #[test]
+        fn data_frames_match_the_cursor_codec() {
+            check_cases("data_frames_match_the_cursor_codec", 256, |rng| {
+                let frame = arb_data_frame(rng);
+                let wire = cursor_encode(&frame);
+                let deliver = matches!(frame, Frame::Deliver { .. });
+
+                // `encode` appends the cursor codec's bytes, which decode
+                // back to the frame.
+                let n = rng.index(8);
+                let lead = bytes(rng, n);
+                let mut out = lead.clone();
+                frame.encode(&mut out);
+                assert_eq!(out[..lead.len()], lead[..], "{frame:?}");
+                assert_eq!(out[lead.len()..], wire[..], "{frame:?}");
+                assert_eq!(
+                    Frame::decode_prefix(&wire),
+                    Ok(Some((frame.clone(), wire.len())))
+                );
+                agrees(&wire);
+
+                // Every announced body length up to two past the real one,
+                // with the bytes present (a next frame's bytes may follow)
+                // and with too few; for a Deliver, once more with a bad
+                // `remote` byte.
+                let fixed = wire.len() - 4;
+                let mut bodies = vec![wire[4..].to_vec()];
+                if deliver {
+                    let mut bad = wire[4..].to_vec();
+                    bad[REMOTE_AT] = 2 + rng.below(254) as u8;
+                    bodies.push(bad);
+                }
+                for mut body in bodies {
+                    body.extend(bytes(rng, 2));
+                    for announced in 0..=fixed + 2 {
+                        let mut buf = (announced as u32).to_be_bytes().to_vec();
+                        buf.extend(&body[..announced]);
+                        agrees(&buf);
+                        let mut followed = buf.clone();
+                        let n = 1 + rng.index(8);
+                        followed.extend(bytes(rng, n));
+                        agrees(&followed);
+                        agrees(&buf[..rng.index(buf.len())]);
+                    }
+                }
+
+                // Every `remote` byte value.
+                if deliver {
+                    for remote in 0..=u8::MAX {
+                        let mut buf = wire.clone();
+                        buf[4 + REMOTE_AT] = remote;
+                        agrees(&buf);
+                    }
+                }
+
+                // A bad version, then another kind: the other data kind or
+                // any byte.
+                let mut buf = wire.clone();
+                buf[4] = WIRE_VERSION ^ (1 + rng.below(255) as u8);
+                agrees(&buf);
+                let mut buf = wire.clone();
+                buf[5] = match rng.below(2) {
+                    0 if deliver => kind::EXECUTE,
+                    0 => kind::DELIVER,
+                    _ => rng.next_u64() as u8,
+                };
+                agrees(&buf);
+            });
+        }
     }
 }

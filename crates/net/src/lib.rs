@@ -27,10 +27,11 @@
 //! Crate layout:
 //!
 //! - [`frame`] — the wire format: `len:u32be` framing, version byte,
-//!   message kinds, strict decode, and [`FrameBuffer`] reassembly over
-//!   torn reads. The field layouts of the carriage types sit beside it in
-//!   the private `wire` module, so this crate owns every byte of the wire;
-//!   a malformed one surfaces as a [`DecodeError`].
+//!   message kinds, strict decode, the fixed-offset layout of the two data
+//!   frames, and [`FrameBuffer`] reassembly over torn reads. The control
+//!   messages' field layouts sit beside it in the private `wire` module,
+//!   so this crate owns every byte of the wire; a malformed one surfaces
+//!   as a [`DecodeError`].
 //! - [`worker`] — the worker loop: one per-connection [`WindowCounters`]
 //!   tally, held report rows, and barrier and query replies. The
 //!   `plasma-server` binary is a thin wrapper over [`worker::run`].

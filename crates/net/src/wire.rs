@@ -1,13 +1,20 @@
-//! Field encoding for the carriage types.
+//! Field encoding for the control messages, and the layout rules every
+//! field on the wire follows.
 //!
-//! Every [`Delivery`], [`Execution`] and control message crosses the wire
-//! in a hand-rolled binary layout. The types live in `plasma-backend`,
-//! below the actor runtime; their byte layout lives here, beside the frame
-//! layer (length prefix, version byte, message kinds) that wraps it, so one
-//! crate owns every byte of the wire.
+//! Every delivery, execution and control message crosses the wire in a
+//! hand-rolled binary layout. The types live in `plasma-backend`, below
+//! the actor runtime; the control messages' byte layout lives here, a
+//! field at a time through [`WireCursor`], beside the frame layer (length
+//! prefix, version byte, message kinds) that wraps it, so one crate owns
+//! every byte of the wire.
 //!
 //! Layout rules, chosen once and applied everywhere:
 //!
+//! - **One layout, two codecs**: a delivery or an execution has one
+//!   length, so `frame` writes and reads its fields at fixed offsets
+//!   instead of through the cursor. The bytes are the ones the cursor
+//!   codec writes; that codec stays here under `cfg(test)` as the oracle
+//!   of the fixed offsets.
 //! - **Endianness is explicit**: every multi-byte integer is big-endian
 //!   (network byte order). No host-order field ever touches the wire.
 //! - **Fixed width**: `u8`/`u32`/`u64` only — no varints, no padding.
@@ -20,7 +27,9 @@
 //!   protocol contract and must not change under us when a dependency
 //!   changes its derive output.
 
-use plasma_backend::{ControlQuery, ControlReply, Delivery, Execution, ServerReport};
+use plasma_backend::{ControlQuery, ControlReply, ServerReport};
+#[cfg(test)]
+use plasma_backend::{Delivery, Execution};
 
 /// Why a buffer failed to decode.
 ///
@@ -120,6 +129,7 @@ impl<'a> WireCursor<'a> {
     }
 
     /// Reads a canonical boolean (`0` / `1` only).
+    #[cfg(test)]
     fn bool(&mut self) -> Result<bool, DecodeError> {
         match self.u8()? {
             0 => Ok(false),
@@ -148,7 +158,12 @@ pub(crate) trait Wire: Sized {
     fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, DecodeError>;
 }
 
-/// `server:u32 actor:u64 bytes:u64 remote:bool`.
+/// The cursor codec of the data frames' fields: `server:u32 actor:u64
+/// bytes:u64 remote:bool` for a delivery, `server:u32 actor:u64
+/// service_ns:u64` for an execution. `Frame` writes and reads the same
+/// bytes at fixed offsets; this codec stays as the oracle that its
+/// differential test holds the fixed offsets to.
+#[cfg(test)]
 impl Wire for Delivery {
     fn wire_encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.server);
@@ -167,7 +182,7 @@ impl Wire for Delivery {
     }
 }
 
-/// `server:u32 actor:u64 service_ns:u64`.
+#[cfg(test)]
 impl Wire for Execution {
     fn wire_encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.server);

@@ -111,6 +111,66 @@ fn windows_balance_per_connection() {
     }
 }
 
+/// A window of ~1.2 MB of data frames, so each connection writes its
+/// 64 KiB output buffer to the socket many times between barriers: the
+/// window balances, the carrier counts every frame and byte it wrote
+/// exactly, and the next, empty window balances too.
+#[test]
+fn a_window_past_the_output_buffer_balances_with_exact_counts() {
+    const N: u64 = 20_000;
+    const DELAY_NS: u64 = 5_000;
+    let len = |f: Frame| f.encode_vec().len() as u64;
+    for host in HOSTS {
+        let mut b = launch(host, 2);
+        b.link_delay(DELAY_NS);
+        let (mut data_bytes, mut remote) = (0, 0);
+        for i in 0..N {
+            let server = (i % 7) as u32;
+            let delivery = Delivery {
+                server,
+                actor: i,
+                bytes: 64 + i % 512,
+                remote: i % 3 == 0,
+            };
+            let execution = Execution {
+                server,
+                actor: i,
+                service_ns: 1_000 + i,
+            };
+            b.transmit(delivery);
+            b.execute(execution);
+            let delay_ns = if delivery.remote { DELAY_NS } else { 0 };
+            data_bytes += len(Frame::Deliver { delivery, delay_ns });
+            data_bytes += len(Frame::Execute { execution });
+            remote += u64::from(delivery.remote);
+        }
+        let marks = |generation| 2 * len(Frame::WindowMark { generation });
+        assert!(data_bytes > 16 * 64 * 1024, "{data_bytes} bytes");
+
+        assert!(b.window_close(1), "{host:?}: the window must balance");
+        let s = b.stats();
+        assert_eq!((s.deliveries, s.executions), (N, N), "{host:?}");
+        // Every data frame plus one mark per group.
+        assert_eq!(s.frames_sent, 2 * N + 2, "{host:?}");
+        assert_eq!(s.max_inflight_frames, 2 * N + 2, "{host:?}");
+        assert_eq!(s.wire_bytes_sent, data_bytes + marks(1), "{host:?}");
+        assert_eq!(s.channel_samples, remote, "{host:?}");
+        assert_eq!(s.channel_ns_total, remote * DELAY_NS, "{host:?}");
+
+        assert!(b.window_close(2), "{host:?}: an empty window must balance");
+        let s = b.stats();
+        assert_eq!(s.frames_sent, 2 * N + 4, "{host:?}");
+        assert_eq!(s.max_inflight_frames, 2 * N + 2, "{host:?}");
+        assert_eq!(
+            s.wire_bytes_sent,
+            data_bytes + marks(1) + marks(2),
+            "{host:?}"
+        );
+        assert_eq!(s.window_mismatches, 0, "{host:?}");
+        b.shutdown();
+    }
+}
+
 /// GEM control traffic rides the same per-group connections as carriage:
 /// reports published to workers come back bit-for-bit as query candidates,
 /// the window barrier still balances with control frames in flight, and
